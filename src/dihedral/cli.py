@@ -80,6 +80,8 @@ def cmd_analyze(args):
 
 
 def cmd_scan(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cap = _resolve_enum_cap(args.enum_cap)
     rows = list(scan(args.path, jobs=args.jobs, n_max=args.n_max, enum_cap=cap))
     if args.format == "json":

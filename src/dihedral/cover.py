@@ -5,14 +5,17 @@ double branched cover as Z^m / A Z^m, always a finite group of odd
 order. This module extracts the cyclic decomposition from the Smith
 normal form, keeps explicit generator vectors, and evaluates the
 Q/Z-valued linking form lk(u, v) = u^T A^{-1} v mod 1 exactly.
+
+Inside the layer a linking value is an integer mod the group exponent
+e (the largest invariant factor): e * lk is integral because e
+annihilates the group. A ResidueQZ is built only for values handed out.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
-from .exact import IntMatrix, ResidueQZ, det, rational_inverse, scaled_inverse, snf
+from .exact import IntMatrix, ResidueQZ, det, scaled_inverse, snf
 from .seifert import SeifertMatrix, symmetrize
 
 __all__ = [
@@ -116,9 +119,8 @@ class TorsionGroup:
 
     def _in_image(self, vec):
         """Whether vec lies in A Z^m, via the scaled inverse."""
-        n, d = self._scaled
-        dd = abs(d)
-        return all(x % dd == 0 for x in n.apply(vec))
+        n, e = self._scaled
+        return all(x % e == 0 for x in n.apply(vec))
 
     def _check_order(self, i):
         d = self._factors[i]
@@ -166,6 +168,11 @@ class TorsionGroup:
     def order(self):
         return math.prod(self._factors)
 
+    @property
+    def exponent(self):
+        """The largest invariant factor; 1 for the trivial group."""
+        return self._factors[-1] if self._factors else 1
+
     def element(self, coords):
         """Reduce arbitrary integer coordinates into canonical range."""
         c = tuple(coords)
@@ -200,18 +207,8 @@ class TorsionGroup:
 
     def pairing(self, u, v):
         """lk of two ambient integer vectors, as a residue mod 1."""
-        n, d = self._scaled
-        nv = n.apply(v)
-        total = sum(a * b for a, b in zip(u, nv))
-        return ResidueQZ.of(Fraction(total, d))
-
-    def element_pairing(self, x, y):
-        """lk of two elements given by coordinates."""
-        ux = [sum(c * g[i] for c, g in zip(x.coords, self._gens))
-              for i in range(self._ambient.rows)]
-        uy = [sum(c * g[i] for c, g in zip(y.coords, self._gens))
-              for i in range(self._ambient.rows)]
-        return self.pairing(ux, uy)
+        n, e = self._scaled
+        return ResidueQZ.of(sum(a * b for a, b in zip(u, n.apply(v))), e)
 
     def __eq__(self, other):
         return (
@@ -234,11 +231,13 @@ class LinkingForm:
 
     matrix[i][j] is lk(l_i, l_j) as a residue mod 1. Construction
     recomputes every entry from the group's presentation and checks
-    symmetry, annihilation (d_i * entry integral), and odd denominators.
+    symmetry, annihilation (d_i * entry integral), and odd denominators,
+    then tabulates the integers e * matrix[i][j] mod e for `pair`.
     """
 
     group: TorsionGroup
     matrix: tuple
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.group.rank
@@ -259,10 +258,26 @@ class LinkingForm:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
                 if entry.denominator % 2 == 0:
                     raise ValueError(f"entry ({i},{j}) has even denominator")
+        e = self.exponent
+        table = tuple(tuple(x.numerator * (e // x.denominator) for x in row)
+                      for row in self.matrix)
+        object.__setattr__(self, "_table", table)
 
     @property
     def rank(self):
         return self.group.rank
+
+    @property
+    def exponent(self):
+        return self.group.exponent
+
+    def pair(self, x, y):
+        """e * lk(x, y) mod e for elements given by coordinate tuples."""
+        total = 0
+        for xi, row in zip(x, self._table):
+            if xi:
+                total += xi * sum(yj * lij for yj, lij in zip(y, row))
+        return total % self.exponent
 
     def __repr__(self):
         rows = [[str(x) for x in row] for row in self.matrix]
@@ -274,8 +289,9 @@ def double_cover_homology(v):
 
     Runs the Smith normal form of A = V + V^T and reads off the cyclic
     decomposition; the generator for the factor at diagonal position i
-    is column i of P^{-1}, which the TorsionGroup constructor then
-    verifies has exactly the right order.
+    is column i of P^{-1} = A Q D^{-1}, that is A q_i / d_i for column
+    q_i of Q. The TorsionGroup constructor then verifies it has exactly
+    the right order.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("double_cover_homology expects a SeifertMatrix")
@@ -284,9 +300,14 @@ def double_cover_homology(v):
     diag = res.diagonal()
     if any(x == 0 for x in diag):
         raise ArithmeticError("V + V^T is singular; input is corrupt")
-    pinv = rational_inverse(res.P).to_int()
-    positions = [i for i, x in enumerate(diag) if x > 1]
-    gens = [pinv.column(i) for i in positions]
+    aq = a @ res.Q
+    gens = []
+    for i, d in enumerate(diag):
+        if d > 1:
+            col = aq.column(i)
+            if any(x % d for x in col):
+                raise ArithmeticError(f"column {i} of A Q is not divisible by {d}")
+            gens.append(tuple(x // d for x in col))
     return TorsionGroup(res.invariant_factors, gens, a)
 
 
@@ -311,9 +332,8 @@ def evaluate_linking(a, u, v):
     uu, vv = tuple(u), tuple(v)
     if len(uu) != a.rows or len(vv) != a.rows:
         raise ValueError("vector length does not match the matrix")
-    n, d = scaled_inverse(a)
-    total = sum(x * y for x, y in zip(uu, n.apply(vv)))
-    return ResidueQZ.of(Fraction(total, d))
+    n, e = scaled_inverse(a)
+    return ResidueQZ.of(sum(x * y for x, y in zip(uu, n.apply(vv))), e)
 
 
 def self_linking(form, c):
@@ -328,11 +348,4 @@ def self_linking(form, c):
     for i, (x, d) in enumerate(zip(c.coords, factors)):
         if not 0 <= x < d:
             raise ValueError(f"coordinate {i} = {x} is outside [0, {d})")
-    total = Fraction(0)
-    for i, xi in enumerate(c.coords):
-        if xi == 0:
-            continue
-        for j, xj in enumerate(c.coords):
-            if xj:
-                total += xi * xj * form.matrix[i][j].value
-    return ResidueQZ.of(total)
+    return ResidueQZ.of(form.pair(c.coords, c.coords), form.exponent)

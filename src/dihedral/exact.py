@@ -1,10 +1,10 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
 Small dense matrices over arbitrary-precision integers, with the
 handful of algorithms everything else is built on: Smith normal form
-with its transformation matrices, Bareiss determinants, exact rational
-inverses, a primitivity test, and four-square decompositions. Nothing
-in this module ever rounds.
+with its transformation matrices, Bareiss determinants, integer
+inverses scaled by the group exponent, a primitivity test, and
+four-square decompositions. Nothing in this module ever rounds.
 """
 
 import math
@@ -13,12 +13,10 @@ from fractions import Fraction
 
 __all__ = [
     "IntMatrix",
-    "RatMatrix",
     "SNFResult",
     "ResidueQZ",
     "snf",
     "det",
-    "rational_inverse",
     "scaled_inverse",
     "is_primitive",
     "four_squares",
@@ -159,82 +157,6 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-class RatMatrix:
-    """An immutable dense matrix of Fractions (always in lowest terms)."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        data = [tuple(Fraction(x) for x in r) for r in rows]
-        width = len(data[0]) if data else 0
-        for i, r in enumerate(data):
-            if len(r) != width:
-                raise ValueError(f"row {i} has length {len(r)}, expected {width}")
-        self._rows = tuple(data)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_int(cls, m):
-        return cls(m.to_lists())
-
-    @property
-    def rows(self):
-        return len(self._rows)
-
-    @property
-    def cols(self):
-        return len(self._rows[0]) if self._rows else 0
-
-    def row(self, i):
-        return self._rows[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self._rows)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self._rows[i][j]
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = RatMatrix.from_int(other)
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = [other.column(j) for j in range(other.cols)]
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self._rows]
-        )
-
-    def apply(self, vec):
-        """Matrix-vector product, returned as a tuple of Fractions."""
-        v = tuple(Fraction(x) for x in vec)
-        if len(v) != self.cols:
-            raise ValueError(f"vector has length {len(v)}, expected {self.cols}")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self._rows)
-
-    def is_integral(self):
-        return all(x.denominator == 1 for r in self._rows for x in r)
-
-    def to_int(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in r] for r in self._rows])
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in r] for r in self._rows]!r})"
-
-
 @dataclass(frozen=True, order=True)
 class ResidueQZ:
     """A rational residue mod 1, stored reduced into [0, 1)."""
@@ -248,9 +170,9 @@ class ResidueQZ:
             raise ValueError(f"residue {self.value} is outside [0, 1)")
 
     @classmethod
-    def of(cls, q):
-        """Reduce any rational into [0, 1)."""
-        f = Fraction(q)
+    def of(cls, q, den=1):
+        """Reduce the rational q / den into [0, 1)."""
+        f = Fraction(q, den)
         return cls(f - math.floor(f))
 
     @property
@@ -299,53 +221,6 @@ def det(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rational_inverse(a):
-    """Exact inverse of a square IntMatrix, as a RatMatrix.
-
-    Raises ValueError on a singular input. The product with the input
-    is rechecked against the identity before returning.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    work = [[Fraction(x) for x in a.row(i)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv = RatMatrix([row[n:] for row in work])
-    if inv @ a != RatMatrix.identity(n):
-        raise ArithmeticError("inverse failed its self-check")
-    return inv
-
-
-def scaled_inverse(a):
-    """Return (N, d) with a @ N == d * identity and N integral, d = det(a).
-
-    Linking computations reduce to integer bilinear forms through this
-    pair, which keeps hot loops out of Fraction arithmetic.
-    """
-    d = det(a)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    inv = rational_inverse(a)
-    scaled = [[x * d for x in inv.row(i)] for i in range(inv.rows)]
-    n = RatMatrix(scaled).to_int()
-    return n, d
 
 
 @dataclass(frozen=True)
@@ -475,6 +350,28 @@ def snf(a):
         raise ArithmeticError("Smith normal form transforms are not unimodular")
     diag = tuple(dm[i, i] for i in range(min(m, n)))
     return SNFResult(P=pm, Q=qm, D=dm, invariant_factors=tuple(x for x in diag if x > 1))
+
+
+def scaled_inverse(a):
+    """Return (N, e) with a @ N == e * identity and N integral.
+
+    e is the largest invariant factor of a (1 when a is unimodular),
+    the exponent of Z^m / a Z^m, so linking values through N are
+    integers mod e. From the Smith form P a Q = D, a^{-1} = Q D^{-1} P
+    and N = Q diag(e / d_i) P. Raises ValueError on a singular input.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
+    res = snf(a)
+    diag = res.diagonal()
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    e = diag[-1] if diag else 1
+    q_scaled = IntMatrix([[x * (e // d) for x, d in zip(row, diag)] for row in res.Q.to_lists()])
+    n = q_scaled @ res.P
+    if a @ n != IntMatrix([[e if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]):
+        raise ArithmeticError("scaled inverse failed its self-check")
+    return n, e
 
 
 def is_primitive(v):

@@ -10,10 +10,10 @@ implemented here, independently, and the character built from a
 characteristic class cross-checks one against the other.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
 from .errors import CriterionInapplicableError, EnumerationCapError, require_odd
@@ -64,24 +64,20 @@ def _check_cap(order, enum_cap):
         )
 
 
-def _character_values(form, coords):
-    """Pairing of the element with each generator, as Fractions mod 1."""
-    out = []
-    for j in range(form.rank):
-        total = Fraction(0)
-        for i, x in enumerate(coords):
-            if x:
-                total += x * form.matrix[i][j].value
-        out.append(ResidueQZ.of(total))
-    return tuple(out)
+@functools.cache
+def _basis(rank):
+    """Coordinates of the group generators."""
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
 
 def _image_order(form, coords):
     """Order of the subgroup of Q/Z generated by the character's values."""
-    order = 1
-    for r in _character_values(form, coords):
-        order = math.lcm(order, r.denominator)
-    return order
+    e = form.exponent
+    return e // math.gcd(e, *(form.pair(coords, g) for g in _basis(form.rank)))
+
+
+def _isotropic(form, coords):
+    return form.pair(coords, coords) == 0
 
 
 @dataclass(frozen=True)
@@ -108,19 +104,15 @@ class Character:
 
     def values(self):
         """The character on each group generator."""
-        return _character_values(self.form, self.c.coords)
+        e = self.form.exponent
+        return tuple(ResidueQZ.of(self.form.pair(self.c.coords, g), e)
+                     for g in _basis(self.form.rank))
 
     def evaluate(self, x):
         """The character on an arbitrary element given by coordinates."""
         if not isinstance(x, GroupElement):
             raise TypeError("evaluate expects a GroupElement")
-        total = Fraction(0)
-        for xi, row in zip(self.c.coords, self.form.matrix):
-            if xi:
-                for yj, entry in zip(x.coords, row):
-                    if yj:
-                        total += xi * yj * entry.value
-        return ResidueQZ.of(total)
+        return ResidueQZ.of(self.form.pair(self.c.coords, x.coords), self.form.exponent)
 
     def self_linking(self):
         return self_linking(self.form, self.c)
@@ -161,7 +153,7 @@ class QuotientClass:
         orbit = {_unit_act(u, coords[0], factors) for u in _units(self.n)}
         if orbit != set(coords):
             raise ValueError("members are not one orbit of the unit action")
-        verdicts = {ch.self_linking().is_zero for ch in self.members}
+        verdicts = {_isotropic(form, ch.c.coords) for ch in self.members}
         if len(verdicts) != 1:
             raise ValueError("members disagree on the extension verdict")
 
@@ -171,7 +163,8 @@ class QuotientClass:
 
     @property
     def extends(self):
-        return self.representative.self_linking().is_zero
+        rep = self.representative
+        return _isotropic(rep.form, rep.c.coords)
 
     def __len__(self):
         return len(self.members)
@@ -200,7 +193,7 @@ def enumerate_isotropic(form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     _check_n(n)
     group = form.group
     _check_cap(group.order, enum_cap)
-    return tuple(c for c in group.elements() if self_linking(form, c).is_zero)
+    return tuple(c for c in group.elements() if _isotropic(form, c.coords))
 
 
 def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
@@ -439,11 +432,12 @@ def char_knot_to_character(v, beta, form=None):
         if group.coords_of(w2) != c:
             raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
     ch = Character(form, c, n) if _image_order(form, c.coords) == n else None
-    expected = ResidueQZ.of(Fraction(beta.form_value(), n * n))
-    got = self_linking(form, c)
-    if got != expected:
+    # e * lk(c, c) / e == form value / n^2 mod 1, cross-multiplied
+    e, got, value = form.exponent, form.pair(c.coords, c.coords), beta.form_value()
+    if (got * n * n - value * e) % (e * n * n) != 0:
         raise ArithmeticError(
-            f"self-linking {got} disagrees with form value {expected}; routes are inconsistent"
+            f"self-linking {got}/{e} disagrees with form value {value}/{n * n} mod 1; "
+            "routes are inconsistent"
         )
     if ch is None:
         raise ArithmeticError(

@@ -31,7 +31,6 @@ from .obstruction import (
     seifert_criterion,
     surjective_characters,
     verdict,
-    zero_framed_exists,
 )
 from .seifert import SeifertMatrix, knot_determinant, stabilize_zero_framed
 from .signatures import ribbon_test, twist_xi3
@@ -387,7 +386,7 @@ def _char_entry(v, ck):
         beta=ck.beta,
         form_value_mod_n2=value % (n * n),
         passes_criterion=passes,
-        zero_framed_exists=zero_framed_exists(v, ck),
+        zero_framed_exists=passes,  # the same criterion as seifert_criterion
         stabilization=summary,
     )
 
@@ -572,7 +571,10 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """Analyze a census file (CSV with a name,seifert header, or JSON
     lines with name and seifert fields), yielding one Report or
     RowError per row in input order. A bad row never stops the scan.
+    jobs below 1 is rejected with ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     rows = _census_rows(text, source=str(path))

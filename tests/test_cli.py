@@ -59,6 +59,15 @@ class TestScan:
         assert main(["scan", "/no/such/census.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):
+        p = tmp_path / "census.csv"
+        p.write_text(f'name,seifert\ntrefoil,"{TREFOIL}"\n')
+        assert main(["scan", str(p), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --jobs must be >= 1" in captured.err
+
 
 class TestTwist:
     def test_range(self, capsys):

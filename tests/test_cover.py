@@ -166,6 +166,28 @@ class TestLinkingForm:
                 assert any(not p.is_zero for p in pairs), (v, c)
 
 
+class TestPairing:
+    def test_exponent(self):
+        assert linking_form(double_cover_homology(NINE_37)).exponent == 15
+        assert linking_form(double_cover_homology(SeifertMatrix([]))).exponent == 1
+
+    def test_matches_residue_matrix(self):
+        # e * lk(x, y) mod e agrees with sum x_i y_j lk(g_i, g_j) mod 1
+        group = double_cover_homology(NINE_37)
+        form = linking_form(group)
+        elems = list(group.elements())
+        for x in elems[::4]:
+            for y in elems[::7]:
+                want = ResidueQZ.of(sum(
+                    xi * yj * form.matrix[i][j].value
+                    for i, xi in enumerate(x.coords)
+                    for j, yj in enumerate(y.coords)
+                ))
+                got = form.pair(x.coords, y.coords)
+                assert 0 <= got < form.exponent
+                assert ResidueQZ.of(got, form.exponent) == want
+
+
 class TestEvaluateLinking:
     def test_matches_form_on_generators(self, corpus):
         for v in corpus[:15]:

@@ -13,6 +13,7 @@ from dihedral import (
     EnumerationCapError,
     EvenModulusError,
     QuotientClass,
+    ResidueQZ,
     SeifertMatrix,
     char_knot_to_character,
     characteristic_knot_classes,
@@ -97,6 +98,33 @@ class TestSurjectiveCharacters:
             Character(form, group.element((0, 0)), 3)
         with pytest.raises(ValueError):
             Character(form, group.element((0, 1)), 3)
+
+
+class TestCharacter:
+    def test_evaluate_matches_self_linking_and_values(self, corpus):
+        for v in corpus[:20]:
+            d = knot_determinant(v)
+            group = double_cover_homology(v)
+            form = linking_form(group)
+            gens = [group.element(tuple(int(i == j) for j in range(group.rank)))
+                    for i in range(group.rank)]
+            for n in (3, 5, 7, 9):
+                if d % n:
+                    continue
+                for ch in surjective_characters(group, form, n):
+                    assert ch.evaluate(ch.c) == ch.self_linking()
+                    assert tuple(ch.evaluate(g) for g in gens) == ch.values()
+
+    def test_values_match_residue_matrix(self):
+        # oracle: sum_i c_i lk(g_i, g_j) from the tabulated residues
+        group = double_cover_homology(NINE_37)
+        form = linking_form(group)
+        for ch in surjective_characters(group, form, 3):
+            want = tuple(
+                ResidueQZ.of(sum(x * row[j].value for x, row in zip(ch.c.coords, form.matrix)))
+                for j in range(group.rank)
+            )
+            assert ch.values() == want
 
 
 class TestQuotientClasses:

@@ -216,6 +216,12 @@ class TestScan:
         with pytest.raises(OSError):
             list(scan("/nonexistent/census.csv"))
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
+        with pytest.raises(ValueError, match="jobs"):
+            list(scan(path, jobs=jobs))
+
     def test_bad_csv_header(self, tmp_path):
         path = self._write(tmp_path, "knot,matrix\nx,{{0}}\n")
         with pytest.raises(ValueError):
