@@ -229,38 +229,33 @@ class TorsionGroup:
 class LinkingForm:
     """The linking form on a TorsionGroup, tabulated on its generators.
 
-    matrix[i][j] is lk(l_i, l_j) as a residue mod 1. Construction
-    recomputes every entry from the group's presentation and checks
-    symmetry, annihilation (d_i * entry integral), and odd denominators,
-    then tabulates the integers e * matrix[i][j] mod e for `pair`.
+    matrix[i][j] is lk(l_i, l_j) as a residue mod 1, computed once from
+    the group's presentation. Construction checks symmetry,
+    annihilation (d_i * entry integral), and odd denominators on that
+    result, then tabulates the integers e * matrix[i][j] mod e for `pair`.
     """
 
     group: TorsionGroup
-    matrix: tuple
+    matrix: tuple = field(init=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.group.rank
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise ValueError(f"linking matrix must be {r}x{r}")
+        if not isinstance(self.group, TorsionGroup):
+            raise TypeError("LinkingForm expects a TorsionGroup")
         gens = self.group.generators
-        for i in range(r):
-            for j in range(r):
-                entry = self.matrix[i][j]
-                if not isinstance(entry, ResidueQZ):
-                    raise TypeError(f"entry ({i},{j}) is not a residue")
-                if entry != self.group.pairing(gens[i], gens[j]):
-                    raise ValueError(f"entry ({i},{j}) does not match the presentation")
-                if entry != self.matrix[j][i]:
+        matrix = tuple(tuple(self.group.pairing(gi, gj) for gj in gens) for gi in gens)
+        for i, (d, row) in enumerate(zip(self.group.invariant_factors, matrix)):
+            for j, entry in enumerate(row):
+                if entry != matrix[j][i]:
                     raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
-                d = self.group.invariant_factors[i]
                 if (d * entry.value).denominator != 1:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
                 if entry.denominator % 2 == 0:
                     raise ValueError(f"entry ({i},{j}) has even denominator")
         e = self.exponent
         table = tuple(tuple(x.numerator * (e // x.denominator) for x in row)
-                      for row in self.matrix)
+                      for row in matrix)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_table", table)
 
     @property
@@ -313,13 +308,7 @@ def double_cover_homology(v):
 
 def linking_form(group):
     """Tabulate the linking form of a TorsionGroup on its generators."""
-    if not isinstance(group, TorsionGroup):
-        raise TypeError("linking_form expects a TorsionGroup")
-    gens = group.generators
-    matrix = tuple(
-        tuple(group.pairing(gi, gj) for gj in gens) for gi in gens
-    )
-    return LinkingForm(group, matrix)
+    return LinkingForm(group)
 
 
 def evaluate_linking(a, u, v):

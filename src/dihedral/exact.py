@@ -51,11 +51,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)])
+        return _derived(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
     @classmethod
     def from_columns(cls, columns, nrows):
@@ -78,7 +74,7 @@ class IntMatrix:
                 for j in range(b.cols):
                     out[at + i][at + j] = b[i, j]
             at += b.rows
-        return cls(out)
+        return _derived(out)
 
     @property
     def rows(self):
@@ -104,10 +100,10 @@ class IntMatrix:
         return self._rows[i][j]
 
     def transpose(self):
-        return IntMatrix([self.column(j) for j in range(self.cols)])
+        return _derived(self.column(j) for j in range(self.cols))
 
     def __neg__(self):
-        return IntMatrix([[-x for x in r] for r in self._rows])
+        return _derived(tuple(-x for x in r) for r in self._rows)
 
     def _same_shape(self, other):
         if not isinstance(other, IntMatrix):
@@ -117,15 +113,13 @@ class IntMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)]
-        )
+        return _derived(tuple(a + b for a, b in zip(r, s))
+                        for r, s in zip(self._rows, other._rows))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)]
-        )
+        return _derived(tuple(a - b for a, b in zip(r, s))
+                        for r, s in zip(self._rows, other._rows))
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -133,9 +127,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self._rows]
-        )
+        return _derived(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
+                        for r in self._rows)
 
     def apply(self, vec):
         """Matrix-vector product, returned as a tuple of ints."""
@@ -155,6 +148,15 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.to_lists()!r})"
+
+
+def _derived(rows):
+    """An IntMatrix over rows computed from IntMatrix operands, which are
+    integers of one width by construction: unlike IntMatrix(rows), no
+    checks. Validation happens where a matrix enters from outside."""
+    m = object.__new__(IntMatrix)
+    m._rows = tuple(map(tuple, rows))
+    return m
 
 
 @dataclass(frozen=True, order=True)
@@ -343,7 +345,7 @@ def snf(a):
             row_negate(t)
         t += 1
 
-    pm, qm, dm = IntMatrix(p), IntMatrix(q), IntMatrix(w)
+    pm, qm, dm = _derived(p), _derived(q), _derived(w)
     if pm @ a @ qm != dm:
         raise ArithmeticError("Smith normal form failed its factorization check")
     if abs(det(pm)) != 1 or abs(det(qm)) != 1:
@@ -367,9 +369,11 @@ def scaled_inverse(a):
     if 0 in diag:
         raise ValueError("matrix is singular")
     e = diag[-1] if diag else 1
-    q_scaled = IntMatrix([[x * (e // d) for x, d in zip(row, diag)] for row in res.Q.to_lists()])
+    q_scaled = _derived(tuple(x * (e // d) for x, d in zip(row, diag))
+                        for row in res.Q._rows)
     n = q_scaled @ res.P
-    if a @ n != IntMatrix([[e if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]):
+    if a @ n != _derived(tuple(e if i == j else 0 for j in range(a.rows))
+                         for i in range(a.rows)):
         raise ArithmeticError("scaled inverse failed its self-check")
     return n, e
 

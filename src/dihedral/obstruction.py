@@ -38,7 +38,6 @@ __all__ = [
     "characteristic_knot_classes",
     "char_knot_to_character",
     "seifert_criterion",
-    "zero_framed_exists",
     "cyclic_criterion",
 ]
 
@@ -337,15 +336,12 @@ class CharKnotClass:
 
     @property
     def beta(self):
+        """The canonical integer lift, entries in [0, n)."""
         return self._beta
 
     @property
     def n(self):
         return self._n
-
-    def lift(self):
-        """The canonical integer lift, entries in [0, n)."""
-        return self._beta
 
     def as_surface_class(self):
         return SurfaceClass(self._beta)
@@ -420,17 +416,16 @@ def char_knot_to_character(v, beta, form=None):
     if group.ambient != a:
         raise ValueError("linking form was built on a different matrix")
     n = beta.n
-    lift = beta.lift()
+    lift = beta.beta
     av = a.apply(lift)
     if any(x % n != 0 for x in av):
         raise ArithmeticError("characteristic class failed A beta = 0 mod n; input is corrupt")
     w = tuple(x // n for x in av)
     c = group.coords_of(w)
-    if __debug__:
-        shifted = tuple(x + n for x in lift)
-        w2 = tuple(x // n for x in a.apply(shifted))
-        if group.coords_of(w2) != c:
-            raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
+    shifted = tuple(x + n for x in lift)
+    w2 = tuple(x // n for x in a.apply(shifted))
+    if group.coords_of(w2) != c:
+        raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
     ch = Character(form, c, n) if _image_order(form, c.coords) == n else None
     # e * lk(c, c) / e == form value / n^2 mod 1, cross-multiplied
     e, got, value = form.exponent, form.pair(c.coords, c.coords), beta.form_value()
@@ -456,12 +451,6 @@ def seifert_criterion(v, beta):
         raise ValueError("class was built on a different Seifert matrix")
     n = beta.n
     return beta.form_value() % (n * n) == 0
-
-
-def zero_framed_exists(v, beta):
-    """Whether some stabilization makes the class zero-framed. Decided by
-    the same divisibility as seifert_criterion."""
-    return seifert_criterion(v, beta)
 
 
 def cyclic_criterion(group, n):

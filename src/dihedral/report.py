@@ -119,7 +119,6 @@ class CharEntry:
     beta: tuple
     form_value_mod_n2: int
     passes_criterion: bool
-    zero_framed_exists: bool
     stabilization: StabSummary
 
 
@@ -258,7 +257,9 @@ def _nblock_dict(b):
                 "beta": [str(x) for x in e.beta],
                 "form_value_mod_n2": str(e.form_value_mod_n2),
                 "passes_criterion": e.passes_criterion,
-                "zero_framed_exists": e.zero_framed_exists,
+                # a class is zero-framable after stabilization exactly
+                # when it passes the criterion
+                "zero_framed_exists": e.passes_criterion,
                 "stabilization": {
                     "status": e.stabilization.status,
                     "new_size": e.stabilization.new_size,
@@ -297,7 +298,7 @@ def parse_matrix(text):
     if not s:
         raise MatrixParseError("empty matrix text")
     if s.startswith("{"):
-        allowed = set("{},+-0123456789 \t\r\n")
+        allowed = set("{},-0123456789 \t\r\n")
         for pos, ch in enumerate(s):
             if ch not in allowed:
                 raise MatrixParseError(f"unexpected character {ch!r} at position {pos}")
@@ -386,7 +387,6 @@ def _char_entry(v, ck):
         beta=ck.beta,
         form_value_mod_n2=value % (n * n),
         passes_criterion=passes,
-        zero_framed_exists=passes,  # the same criterion as seifert_criterion
         stabilization=summary,
     )
 

@@ -28,10 +28,11 @@ class SeifertMatrix:
 
     Accepts an IntMatrix or any iterable of integer rows; the empty
     matrix stands for the unknot. Validation checks squareness, even
-    size, and det(V - V^T) = 1 exactly.
+    size, and det(V - V^T) = 1 exactly. A = V + V^T is formed here,
+    once, and handed out by symmetrize.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_sym")
 
     def __init__(self, rows):
         m = rows if isinstance(rows, IntMatrix) else IntMatrix(rows)
@@ -39,10 +40,12 @@ class SeifertMatrix:
             raise SeifertMatrixError(f"Seifert matrix must be square, got {m.rows}x{m.cols}")
         if m.rows % 2 != 0:
             raise SeifertMatrixError(f"Seifert matrix must have even size, got {m.rows}")
-        d = det(m - m.transpose())
+        mt = m.transpose()
+        d = det(m - mt)
         if d != 1:
             raise SeifertMatrixError(f"det(V - V^T) must be 1, got {d}")
         self._m = m
+        self._sym = m + mt
 
     @property
     def matrix(self):
@@ -103,11 +106,11 @@ class SurfaceClass:
 
 
 def symmetrize(v):
-    """V + V^T, the intersection-form presentation matrix."""
+    """V + V^T, the intersection-form presentation matrix, as formed
+    when v was constructed."""
     if not isinstance(v, SeifertMatrix):
         raise TypeError("symmetrize expects a SeifertMatrix")
-    m = v.matrix
-    return m + m.transpose()
+    return v._sym
 
 
 def knot_determinant(v):
@@ -137,8 +140,7 @@ def connected_sum(v1, v2):
 
 # One stabilizing band pair contributes this block (sign +1) or its
 # negative-twist mirror (sign -1); both have zero-framed second band.
-def _stab_block(sign):
-    return IntMatrix([[0, -1], [0, 0]]) if sign > 0 else IntMatrix([[0, 1], [0, 0]])
+_STAB_BLOCKS = {1: IntMatrix([[0, -1], [0, 0]]), -1: IntMatrix([[0, 1], [0, 0]])}
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def stabilize_zero_framed(v, beta, n):
     squares = tuple(sorted(four_squares(scaled // 2), reverse=True))
     sign = 1 if value > 0 else -1
 
-    blocks = [v.matrix] + [_stab_block(sign)] * 4
+    blocks = [v.matrix] + [_STAB_BLOCKS[sign]] * 4
     v2 = SeifertMatrix(IntMatrix.block_diag(*blocks))
     # each block pair holds (n*s, n*s): its form contribution is -sign * 2 (n*s)^2
     extra = []

@@ -8,14 +8,13 @@ subcommand runs them all and reports pass/fail per check.
 from fractions import Fraction
 
 from .cover import (
-    GroupElement,
     TorsionGroup,
     double_cover_homology,
     evaluate_linking,
     linking_form,
     self_linking,
 )
-from .exact import IntMatrix, ResidueQZ, four_squares, snf
+from .exact import ResidueQZ, four_squares, snf
 from .obstruction import (
     characteristic_knot_classes,
     char_knot_to_character,

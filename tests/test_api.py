@@ -1,7 +1,12 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and the README's
+library example runs."""
 
+import contextlib
 import importlib
+import io
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -21,3 +26,16 @@ def test_module_all_resolves(name):
     mod = importlib.import_module(f"dihedral.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    # 9_37 at n = 3: four quotient classes, two of them extendable
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 4
+    assert sum(line.endswith("True") for line in lines) == 2

@@ -137,11 +137,16 @@ class TestLinkingForm:
         form = linking_form(double_cover_homology(NINE_37))
         assert form.rank == 2
 
-    def test_tampered_matrix_rejected(self):
-        group = double_cover_homology(twist_knot(-1))
-        bad = ((ResidueQZ.of(Fraction(2, 3)),),)
-        with pytest.raises(ValueError):
-            LinkingForm(group, bad)
+    def test_built_from_the_group_alone(self):
+        group = double_cover_homology(NINE_37)
+        form = LinkingForm(group)
+        gens = group.generators
+        assert form.matrix == tuple(tuple(group.pairing(gi, gj) for gj in gens) for gi in gens)
+        assert linking_form(group) == form
+        with pytest.raises(TypeError):
+            LinkingForm(group, form.matrix)
+        with pytest.raises(TypeError):
+            LinkingForm(symmetrize(NINE_37))
 
     def test_nondegenerate_on_corpus(self, corpus):
         # injectivity of c -> lk(c, .): no nonzero element pairs to zero

@@ -71,6 +71,23 @@ class TestIntMatrix:
         b = IntMatrix([[1]])
         assert len({a, b}) == 1
 
+    def test_derived_matrices_match_validated_ones(self):
+        # results of operations skip the entry checks; each must still be
+        # indistinguishable from the same rows passed through IntMatrix
+        rng = random.Random(15)
+        for _ in range(20):
+            m = rng.randint(0, 4)
+            a, b = rand_matrix(rng, m), rand_matrix(rng, m)
+            res = snf(a)
+            derived = [a.transpose(), -a, a + b, a - b, a @ b,
+                       IntMatrix.block_diag(a, b), IntMatrix.identity(m),
+                       res.P, res.Q, res.D]
+            for d in derived:
+                checked = IntMatrix(d.to_lists())
+                assert d == checked and hash(d) == hash(checked)
+                assert type(d._rows) is tuple
+                assert all(type(r) is tuple for r in d._rows)
+
 
 class TestDeterminant:
     def test_empty_matrix(self):

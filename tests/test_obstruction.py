@@ -1,11 +1,16 @@
 """Dihedral quotients, extension verdicts, characteristic knot classes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import dihedral
 from dihedral import (
     Character,
     CharKnotClass,
@@ -30,7 +35,6 @@ from dihedral import (
     symmetrize,
     twist_knot,
     verdict,
-    zero_framed_exists,
 )
 from dihedral.cover import GroupElement
 
@@ -284,6 +288,33 @@ class TestCharacterBridge:
         ch = char_knot_to_character(v, ck, form)
         assert ch.self_linking().value == Fraction(1, 3)
 
+    def test_lift_check_runs_under_optimize(self):
+        # a coordinate solver that depends on the lift must be caught
+        # even when assertions and __debug__ blocks are compiled out
+        script = textwrap.dedent("""
+            import itertools
+            from dihedral import char_knot_to_character, characteristic_knot_classes, twist_knot
+            from dihedral.cover import GroupElement, TorsionGroup
+
+            solve, calls = TorsionGroup.coords_of, itertools.count()
+
+            def lift_dependent(self, vec):
+                c = solve(self, vec)
+                return c if next(calls) % 2 == 0 else GroupElement(((c.coords[0] + 1) % 3,))
+
+            TorsionGroup.coords_of = lift_dependent
+            v = twist_knot(-1)
+            try:
+                char_knot_to_character(v, characteristic_knot_classes(v, 3)[0])
+            except ArithmeticError as e:
+                print(e)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert "depends on the chosen lift" in out.stdout
+
     def test_class_level_round_trip(self, corpus):
         # the classes of isotropic surjective characters are exactly the
         # classes hit by criterion-passing characteristic knots
@@ -316,11 +347,6 @@ class TestCriteria:
             passes = [seifert_criterion(v, ck)
                       for ck in characteristic_knot_classes(v, 3)]
             assert all(p == (m % 9 == 2) for p in passes)
-
-    def test_zero_framed_alias(self):
-        v = twist_knot(2)
-        for ck in characteristic_knot_classes(v, 3):
-            assert zero_framed_exists(v, ck) == seifert_criterion(v, ck)
 
     def test_cyclic_shortcut(self):
         v = SeifertMatrix([[-10, 1], [0, 2]])

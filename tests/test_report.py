@@ -53,6 +53,10 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError, match="position 4"):
             parse_matrix("{{1,a},{3,4}}")
 
+    def test_plus_sign_reports_position(self):
+        with pytest.raises(MatrixParseError, match=r"unexpected character '\+' at position 5"):
+            parse_matrix("{{-1,+1},{0,+2}}")
+
     def test_non_square_distinct_error(self):
         with pytest.raises(SeifertMatrixError, match="square"):
             parse_matrix("{{1,2,3},{4,5,6}}")

@@ -14,6 +14,7 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.errors import EvenModulusError
+from dihedral.exact import IntMatrix
 
 
 class TestSeifertMatrix:
@@ -41,6 +42,21 @@ class TestSeifertMatrix:
     def test_hash_and_eq(self):
         assert twist_knot(2) == twist_knot(2)
         assert len({twist_knot(2), twist_knot(2)}) == 1
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            SeifertMatrix([[-1, 1], [0, 2.0]])
+        with pytest.raises(TypeError):
+            SeifertMatrix([[-1, True], [0, 2]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            SeifertMatrix([[-1, 1], [0]])
+
+    def test_constructors_stay_on_the_class(self):
+        # the benchmark's tracer wraps these two by name
+        assert "__init__" in vars(IntMatrix)
+        assert "__init__" in vars(SeifertMatrix)
 
     def test_corpus_valid(self, corpus):
         for v in corpus:
@@ -85,6 +101,12 @@ class TestSymmetrize:
         for v in corpus[:10]:
             a = symmetrize(v)
             assert a == a.transpose()
+
+    def test_formed_once(self, corpus):
+        for v in corpus[:10]:
+            a = symmetrize(v)
+            assert a == v.matrix + v.matrix.transpose()
+            assert symmetrize(v) is a
 
 
 class TestStabilization:
