@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exact import IntMatrix, ResidueQZ, det, scaled_inverse, snf
-from .seifert import SeifertMatrix, symmetrize
+from .seifert import SeifertMatrix, _smith_form, symmetrize
 
 __all__ = [
     "GroupElement",
@@ -282,16 +282,17 @@ class LinkingForm:
 def double_cover_homology(v):
     """First homology of the double branched cover of a knot.
 
-    Runs the Smith normal form of A = V + V^T and reads off the cyclic
-    decomposition; the generator for the factor at diagonal position i
-    is column i of P^{-1} = A Q D^{-1}, that is A q_i / d_i for column
-    q_i of Q. The TorsionGroup constructor then verifies it has exactly
-    the right order.
+    Reads the cyclic decomposition off the Smith normal form of
+    A = V + V^T, which the SeifertMatrix computes once and keeps; the
+    generator for the factor at diagonal position i is column i of
+    P^{-1} = A Q D^{-1}, that is A q_i / d_i for column q_i of Q. The
+    TorsionGroup constructor then verifies it has exactly the right
+    order.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("double_cover_homology expects a SeifertMatrix")
     a = symmetrize(v)
-    res = snf(a)
+    res = _smith_form(v)
     diag = res.diagonal()
     if any(x == 0 for x in diag):
         raise ArithmeticError("V + V^T is singular; input is corrupt")

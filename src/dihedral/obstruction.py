@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
 from .errors import CriterionInapplicableError, EnumerationCapError, require_odd
-from .exact import ResidueQZ, snf
-from .seifert import SeifertMatrix, SurfaceClass, symmetrize
+from .exact import ResidueQZ
+from .seifert import SeifertMatrix, SurfaceClass, _smith_form, symmetrize
 
 __all__ = [
     "SCOPE_ORIENTABLE_B4",
@@ -56,10 +56,10 @@ def _check_n(n):
     return n
 
 
-def _check_cap(order, enum_cap):
-    if enum_cap is not None and order > enum_cap:
+def _check_cap(what, count, enum_cap):
+    if enum_cap is not None and count > enum_cap:
         raise EnumerationCapError(
-            f"torsion group has {order} elements, above the enumeration cap {enum_cap}"
+            f"{what} has {count} elements, above the enumeration cap {enum_cap}"
         )
 
 
@@ -191,24 +191,35 @@ def enumerate_isotropic(form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     in lexicographic coordinate order."""
     _check_n(n)
     group = form.group
-    _check_cap(group.order, enum_cap)
+    _check_cap("torsion group", group.order, enum_cap)
     return tuple(c for c in group.elements() if _isotropic(form, c.coords))
 
 
 def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All characters with image exactly the order-n subgroup of Q/Z,
-    in lexicographic coordinate order."""
+    in lexicographic coordinate order.
+
+    The linking form is nondegenerate, so chi_c has image order n
+    exactly when c has order n, and only the n-torsion H[n] is walked:
+    c_i = t_i * (d_i / g_i) with g_i = gcd(d_i, n) and 0 <= t_i < g_i.
+    The cap bounds |H[n]|, as it does for characteristic_knot_classes.
+    Each Character rechecks its image order through the pairing.
+    """
     _check_n(n)
     if not isinstance(group, TorsionGroup):
         raise TypeError("surjective_characters expects a TorsionGroup")
     if form.group != group:
         raise ValueError("linking form does not belong to the given group")
-    _check_cap(group.order, enum_cap)
-    if group.order % n != 0:
+    factors = group.invariant_factors
+    moduli = [math.gcd(d, n) for d in factors]
+    _check_cap(f"n-torsion subgroup H[{n}]", math.prod(moduli), enum_cap)
+    if group.exponent % n != 0:
         return ()
+    steps = [d // g for d, g in zip(factors, moduli)]
     out = []
-    for c in group.elements():
-        if _image_order(form, c.coords) == n:
+    for ts in itertools.product(*(range(g) for g in moduli)):
+        if math.lcm(*(g // math.gcd(g, t) for g, t in zip(moduli, ts))) == n:
+            c = GroupElement(tuple(t * s for t, s in zip(ts, steps)))
             out.append(Character(form, c, n))
     return tuple(out)
 
@@ -296,26 +307,33 @@ def verdict(form, c, n=None):
     )
 
 
+def _characteristic_image(v, c, n):
+    """(V + V^T) c when the class c is characteristic and primitive mod
+    n, else None."""
+    if len(c) != v.size:
+        raise ValueError(f"class has {len(c)} coordinates, matrix is {v.size}x{v.size}")
+    ac = symmetrize(v).apply(c)
+    if any(x % n != 0 for x in ac) or math.gcd(*c, n) != 1:
+        return None
+    return ac
+
+
 def is_characteristic_class(v, coords, n):
     """Whether the surface class is characteristic mod n and primitive
     there: (V + V^T) beta = 0 mod n and gcd(entries, n) = 1."""
     _check_n(n)
     if isinstance(coords, SurfaceClass):
         coords = coords.coords
-    c = tuple(coords)
-    if len(c) != v.size:
-        raise ValueError(f"class has {len(c)} coordinates, matrix is {v.size}x{v.size}")
-    a = symmetrize(v)
-    if any(x % n != 0 for x in a.apply(c)):
-        return False
-    return math.gcd(*c, n) == 1
+    return _characteristic_image(v, tuple(coords), n) is not None
 
 
 class CharKnotClass:
     """A characteristic surface class mod n: (V + V^T) beta = 0 mod n,
-    primitive mod n. Stored with coordinates reduced into [0, n)."""
+    primitive mod n. Stored with coordinates reduced into [0, n), and
+    with the form value beta^T (V + V^T) beta taken from the product
+    that checked it."""
 
-    __slots__ = ("_v", "_beta", "_n")
+    __slots__ = ("_v", "_beta", "_n", "_value")
 
     def __init__(self, v, beta, n):
         _check_n(n)
@@ -324,11 +342,13 @@ class CharKnotClass:
         if isinstance(beta, SurfaceClass):
             beta = beta.coords
         b = tuple(x % n for x in beta)
-        if not is_characteristic_class(v, b, n):
+        ab = _characteristic_image(v, b, n)
+        if ab is None:
             raise ValueError(f"class {list(beta)} is not characteristic and primitive mod {n}")
         self._v = v
         self._beta = b
         self._n = n
+        self._value = sum(x * y for x, y in zip(b, ab))
 
     @property
     def V(self):
@@ -348,8 +368,7 @@ class CharKnotClass:
 
     def form_value(self):
         """beta^T (V + V^T) beta on the canonical lift."""
-        a = symmetrize(self._v)
-        return sum(x * y for x, y in zip(self._beta, a.apply(self._beta)))
+        return self._value
 
     def __eq__(self, other):
         return (
@@ -369,16 +388,15 @@ class CharKnotClass:
 def characteristic_knot_classes(v, n, *, enum_cap=None):
     """All characteristic classes mod n, sorted by coordinates.
 
-    The kernel of A mod n is parametrized through the Smith form:
-    with P A Q = D and beta = Q y, the condition D y = 0 mod n pins
-    each y_i to multiples of n / gcd(D_ii, n). Non-primitive solutions
-    are then filtered out.
+    The kernel of A mod n is parametrized through the Smith form the
+    SeifertMatrix keeps: with P A Q = D and beta = Q y, the condition
+    D y = 0 mod n pins each y_i to multiples of n / gcd(D_ii, n).
+    Non-primitive solutions are then filtered out.
     """
     _check_n(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
-    a = symmetrize(v)
-    res = snf(a)
+    res = _smith_form(v)
     diag = res.diagonal()
     moduli = [math.gcd(d, n) for d in diag]
     total = math.prod(moduli)

@@ -9,7 +9,7 @@ integer coordinate vectors in the basis implicit in V.
 from dataclasses import dataclass, field
 
 from .errors import SeifertMatrixError, StabilizationError, require_odd
-from .exact import IntMatrix, det, four_squares
+from .exact import IntMatrix, det, four_squares, snf
 
 __all__ = [
     "SeifertMatrix",
@@ -29,10 +29,11 @@ class SeifertMatrix:
     Accepts an IntMatrix or any iterable of integer rows; the empty
     matrix stands for the unknot. Validation checks squareness, even
     size, and det(V - V^T) = 1 exactly. A = V + V^T is formed here,
-    once, and handed out by symmetrize.
+    once, and handed out by symmetrize; its Smith form is computed on
+    first use and kept.
     """
 
-    __slots__ = ("_m", "_sym")
+    __slots__ = ("_m", "_sym", "_smith")
 
     def __init__(self, rows):
         m = rows if isinstance(rows, IntMatrix) else IntMatrix(rows)
@@ -46,6 +47,21 @@ class SeifertMatrix:
             raise SeifertMatrixError(f"det(V - V^T) must be 1, got {d}")
         self._m = m
         self._sym = m + mt
+        self._smith = None
+
+    @classmethod
+    def _block_sum(cls, *parts):
+        """The block sum of validated Seifert matrices. det(V - V^T) of a
+        block sum is the product of the parts' determinants, each checked
+        to be 1 when that part was built, so no determinant is run."""
+        for p in parts:
+            if not isinstance(p, SeifertMatrix):
+                raise TypeError("block sum parts must be SeifertMatrix instances")
+        s = object.__new__(cls)
+        s._m = IntMatrix.block_diag(*(p._m for p in parts))
+        s._sym = IntMatrix.block_diag(*(p._sym for p in parts))
+        s._smith = None
+        return s
 
     @property
     def matrix(self):
@@ -113,6 +129,14 @@ def symmetrize(v):
     return v._sym
 
 
+def _smith_form(v):
+    """snf(V + V^T), run once per SeifertMatrix and then reused: the cover
+    homology and the characteristic classes at every n read it."""
+    if v._smith is None:
+        v._smith = snf(v._sym)
+    return v._smith
+
+
 def knot_determinant(v):
     """|det(V + V^T)|. Always odd for a valid Seifert matrix."""
     d = abs(det(symmetrize(v)))
@@ -135,12 +159,13 @@ def connected_sum(v1, v2):
     """Block sum of two Seifert matrices."""
     if not isinstance(v1, SeifertMatrix) or not isinstance(v2, SeifertMatrix):
         raise TypeError("connected_sum expects SeifertMatrix arguments")
-    return SeifertMatrix(IntMatrix.block_diag(v1.matrix, v2.matrix))
+    return SeifertMatrix._block_sum(v1, v2)
 
 
 # One stabilizing band pair contributes this block (sign +1) or its
 # negative-twist mirror (sign -1); both have zero-framed second band.
-_STAB_BLOCKS = {1: IntMatrix([[0, -1], [0, 0]]), -1: IntMatrix([[0, 1], [0, 0]])}
+# Validated once, here.
+_STAB_BLOCKS = {1: SeifertMatrix([[0, -1], [0, 0]]), -1: SeifertMatrix([[0, 1], [0, 0]])}
 
 
 @dataclass(frozen=True)
@@ -200,8 +225,7 @@ def stabilize_zero_framed(v, beta, n):
     squares = tuple(sorted(four_squares(scaled // 2), reverse=True))
     sign = 1 if value > 0 else -1
 
-    blocks = [v.matrix] + [_STAB_BLOCKS[sign]] * 4
-    v2 = SeifertMatrix(IntMatrix.block_diag(*blocks))
+    v2 = SeifertMatrix._block_sum(v, *[_STAB_BLOCKS[sign]] * 4)
     # each block pair holds (n*s, n*s): its form contribution is -sign * 2 (n*s)^2
     extra = []
     for s in squares:

@@ -95,6 +95,22 @@ class TestSurjectiveCharacters:
         group = double_cover_homology(twist_knot(-1))
         assert surjective_characters(group, linking_form(group), 5) == ()
 
+    @pytest.mark.parametrize("n", [9, 25, 27, 45, 75, 81])
+    def test_order_divisor_beyond_exponent_gives_nothing(self, n):
+        # n divides |H| = 2025 but not the exponent 15: no element has order n
+        group = double_cover_homology(dihedral.connected_sum(NINE_37, NINE_37))
+        assert (group.order, group.exponent) == (2025, 15)
+        assert surjective_characters(group, linking_form(group), n) == ()
+
+    def test_cap_bounds_n_torsion(self):
+        # H = Z21: H[3] has 3 elements, within a cap the whole group exceeds
+        group = double_cover_homology(twist_knot(5))
+        form = linking_form(group)
+        chars = surjective_characters(group, form, 3, enum_cap=5)
+        assert [ch.c.coords for ch in chars] == [(7,), (14,)]
+        with pytest.raises(EnumerationCapError, match=r"H\[3\] has 3 elements"):
+            surjective_characters(group, form, 3, enum_cap=2)
+
     def test_image_is_validated(self):
         group = double_cover_homology(NINE_37)
         form = linking_form(group)
@@ -278,6 +294,28 @@ class TestCharacteristicClasses:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             characteristic_knot_classes(NINE_37, 3, enum_cap=3)
+
+    def test_form_value_stored(self, corpus):
+        for v in corpus[:20]:
+            a = symmetrize(v)
+            for n in (3, 5, 7):
+                if knot_determinant(v) % n:
+                    continue
+                for ck in characteristic_knot_classes(v, n):
+                    want = sum(x * y for x, y in zip(ck.beta, a.apply(ck.beta)))
+                    assert ck.form_value() == want
+
+    def test_smith_form_reduced_once_per_knot(self, monkeypatch):
+        import dihedral.seifert as seifert_mod
+
+        calls = []
+        real = seifert_mod.snf
+        monkeypatch.setattr(seifert_mod, "snf", lambda a: calls.append(a) or real(a))
+        v = SeifertMatrix(NINE_37.matrix.to_lists())
+        double_cover_homology(v)
+        for n in (3, 5, 15):
+            characteristic_knot_classes(v, n)
+        assert calls == [symmetrize(v)]
 
 
 class TestCharacterBridge:

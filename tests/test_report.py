@@ -1,5 +1,7 @@
 """Reports, parsing, census scanning, the twist-family sweep."""
 
+import functools
+import hashlib
 import json
 
 import pytest
@@ -12,6 +14,7 @@ from dihedral import (
     SeifertMatrix,
     SeifertMatrixError,
     analyze,
+    connected_sum,
     knot_determinant,
     parse_matrix,
     render_matrix,
@@ -136,6 +139,26 @@ class TestAnalyze:
         assert "not enumerated" in b.character_note
         assert not b.char_classes_enumerated
         assert "not enumerated" in b.char_class_note
+
+    def test_cap_counts_n_torsion_on_both_routes(self):
+        # genus 6, |H| = 1103855445 but |H[3]| = 729: both routes run under
+        # the default cap, and _analyze_n cross-checks them
+        v = functools.reduce(connected_sum, map(twist_knot, (2, 5, 8, 11, 14, 17)))
+        r = analyze(v, [3])
+        assert r.determinant == 1103855445
+        b, = r.blocks
+        assert (b.characters_enumerated, b.char_classes_enumerated) == (True, True)
+        assert (b.quotient_class_count, b.extendable_class_count) == (364, 148)
+        assert len(b.char_classes) == 728
+
+    def test_nine37_sum_report_bytes_pinned(self):
+        # sha256 of the 9_37#9_37 auto-mode report without its version key:
+        # a reference that work on speed must reproduce byte for byte
+        nine = parse_matrix(NINE_37_TEXT)
+        doc = analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine))).to_dict()
+        del doc["version"]
+        got = hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+        assert got == "9cbcde73a2981bff7377ca936958ba9087e0e3e7a97f01b77c27df64f6db5f33"
 
     def test_deterministic_json(self):
         a = analyze(KnotRecord("9_37", parse_matrix(NINE_37_TEXT))).to_json()

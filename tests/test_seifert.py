@@ -95,6 +95,27 @@ class TestConnectedSum:
         a = twist_knot(5)
         assert connected_sum(a, SeifertMatrix([])) == a
 
+    @staticmethod
+    def _assert_same_as_validated(s, *parts):
+        want = SeifertMatrix(IntMatrix.block_diag(*(p.matrix for p in parts)))
+        assert s == want
+        assert hash(s) == hash(want)
+        assert symmetrize(s) == symmetrize(want)
+
+    def test_block_sum_matches_validated_construction(self, corpus):
+        for v1, v2 in zip(corpus[:10], corpus[10:20]):
+            self._assert_same_as_validated(connected_sum(v1, v2), v1, v2)
+
+    def test_stabilized_matrix_matches_validated_construction(self):
+        for v, sign in ((twist_knot(11), 1), (twist_knot(-7), -1)):
+            out = stabilize_zero_framed(v, (-1, 1), 3)
+            block = SeifertMatrix([[0, -sign], [0, 0]])
+            self._assert_same_as_validated(out.matrix, v, *[block] * 4)
+
+    def test_block_sum_takes_only_seifert_matrices(self):
+        with pytest.raises(TypeError):
+            SeifertMatrix._block_sum(twist_knot(2), IntMatrix([[0, -1], [0, 0]]))
+
 
 class TestSymmetrize:
     def test_symmetry(self, corpus):
