@@ -35,7 +35,8 @@ class EnumerationCapError(RuntimeError):
 
 
 class SignatureIndeterminateError(ArithmeticError):
-    """An eigenvalue sits too close to zero to call its sign reliably."""
+    """The Hermitian form is singular at the requested root of unity, a
+    root of the Alexander polynomial, so its signature is not defined."""
 
 
 class CriterionInapplicableError(ValueError):

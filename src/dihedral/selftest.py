@@ -14,6 +14,7 @@ from .cover import (
     linking_form,
     self_linking,
 )
+from .errors import SignatureIndeterminateError
 from .exact import ResidueQZ, four_squares, snf
 from .obstruction import (
     characteristic_knot_classes,
@@ -173,6 +174,14 @@ def check_signature():
     granny = connected_sum(trefoil, trefoil)
     _want(tristram_levine(granny, (1, 2)), -4, "granny signature at -1")
     _want(tristram_levine(SeifertMatrix(()), (1, 2)), 0, "unknot signature")
+    _want(tristram_levine(trefoil, (1, 3)), -2, "trefoil signature at a cube root of unity")
+    try:
+        tristram_levine(trefoil, (1, 6))
+    except SignatureIndeterminateError:
+        pass
+    else:
+        raise AssertionError("trefoil signature at a root of its Alexander polynomial: "
+                             "answered instead of refusing")
 
 
 def check_xi_and_ribbon():
@@ -202,7 +211,7 @@ CHECKS = (
     ("cyclic-order shortcut", check_cyclic_shortcut),
     ("zero-framed stabilization", check_stabilization),
     ("four-square decompositions", check_four_squares),
-    ("signatures at -1", check_signature),
+    ("Tristram-Levine signatures", check_signature),
     ("xi candidates and ribbon verdicts", check_xi_and_ribbon),
     ("matrix parsing round trip", check_matrix_round_trip),
 )

@@ -1,18 +1,29 @@
 """Signature invariants and the ribbon obstruction.
 
-The signature of (1 - w) V + (1 - conj(w)) V^T at roots of unity w is
-computed with arbitrary-precision Hermitian eigenvalues, refusing to
-answer when an eigenvalue is too close to zero to call. On top of it
-sits the xi invariant of a dihedral quotient: a linking-form term, a
-cover-signature correction sigma(W) known only up to sign in general,
-and a sum of signatures of the characteristic knot. The ribbon test
-compares |xi| against a rank bound.
+The Tristram-Levine signature at w = exp(2 pi i k / n) is the inertia of
+the Hermitian form H(w) = (1 - w) V + (1 - conj(w)) V^T, computed exactly
+by Sylvester's law of inertia. H(w) = (conj(w) - 1) B(w) with
+B(x) = x V - V^T, and one fraction-free symmetric elimination of B over
+Z[x] yields the polynomials p_j whose values give the nested principal
+minors D_j = (conj(w) - 1)^j p_j(w) of H(w). A pivot is taken only where
+it is nonzero at w, which is decided exactly as a nonzero remainder mod
+the cyclotomic polynomial of w's order, so no tolerance enters. The one
+refusal is a singular H(w), which happens exactly when w is a root of the
+Alexander polynomial det(x V - V^T). Each sign is read from a float
+evaluation under an explicit error bound, and only when that bound does
+not exclude zero from a certified interval evaluation (mpmath.iv, the
+one use of mpmath).
+
+On top of it sits the xi invariant of a dihedral quotient: a linking-form
+term, a cover-signature correction sigma(W) known only up to sign in
+general, and a sum of signatures of the characteristic knot. The ribbon
+test compares |xi| against a rank bound.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 from .errors import NonSquareFreeError, SignatureIndeterminateError, require_odd
 from .obstruction import is_characteristic_class
@@ -35,16 +46,25 @@ RIBBON_CONSISTENT = "consistent-with-ribbon"
 RIBBON_OBSTRUCTED = "not-ribbon"
 
 DEFAULT_PRECISION_BITS = 128
-ZERO_TOLERANCE = 1e-9
+
+# A float evaluation decides a sign when its magnitude exceeds this
+# fraction of the sum of the absolute coefficients: each term's float
+# error is below 2^-46 of its coefficient (the angle, cos/sin, the
+# conversion and the product each add a few units in the last place).
+_FLOAT_MARGIN = 2.0 ** -40
+# Above this many bits a coefficient sum may overflow a float.
+_FLOAT_BITS = 1000
 
 
-def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS,
-                    zero_tolerance=ZERO_TOLERANCE):
+def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     """Signature of (1 - w) V + (1 - conj(w)) V^T at w = exp(2 pi i k / n).
 
-    omega is the pair (k, n) with 0 < k < n. Eigenvalues are computed
-    at the given binary precision; any eigenvalue within zero_tolerance
-    of zero raises SignatureIndeterminateError rather than guessing.
+    omega is the pair (k, n) with 0 < k < n. The inertia is exact; raises
+    SignatureIndeterminateError exactly when the form is singular at w,
+    that is when w is a root of the Alexander polynomial det(x V - V^T).
+    precision_bits is the starting precision of the certified interval
+    evaluation used for a sign that floats cannot settle; it is doubled
+    until the sign is certain, so it never changes the answer.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
@@ -53,33 +73,207 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS,
         raise TypeError(f"omega must be a pair of integers, got {omega!r}")
     if not 0 < k < n:
         raise ValueError(f"omega exponent must satisfy 0 < k < n, got k={k}, n={n}")
-    size = v.size
-    if size == 0:
+    if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
+        raise TypeError(f"precision_bits must be an integer, got {precision_bits!r}")
+    if precision_bits < 2:
+        raise ValueError(f"precision_bits must be at least 2, got {precision_bits}")
+    if v.size == 0:
         return 0
-    with mpmath.workprec(precision_bits):
-        w = mpmath.expjpi(mpmath.mpf(2 * k) / n)
-        one = mpmath.mpf(1)
-        cw = one - w
-        cwbar = one - mpmath.conj(w)
-        m = mpmath.matrix(size, size)
-        vt = v.matrix.transpose()
-        for i in range(size):
-            for j in range(size):
-                m[i, j] = cw * v.matrix[i, j] + cwbar * vt[i, j]
-        eigenvalues = mpmath.eigh(m, eigvals_only=True)
-        tol = mpmath.mpf(zero_tolerance)
-        pos = neg = 0
-        for lam in eigenvalues:
-            if abs(lam) < tol:
-                raise SignatureIndeterminateError(
-                    f"signature indeterminate: eigenvalue {mpmath.nstr(lam)} within "
-                    f"{zero_tolerance} of zero at omega = ({k}, {n})"
-                )
-            if lam > 0:
-                pos += 1
-            else:
-                neg += 1
-    return pos - neg
+    g = math.gcd(k, n)
+    return _inertia(v.matrix.to_lists(), k // g, n // g, precision_bits)
+
+
+def _inertia(rows, k, d, precision_bits):
+    """Signature of H(w), w = exp(2 pi i k / d) with gcd(k, d) = 1, by
+    Bareiss elimination of B(x) = x V - V^T with symmetric pivoting.
+
+    Every entry is a polynomial in Z[x] packed into one integer as its
+    value at x = 2^bits, with bits wide enough for any minor of B, so
+    products and the exact divisions are integer operations. After the
+    pivots S, entry (i, j) is the minor of B on rows S + {i}, columns
+    S + {j}, and prev is the minor on S. A 1x1 pivot r gives the next
+    nested minor p = a[r][r]. When every remaining diagonal entry
+    vanishes at w, the remaining Hermitian block has zero diagonal, and a
+    2x2 pivot on an entry (t, u) nonzero at w adds one positive and one
+    negative eigenvalue; its new entries are the bordered 3x3
+    determinants divided by prev^2.
+    """
+    size = len(rows)
+    bits = _coefficient_bits(rows)
+    a = [[(rows[i][j] << bits) - rows[j][i] for j in range(size)] for i in range(size)]
+    live = list(range(size))
+    prev = 1
+    depth = 0
+    sign = 1  # sign of the nested minor D_depth; D_0 = 1
+    negatives = 0
+    while live:
+        for r in live:
+            coeffs = _unpack(a[r][r], bits)
+            if not _vanishes(coeffs, d):
+                break
+        else:
+            r = None
+        if r is not None:
+            depth += 1
+            s = _real_sign(coeffs, depth, k, d, precision_bits)
+            negatives += s != sign
+            sign = s
+            live.remove(r)
+            p, row_r = a[r][r], a[r]
+            for i in live:
+                row_i = a[i]
+                air = row_i[r]
+                for j in live:
+                    row_i[j] = _exact_quotient(p * row_i[j] - air * row_r[j], prev)
+            prev = p
+            continue
+        t, u = next(((t, u) for t in live for u in live
+                     if t != u and not _vanishes(_unpack(a[t][u], bits), d)), (None, None))
+        if t is None:
+            raise SignatureIndeterminateError(
+                f"signature indeterminate: exp(2 pi i {k}/{d}) is a root of the "
+                f"Alexander polynomial det(x V - V^T), so the form is singular there"
+            )
+        depth += 2
+        negatives += 1
+        sign = -sign
+        live.remove(t)
+        live.remove(u)
+        row_t, row_u = a[t], a[u]
+        att, atu, aut, auu = row_t[t], row_t[u], row_u[t], row_u[u]
+        det2 = att * auu - atu * aut
+        prev2 = prev * prev
+        for i in live:
+            row_i = a[i]
+            ait, aiu = row_i[t], row_i[u]
+            for j in live:
+                atj, auj = row_t[j], row_u[j]
+                bordered = (row_i[j] * det2 + ait * (atu * auj - atj * auu)
+                            - aiu * (att * auj - atj * aut))
+                row_i[j] = _exact_quotient(bordered, prev2)
+        prev = _exact_quotient(det2, prev)
+    return size - 2 * negatives
+
+
+def _coefficient_bits(rows):
+    """Bits per packed coefficient, sign included, that hold every
+    coefficient of every minor of x V - V^T. A coefficient is at most
+    the polynomial's maximum on |x| = 1, which Hadamard's inequality
+    bounds by the product of the row norms of |V| + |V^T|."""
+    size = len(rows)
+    bound = 1
+    for i in range(size):
+        bound *= max(1, sum((abs(rows[i][j]) + abs(rows[j][i])) ** 2 for j in range(size)))
+    # bound is the square of the Hadamard bound
+    return (bound.bit_length() + 1) // 2 + 2
+
+
+def _unpack(packed, bits):
+    """Coefficients, constant term first, of the polynomial f with
+    f(2^bits) = packed and every |coefficient| < 2^(bits - 1). The last
+    coefficient is nonzero; the zero polynomial gives []."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while packed:
+        c = ((packed + half) & mask) - half
+        coeffs.append(c)
+        packed = (packed - c) >> bits
+    return coeffs
+
+
+def _exact_quotient(num, den):
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("fraction-free elimination: a division that must be exact is not")
+    return q
+
+
+def _vanishes(coeffs, d):
+    """Whether the polynomial vanishes at a primitive d-th root of unity,
+    that is whether the cyclotomic polynomial Phi_d divides it."""
+    if not coeffs:
+        return True
+    # deg Phi_d = phi(d) >= sqrt(d / 2), so Phi_d cannot divide a nonzero
+    # polynomial of lower degree; this spares building Phi_d for large d
+    if d >= 2 * len(coeffs) ** 2:
+        return False
+    return not any(_divmod_monic(coeffs, _cyclotomic(d))[1])
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic(d):
+    """Coefficients of the monic integer polynomial Phi_d, constant term
+    first: x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = _divmod_monic(poly, _cyclotomic(e))
+            if any(rem):
+                raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1")
+    return tuple(poly)
+
+
+def _divmod_monic(num, div):
+    """Quotient and remainder of integer polynomials, constant term first,
+    by a monic divisor."""
+    deg = len(div) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(rem) - deg)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = quot[top - deg] = rem[top]
+        if c:
+            for j in range(deg + 1):
+                rem[top - deg + j] -= c * div[j]
+    return quot, rem[:deg]
+
+
+def _real_sign(coeffs, depth, k, d, precision_bits):
+    """Sign of D = (conj(w) - 1)^depth f(w), w = exp(2 pi i k / d), for
+    the polynomial f with these coefficients and f(w) != 0.
+
+    conj(w) - 1 = 2 sin(theta / 2) exp(-i (theta + pi) / 2) with
+    theta = 2 pi k / d, so up to a positive factor D is the sum of
+    c_j exp(i pi t_j / (2 d)) with t_j = 4 j k - depth (2 k + d). D is a
+    minor of a Hermitian matrix, so it is real: an imaginary part that is
+    certainly nonzero raises ArithmeticError.
+    """
+    turns = [(4 * j * k - depth * (2 * k + d)) % (4 * d) for j in range(len(coeffs))]
+    total = sum(map(abs, coeffs))
+    if total.bit_length() <= _FLOAT_BITS:
+        step = math.pi / (2 * d)
+        re = math.fsum(c * math.cos(step * t) for c, t in zip(coeffs, turns) if c)
+        im = math.fsum(c * math.sin(step * t) for c, t in zip(coeffs, turns) if c)
+        err = total * _FLOAT_MARGIN
+        if abs(im) > err:
+            raise ArithmeticError(f"a minor of H(w) has imaginary part {im!r}: the form is not Hermitian")
+        if abs(re) > err:
+            return 1 if re > 0 else -1
+    return _interval_sign(coeffs, turns, d, precision_bits)
+
+
+def _interval_sign(coeffs, turns, d, bits):
+    """The sign in _real_sign, from mpmath interval arithmetic starting at
+    `bits` of precision and doubling until the interval excludes zero,
+    which it does once narrow enough because the value is nonzero."""
+    # A private context, so that setting its precision leaves the shared
+    # mpmath.iv untouched.
+    from mpmath.ctx_iv import MPIntervalContext
+
+    ctx = MPIntervalContext()
+    while True:
+        ctx.prec = bits
+        step = ctx.pi / (2 * d)
+        re = im = ctx.mpf(0)
+        for c, t in zip(coeffs, turns):
+            if c:
+                re += c * ctx.cos(step * t)
+                im += c * ctx.sin(step * t)
+        if 0 not in im:
+            raise ArithmeticError(f"a minor of H(w) has imaginary part {im}: the form is not Hermitian")
+        if 0 not in re:
+            return 1 if re > 0 else -1
+        bits *= 2
 
 
 @dataclass(frozen=True)
@@ -132,8 +326,7 @@ class XiValue:
         return self.value_low == self.value_high
 
 
-def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BITS,
-         zero_tolerance=ZERO_TOLERANCE):
+def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BITS):
     """The xi invariant of the dihedral quotient picked out by beta.
 
     beta is a characteristic class on v (any integer lift); beta_knot
@@ -163,8 +356,7 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
 
     sig_sum = 0
     for k in range(1, n):
-        sig_sum += tristram_levine(beta_knot, (k, n), precision_bits=precision_bits,
-                                   zero_tolerance=zero_tolerance)
+        sig_sum += tristram_levine(beta_knot, (k, n), precision_bits=precision_bits)
 
     if isinstance(sigma_w, SigmaWBound):
         lo, hi = sigma_w.range

@@ -1,9 +1,16 @@
 """Tristram-Levine signatures, the xi invariant, ribbon verdicts."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+import dihedral
+from dihedral import signatures
 from dihedral import (
     NonSquareFreeError,
     RIBBON_CONSISTENT,
@@ -22,6 +29,58 @@ from dihedral import (
 from dihedral.seifert import SurfaceClass
 
 TREFOIL = twist_knot(-1)
+# An unknot: a stabilizing band pair with both framings zero. Every
+# diagonal entry of x V - V^T is zero, so the elimination needs its 2x2
+# pivot.
+ZERO_FRAMED_BANDS = SeifertMatrix([[0, 1], [0, 0]])
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+
+
+def eigh_signature(v, omega, precision_bits=128, zero_tolerance=1e-9):
+    """The reference route: the signature from Hermitian eigenvalues at the
+    given precision, refusing when an eigenvalue lies within
+    zero_tolerance of zero."""
+    k, n = omega
+    size = v.size
+    if size == 0:
+        return 0
+    with mpmath.workprec(precision_bits):
+        w = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+        cw = 1 - w
+        cwbar = 1 - mpmath.conj(w)
+        m = mpmath.matrix(size, size)
+        for i in range(size):
+            for j in range(size):
+                m[i, j] = cw * v.matrix[i, j] + cwbar * v.matrix[j, i]
+        eigenvalues = mpmath.eigh(m, eigvals_only=True)
+        if any(abs(lam) < zero_tolerance for lam in eigenvalues):
+            raise SignatureIndeterminateError(f"eigenvalue within {zero_tolerance} of zero")
+        return sum(1 if lam > 0 else -1 for lam in eigenvalues)
+
+
+def _or_none(route, v, omega, **kwargs):
+    try:
+        return route(v, omega, **kwargs)
+    except SignatureIndeterminateError:
+        return None
+
+
+# (1, 2) and every primitive (k, n) with n odd <= 15 and 2k < n; the
+# rest follow from sigma(k, n) = sigma(n - k, n) and reduction of k/n.
+ORACLE_OMEGAS = [(1, 2)] + [(k, n) for n in range(3, 16, 2) for k in range(1, n)
+                            if math.gcd(k, n) == 1 and 2 * k < n]
+
+
+def _near_isotropic(s):
+    """A genus-2 Seifert matrix with entries near s^2 whose second nested
+    minor N x^2 + (s^2 - 2N) x + N is tiny at exp(2 pi i / 5): at that
+    root it is proportional to s^2 - N (5 - sqrt 5) / 2, and N is the
+    integer nearest s^2 (5 + sqrt 5) / 10. Floats cannot tell its sign
+    from zero."""
+    with mpmath.workprec(4 * s.bit_length() + 64):
+        n = int(mpmath.nint(mpmath.mpf(s) ** 2 * (5 + mpmath.sqrt(5)) / 10))
+    return SeifertMatrix([[1, s, 1, 0], [0, n, 0, -1], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 class TestTristramLevine:
@@ -58,8 +117,105 @@ class TestTristramLevine:
     def test_indeterminate_at_alexander_root(self):
         # the trefoil's Alexander polynomial vanishes at primitive sixth
         # roots of unity, so the form degenerates there
-        with pytest.raises(SignatureIndeterminateError):
-            tristram_levine(TREFOIL, (1, 6))
+        for omega in ((1, 6), (5, 6)):
+            with pytest.raises(SignatureIndeterminateError):
+                tristram_levine(TREFOIL, omega)
+        assert tristram_levine(TREFOIL, (2, 6)) == tristram_levine(TREFOIL, (1, 3))
+
+    def test_two_step_pivot(self):
+        for omega in ((1, 2), (1, 3), (2, 5), (4, 9)):
+            assert tristram_levine(ZERO_FRAMED_BANDS, omega) == 0
+        # the 2x2 pivot after a 1x1 one, and before one
+        assert tristram_levine(connected_sum(ZERO_FRAMED_BANDS, TREFOIL), (1, 2)) == -2
+        assert tristram_levine(connected_sum(TREFOIL, ZERO_FRAMED_BANDS), (1, 2)) == -2
+        both = connected_sum(ZERO_FRAMED_BANDS, connected_sum(TREFOIL, ZERO_FRAMED_BANDS))
+        assert tristram_levine(both, (2, 5)) == eigh_signature(both, (2, 5))
+
+    def test_reduced_root(self, corpus):
+        # (3, 9) and (5, 15) are the root (1, 3)
+        for v in (TREFOIL,) + corpus[:20]:
+            want = tristram_levine(v, (1, 3))
+            assert tristram_levine(v, (3, 9)) == want
+            assert tristram_levine(v, (5, 15)) == want
+
+    def test_conjugate_root(self, corpus):
+        for v in corpus[:20]:
+            for n in (3, 5, 7, 9, 15):
+                for k in range(1, n):
+                    assert tristram_levine(v, (k, n)) == tristram_levine(v, (n - k, n))
+
+    def test_agrees_with_eigenvalue_route(self, corpus):
+        for v in corpus[:60]:
+            for omega in ORACLE_OMEGAS:
+                want = _or_none(eigh_signature, v, omega)
+                got = _or_none(tristram_levine, v, omega)
+                if want is not None or got is None:
+                    assert got == want, (v, omega)
+
+    def test_large_entries_use_interval_fallback(self, monkeypatch):
+        v = _near_isotropic(10 ** 12)
+        calls = []
+        fallback = signatures._interval_sign
+
+        def spy(*args):
+            calls.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(signatures, "_interval_sign", spy)
+        want = eigh_signature(v, (1, 5), precision_bits=256)
+        assert tristram_levine(v, (1, 5)) == want == 2
+        assert len(calls) == 1
+        # the starting precision of the fallback never changes the answer
+        for bits in (2, 16, 1024):
+            assert tristram_levine(v, (1, 5), precision_bits=bits) == want
+        assert len(calls) == 4
+
+    def test_precision_bits_validation(self):
+        with pytest.raises(TypeError):
+            tristram_levine(TREFOIL, (1, 3), precision_bits=128.0)
+        with pytest.raises(ValueError):
+            tristram_levine(TREFOIL, (1, 3), precision_bits=1)
+
+    def test_cyclotomic_polynomials(self):
+        # x^d - 1 is the product of Phi_e over the divisors e of d
+        for d in range(1, 31):
+            prod = [1]
+            for e in range(1, d + 1):
+                if d % e == 0:
+                    phi = signatures._cyclotomic(e)
+                    out = [0] * (len(prod) + len(phi) - 1)
+                    for i, x in enumerate(prod):
+                        for j, y in enumerate(phi):
+                            out[i + j] += x * y
+                    prod = out
+            assert prod == [-1] + [0] * (d - 1) + [1]
+
+    def test_internal_checks_raise_under_optimize(self):
+        # the exact-division and Hermitian checks are not asserts
+        code = (
+            "from dihedral import signatures as s\n"
+            "for call in (lambda: s._exact_quotient(7, 2),\n"
+            "             lambda: s._real_sign([1], 1, 1, 3, 64),\n"
+            "             lambda: s._interval_sign([1], [7], 3, 64)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ArithmeticError:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise SystemExit('check skipped')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_cli_import_leaves_mpmath_out(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import dihedral.cli; "
+                "print('mpmath' in sys.modules)")
+        done = subprocess.run([sys.executable, "-I", "-c", code, SRC],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_omega_validation(self):
         with pytest.raises(ValueError):
