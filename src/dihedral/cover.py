@@ -2,9 +2,9 @@
 
 The symmetrized Seifert matrix A presents the first homology of the
 double branched cover as Z^m / A Z^m, always a finite group of odd
-order. This module extracts the cyclic decomposition from the Smith
-normal form, keeps explicit generator vectors, and evaluates the
-Q/Z-valued linking form lk(u, v) = u^T A^{-1} v mod 1 exactly.
+order. Everything here is read off one Smith normal form P A Q = D: the
+class of w has Smith coordinates (P w)_k mod D_kk, and A^{-1} = Q D^{-1} P
+gives the linking form lk(u, v) = sum_k (Q^T u)_k (P v)_k / D_kk mod 1.
 
 Inside the layer a linking value is an integer mod the group exponent
 e (the largest invariant factor): e * lk is integral because e
@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .exact import IntMatrix, ResidueQZ, det, scaled_inverse, snf
+from .exact import IntMatrix, ResidueQZ, snf
 from .seifert import SeifertMatrix, _smith_form, symmetrize
 
 __all__ = [
@@ -49,19 +49,35 @@ class GroupElement:
         return f"GroupElement({list(self.coords)!r})"
 
 
-def _prime_factors(n):
-    """Distinct prime factors by trial division; group orders here are small."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+class _Smith:
+    """The torsion part of a Smith form P A Q = D of a nonsingular A: the
+    entries d_t > 1 of D, and the rows of P and columns of Q at their
+    positions (where D_kk = 1, a linking value gains only integers)."""
+
+    __slots__ = ("factors", "exponent", "_p", "_q", "_scale")
+
+    def __init__(self, res):
+        diag = res.diagonal()
+        if 0 in diag:
+            raise ValueError("presentation matrix is singular")
+        at = [k for k, d in enumerate(diag) if d > 1]
+        self.factors = res.invariant_factors
+        self.exponent = diag[-1] if diag else 1
+        self._p = tuple(res.P.row(k) for k in at)
+        self._q = tuple(res.Q.column(k) for k in at)
+        self._scale = tuple(self.exponent // d for d in self.factors)
+
+    def coords(self, v):
+        """(P v)_t at each torsion position t, unreduced."""
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._p)
+
+    def dual(self, u):
+        """(Q^T u)_t at each torsion position t."""
+        return tuple(sum(a * b for a, b in zip(col, u)) for col in self._q)
+
+    def pair(self, left, right):
+        """e * lk(u, v) mod e, from left = dual(u) and right = coords(v)."""
+        return sum(x * y * s for x, y, s in zip(left, right, self._scale)) % self.exponent
 
 
 class TorsionGroup:
@@ -70,12 +86,12 @@ class TorsionGroup:
     invariant_factors is the increasing divisor chain (d_1 | d_2 | ...)
     of cyclic orders, all odd and > 1; generators[i] is an integer
     vector in Z^m whose class has order exactly d_i. Construction
-    reverifies everything: the factor chain, the order of every
-    generator, that the generators generate, and that the product of
-    the factors equals |det A|.
+    reduces A to Smith form P A Q = D and checks the factors are those of
+    D, that d_i annihilates the Smith coordinates T[:, i] = P g_i mod d,
+    and that the columns of T generate Z^r / diag(d); the orders follow.
     """
 
-    __slots__ = ("_factors", "_gens", "_ambient", "_scaled", "_coord_data")
+    __slots__ = ("_factors", "_gens", "_ambient", "_smith", "_solve")
 
     def __init__(self, invariant_factors, generators, ambient):
         if not isinstance(ambient, IntMatrix):
@@ -94,59 +110,32 @@ class TorsionGroup:
         for prev, nxt in zip(factors, factors[1:]):
             if nxt % prev != 0:
                 raise ValueError(f"invariant factor {prev} does not divide {nxt}")
+        for i, g in enumerate(gens):
+            if len(g) != ambient.rows:
+                raise ValueError(f"generator {i} has length {len(g)}, expected {ambient.rows}")
 
-        order = math.prod(factors)
-        adet = det(ambient)
-        if adet == 0:
-            raise ValueError("presentation matrix is singular")
-        if order != abs(adet):
-            raise ValueError(
-                f"invariant factors multiply to {order}, but |det A| = {abs(adet)}"
-            )
+        smith = _Smith(snf(ambient))
+        if factors != smith.factors:
+            raise ValueError(f"invariant factors {list(factors)} differ from those of "
+                             f"the presentation, {list(smith.factors)}")
+        t = tuple(tuple(x % d for x, d in zip(smith.coords(g), factors)) for g in gens)
+        for i, (d, col) in enumerate(zip(factors, t)):
+            if any(d * x % di for x, di in zip(col, factors)):
+                raise ValueError(f"generator {i} is not annihilated by its factor {d}")
+        solve = snf(IntMatrix([[col[i] for col in t] + [d * (k == i) for k in range(len(t))]
+                               for i, d in enumerate(factors)]))
+        if any(x != 1 for x in solve.diagonal()):
+            raise ValueError("generators do not generate the quotient group")
+        self._set(factors, gens, ambient, smith, solve)
 
+    def _set(self, factors, gens, ambient, smith, solve):
+        # solve is the snf of [T | diag(d)] for an explicit basis, and None
+        # on the Smith basis, where T is the identity
         self._factors = factors
         self._gens = gens
         self._ambient = ambient
-        self._scaled = scaled_inverse(ambient)
-        self._coord_data = None
-
-        m = ambient.rows
-        for i, g in enumerate(gens):
-            if len(g) != m:
-                raise ValueError(f"generator {i} has length {len(g)}, expected {m}")
-            self._check_order(i)
-        self._check_generation()
-
-    def _in_image(self, vec):
-        """Whether vec lies in A Z^m, via the scaled inverse."""
-        n, e = self._scaled
-        return all(x % e == 0 for x in n.apply(vec))
-
-    def _check_order(self, i):
-        d = self._factors[i]
-        g = self._gens[i]
-        if not self._in_image([d * x for x in g]):
-            raise ValueError(f"generator {i} is not annihilated by its factor {d}")
-        for p in _prime_factors(d):
-            if self._in_image([(d // p) * x for x in g]):
-                raise ValueError(f"generator {i} has order dividing {d}//{p}, not exactly {d}")
-
-    def _augmented(self):
-        """Smith data of [generators | A], cached; used both to confirm the
-        generators generate and to solve for coordinates."""
-        if self._coord_data is None:
-            m = self._ambient.rows
-            cols = list(self._gens) + [self._ambient.column(j) for j in range(m)]
-            b = IntMatrix.from_columns(cols, m)
-            res = snf(b)
-            self._coord_data = res
-        return self._coord_data
-
-    def _check_generation(self):
-        res = self._augmented()
-        diag = res.diagonal()
-        if len(diag) != self._ambient.rows or any(x != 1 for x in diag):
-            raise ValueError("generators do not generate the quotient group")
+        self._smith = smith
+        self._solve = solve
 
     @property
     def invariant_factors(self):
@@ -188,27 +177,23 @@ class TorsionGroup:
     def coords_of(self, vec):
         """Coordinates of the class of an ambient integer vector.
 
-        Solves [generators | A] t = vec through the cached Smith data,
-        then double-checks the answer against the ambient image.
+        On the Smith basis they are (P w)_i mod d_i; for an explicit basis
+        [T | diag(d)] t = P w is solved through its Smith data. The answer
+        is double-checked: P (w - sum c_i g_i) must lie in D Z^m.
         """
         v = tuple(vec)
         m = self._ambient.rows
         if len(v) != m:
             raise ValueError(f"vector has length {len(v)}, expected {m}")
-        res = self._augmented()
-        u = res.P.apply(v)
-        s = tuple(u) + (0,) * self.rank
-        t = res.Q.apply(s)
-        coords = tuple(t[j] % d for j, d in zip(range(self.rank), self._factors))
-        diff = [sum(c * g[i] for c, g in zip(coords, self._gens)) - v[i] for i in range(m)]
-        if not self._in_image(diff):
+        u = self._smith.coords(v)
+        if self._solve is not None:
+            res = self._solve
+            u = res.Q.apply(res.P.apply(u) + (0,) * self.rank)
+        coords = tuple(x % d for x, d in zip(u, self._factors))
+        diff = [x - sum(c * g[i] for c, g in zip(coords, self._gens)) for i, x in enumerate(v)]
+        if any(x % d for x, d in zip(self._smith.coords(diff), self._factors)):
             raise ArithmeticError("coordinate solve failed its self-check")
         return GroupElement(coords)
-
-    def pairing(self, u, v):
-        """lk of two ambient integer vectors, as a residue mod 1."""
-        n, e = self._scaled
-        return ResidueQZ.of(sum(a * b for a, b in zip(u, n.apply(v))), e)
 
     def __eq__(self, other):
         return (
@@ -229,10 +214,12 @@ class TorsionGroup:
 class LinkingForm:
     """The linking form on a TorsionGroup, tabulated on its generators.
 
-    matrix[i][j] is lk(l_i, l_j) as a residue mod 1, computed once from
-    the group's presentation. Construction checks symmetry,
+    matrix[i][j] is lk(g_i, g_j) as a residue mod 1, computed once from
+    the group's Smith form as sum_t (Q^T g_i)_t (P g_j)_t / d_t. On the
+    Smith basis P g_j = e_j, so the table is G_ij / (d_i d_j) with
+    G = Q^T A Q. Construction checks symmetry,
     annihilation (d_i * entry integral), and odd denominators on that
-    result, then tabulates the integers e * matrix[i][j] mod e for `pair`.
+    result, then keeps the integers e * matrix[i][j] mod e for `pair`.
     """
 
     group: TorsionGroup
@@ -242,8 +229,11 @@ class LinkingForm:
     def __post_init__(self):
         if not isinstance(self.group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
-        gens = self.group.generators
-        matrix = tuple(tuple(self.group.pairing(gi, gj) for gj in gens) for gi in gens)
+        smith, e, gens = self.group._smith, self.exponent, self.group.generators
+        rights = [smith.coords(g) for g in gens]
+        table = tuple(tuple(smith.pair(left, right) for right in rights)
+                      for left in map(smith.dual, gens))
+        matrix = tuple(tuple(ResidueQZ.of(x, e) for x in row) for row in table)
         for i, (d, row) in enumerate(zip(self.group.invariant_factors, matrix)):
             for j, entry in enumerate(row):
                 if entry != matrix[j][i]:
@@ -252,9 +242,6 @@ class LinkingForm:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
                 if entry.denominator % 2 == 0:
                     raise ValueError(f"entry ({i},{j}) has even denominator")
-        e = self.exponent
-        table = tuple(tuple(x.numerator * (e // x.denominator) for x in row)
-                      for row in matrix)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_table", table)
 
@@ -282,12 +269,11 @@ class LinkingForm:
 def double_cover_homology(v):
     """First homology of the double branched cover of a knot.
 
-    Reads the cyclic decomposition off the Smith normal form of
-    A = V + V^T, which the SeifertMatrix computes once and keeps; the
-    generator for the factor at diagonal position i is column i of
-    P^{-1} = A Q D^{-1}, that is A q_i / d_i for column q_i of Q. The
-    TorsionGroup constructor then verifies it has exactly the right
-    order.
+    Reads the cyclic decomposition off the Smith normal form P A Q = D
+    of A = V + V^T, which the SeifertMatrix computes once and keeps. The
+    generator at diagonal position k is column k of P^{-1} = A Q D^{-1},
+    g = A q_k / d_k. Checking P g = e_k exactly, given P A Q = D, confirms
+    each generator's order and that they generate.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("double_cover_homology expects a SeifertMatrix")
@@ -296,15 +282,19 @@ def double_cover_homology(v):
     diag = res.diagonal()
     if any(x == 0 for x in diag):
         raise ArithmeticError("V + V^T is singular; input is corrupt")
-    aq = a @ res.Q
     gens = []
-    for i, d in enumerate(diag):
+    for k, d in enumerate(diag):
         if d > 1:
-            col = aq.column(i)
+            col = a.apply(res.Q.column(k))
             if any(x % d for x in col):
-                raise ArithmeticError(f"column {i} of A Q is not divisible by {d}")
-            gens.append(tuple(x // d for x in col))
-    return TorsionGroup(res.invariant_factors, gens, a)
+                raise ArithmeticError(f"column {k} of A Q is not divisible by {d}")
+            g = tuple(x // d for x in col)
+            if res.P.apply(g) != tuple(int(i == k) for i in range(a.rows)):
+                raise ArithmeticError(f"P does not send generator {len(gens)} to e_{k}")
+            gens.append(g)
+    group = object.__new__(TorsionGroup)
+    group._set(res.invariant_factors, tuple(gens), a, _Smith(res), None)
+    return group
 
 
 def linking_form(group):
@@ -314,7 +304,8 @@ def linking_form(group):
 
 def evaluate_linking(a, u, v):
     """lk of two ambient integer vectors through a presentation matrix:
-    u^T A^{-1} v reduced mod 1."""
+    u^T A^{-1} v reduced mod 1, read off the Smith form of A. Raises
+    ValueError when A is singular."""
     if not isinstance(a, IntMatrix):
         raise TypeError("evaluate_linking expects an IntMatrix")
     if a.rows != a.cols:
@@ -322,8 +313,8 @@ def evaluate_linking(a, u, v):
     uu, vv = tuple(u), tuple(v)
     if len(uu) != a.rows or len(vv) != a.rows:
         raise ValueError("vector length does not match the matrix")
-    n, e = scaled_inverse(a)
-    return ResidueQZ.of(sum(x * y for x, y in zip(uu, n.apply(vv))), e)
+    smith = _Smith(snf(a))
+    return ResidueQZ.of(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
 
 
 def self_linking(form, c):

@@ -2,9 +2,8 @@
 
 Small dense matrices over arbitrary-precision integers, with the
 handful of algorithms everything else is built on: Smith normal form
-with its transformation matrices, Bareiss determinants, integer
-inverses scaled by the group exponent, a primitivity test, and
-four-square decompositions. Nothing in this module ever rounds.
+with its transformation matrices, Bareiss determinants, a primitivity
+test, and four-square decompositions. Nothing in this module ever rounds.
 """
 
 import math
@@ -17,7 +16,6 @@ __all__ = [
     "ResidueQZ",
     "snf",
     "det",
-    "scaled_inverse",
     "is_primitive",
     "four_squares",
 ]
@@ -352,30 +350,6 @@ def snf(a):
         raise ArithmeticError("Smith normal form transforms are not unimodular")
     diag = tuple(dm[i, i] for i in range(min(m, n)))
     return SNFResult(P=pm, Q=qm, D=dm, invariant_factors=tuple(x for x in diag if x > 1))
-
-
-def scaled_inverse(a):
-    """Return (N, e) with a @ N == e * identity and N integral.
-
-    e is the largest invariant factor of a (1 when a is unimodular),
-    the exponent of Z^m / a Z^m, so linking values through N are
-    integers mod e. From the Smith form P a Q = D, a^{-1} = Q D^{-1} P
-    and N = Q diag(e / d_i) P. Raises ValueError on a singular input.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
-    res = snf(a)
-    diag = res.diagonal()
-    if 0 in diag:
-        raise ValueError("matrix is singular")
-    e = diag[-1] if diag else 1
-    q_scaled = _derived(tuple(x * (e // d) for x, d in zip(row, diag))
-                        for row in res.Q._rows)
-    n = q_scaled @ res.P
-    if a @ n != _derived(tuple(e if i == j else 0 for j in range(a.rows))
-                         for i in range(a.rows)):
-        raise ArithmeticError("scaled inverse failed its self-check")
-    return n, e
 
 
 def is_primitive(v):

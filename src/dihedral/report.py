@@ -15,6 +15,7 @@ fully deterministic.
 
 import csv
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,9 +303,12 @@ def parse_matrix(text):
         for pos, ch in enumerate(s):
             if ch not in allowed:
                 raise MatrixParseError(f"unexpected character {ch!r} at position {pos}")
-        data = _load_json_matrix(s.replace("{", "[").replace("}", "]"))
-    elif s.startswith("["):
-        data = _load_json_matrix(s)
+        s = s.replace("{", "[").replace("}", "]")
+    if s.startswith("["):
+        try:
+            data = _json_loads(s)
+        except json.JSONDecodeError as e:
+            raise MatrixParseError(f"malformed matrix at position {e.pos}: {e.msg}") from None
     else:
         data = []
         for ln, line in enumerate(s.splitlines(), start=1):
@@ -315,18 +319,37 @@ def parse_matrix(text):
                 try:
                     row.append(int(tok, 10))
                 except ValueError:
-                    raise MatrixParseError(
-                        f"line {ln}, entry {col}: not an integer: {tok!r}"
-                    ) from None
+                    raise MatrixParseError(f"line {ln}, entry {col}: {_bad_token(tok)}") from None
             data.append(row)
     return SeifertMatrix(_validated_rows(data))
 
 
-def _load_json_matrix(s):
+def _json_int(tok):
+    """int(tok), or the literal itself when it has more digits than int()
+    converts, for _validated_rows to report by row and column."""
     try:
-        return json.loads(s)
-    except json.JSONDecodeError as e:
-        raise MatrixParseError(f"malformed matrix at position {e.pos}: {e.msg}") from None
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+def _json_loads(s):
+    """json.loads for matrix and census text; nesting too deep for the
+    decoder becomes a MatrixParseError."""
+    try:
+        return json.loads(s, parse_int=_json_int)
+    except RecursionError:
+        raise MatrixParseError("nested too deeply: a matrix is a list of rows of integers") from None
+
+
+def _bad_token(tok):
+    """Why a text token is not a matrix entry: more digits than int()
+    converts, or not an integer (echoing at most 24 characters)."""
+    digits, limit = tok.lstrip("+-"), sys.get_int_max_str_digits()
+    if digits.isdecimal() and 0 < limit < len(digits):
+        return f"integer has {len(digits)} digits, above the limit of {limit}"
+    shown = repr(tok) if len(tok) <= 24 else f"{tok[:24]!r}... ({len(tok)} characters)"
+    return f"not an integer: {shown}"
 
 
 def _validated_rows(data):
@@ -334,8 +357,11 @@ def _validated_rows(data):
         raise MatrixParseError("expected a list of rows")
     for i, row in enumerate(data):
         for j, x in enumerate(row):
+            if isinstance(x, (list, dict)):
+                raise MatrixParseError(f"row {i}, column {j}: nested deeper than a list of rows")
             if isinstance(x, bool) or not isinstance(x, int):
-                raise MatrixParseError(f"row {i}, column {j}: not an integer: {x!r}")
+                why = _bad_token(x) if isinstance(x, str) else f"not an integer: {x!r}"
+                raise MatrixParseError(f"row {i}, column {j}: {why}")
     widths = {len(r) for r in data}
     if len(widths) > 1:
         for i, row in enumerate(data):
@@ -524,7 +550,7 @@ def _census_rows(text, source):
                 continue
             name = f"row {i}"
             try:
-                obj = json.loads(line)
+                obj = _json_loads(line)
                 if not isinstance(obj, dict):
                     raise MatrixParseError("census line is not a JSON object")
                 name = obj.get("name") or name

@@ -6,6 +6,7 @@ empty matrix is the unknot. Homology classes on the surface are plain
 integer coordinate vectors in the basis implicit in V.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import SeifertMatrixError, StabilizationError, require_odd
@@ -130,16 +131,19 @@ def symmetrize(v):
 
 
 def _smith_form(v):
-    """snf(V + V^T), run once per SeifertMatrix and then reused: the cover
-    homology and the characteristic classes at every n read it."""
+    """snf(V + V^T), run once per SeifertMatrix and then reused: the knot
+    determinant, the cover homology and its linking form, and the
+    characteristic classes at every n read it."""
+    a = symmetrize(v)
     if v._smith is None:
-        v._smith = snf(v._sym)
+        v._smith = snf(a)
     return v._smith
 
 
 def knot_determinant(v):
-    """|det(V + V^T)|. Always odd for a valid Seifert matrix."""
-    d = abs(det(symmetrize(v)))
+    """|det(V + V^T)|, the product of the Smith diagonal of V + V^T (P and
+    Q are unimodular). Always odd for a valid Seifert matrix."""
+    d = math.prod(_smith_form(v).diagonal())
     if d % 2 == 0:
         raise ArithmeticError(f"knot determinant came out even ({d}); input is corrupt")
     return d

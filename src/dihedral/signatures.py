@@ -354,9 +354,9 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     value = sum(x * y for x, y in zip(coords, a.apply(coords)))
     linking_term = Fraction((n * n - 1) * value, 6 * n)
 
-    sig_sum = 0
-    for k in range(1, n):
-        sig_sum += tristram_levine(beta_knot, (k, n), precision_bits=precision_bits)
+    # sigma(k, n) = sigma(n - k, n), and n is odd: sum k <= (n - 1)/2, doubled
+    sig_sum = 2 * sum(tristram_levine(beta_knot, (k, n), precision_bits=precision_bits)
+                      for k in range(1, (n + 1) // 2))
 
     if isinstance(sigma_w, SigmaWBound):
         lo, hi = sigma_w.range

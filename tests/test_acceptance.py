@@ -4,6 +4,7 @@ Every computation here is exact unless a test says otherwise; numeric
 budgets are wall-clock upper bounds on the timed body alone.
 """
 
+import json
 import math
 import random
 import time
@@ -27,6 +28,7 @@ from dihedral import (
     knot_determinant,
     linking_form,
     quotient_classes,
+    render_matrix,
     seifert_criterion,
     self_linking,
     snf,
@@ -38,6 +40,7 @@ from dihedral import (
     twist_knot,
     verdict,
 )
+from dihedral.cli import main
 from dihedral.exact import det
 from dihedral.obstruction import CharKnotClass
 
@@ -285,3 +288,18 @@ def test_criterion_10_linking_form_properties(corpus):
                 for j in range(group.rank)
             ]
             assert any(not p.is_zero for p in pairings), (v, c)
+
+
+def test_criterion_11_genus60_analyze_budget(capsys):
+    # sixty copies of 6_1: H = Z9^60, both n = 3 enumerations capped, so
+    # the time is the cover layer and the matrix work around it
+    v = twist_knot(2)
+    for _ in range(59):
+        v = connected_sum(v, twist_knot(2))
+    text = render_matrix(v)
+    with budget(2.5):
+        assert main(["analyze", "--matrix", text, "--n", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["genus"] == 60 and doc["invariant_factors"] == ["9"] * 60
+    block, = doc["quotients"]
+    assert not block["characters_enumerated"] and not block["characteristic_classes_enumerated"]

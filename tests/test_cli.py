@@ -69,6 +69,77 @@ class TestScan:
         assert "error: --jobs must be >= 1" in captured.err
 
 
+DEEP = "[" * 50_000
+LONG = "1" * 5_000  # above Python's 4,300-digit str-to-int limit
+
+
+class TestHostileRows:
+    """A hostile row becomes an error record; the rows around it still print."""
+
+    def _scan(self, tmp_path, capsys, name, text, bad="bad"):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main(["scan", str(p)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in rows] == ["a", bad, "b"]
+        assert "error" not in rows[0] and "error" not in rows[2]
+        return rows[1]["error"]
+
+    def test_deep_nesting_csv(self, tmp_path, capsys):
+        error = self._scan(tmp_path, capsys, "census.csv",
+                           f'name,seifert\na,"{TREFOIL}"\nbad,"{DEEP}"\nb,"{SIX_ONE}"\n')
+        assert "nested" in error
+
+    def test_deep_nesting_jsonl(self, tmp_path, capsys):
+        lines = ['{"name": "a", "seifert": [[-1,1],[0,-1]]}',
+                 '{"name": "bad", "seifert": ' + DEEP + "}",
+                 '{"name": "b", "seifert": [[-1,1],[0,2]]}']
+        # the line cannot be decoded, so its name is unknown
+        error = self._scan(tmp_path, capsys, "census.jsonl", "\n".join(lines) + "\n",
+                           bad="row 2")
+        assert "nested" in error
+
+    def test_deep_nesting_jsonl_string(self, tmp_path, capsys):
+        lines = ['{"name": "a", "seifert": "{{-1,1},{0,-1}}"}',
+                 '{"name": "bad", "seifert": "' + DEEP + '"}',
+                 '{"name": "b", "seifert": "{{-1,1},{0,2}}"}']
+        error = self._scan(tmp_path, capsys, "census.jsonl", "\n".join(lines) + "\n")
+        assert "nested" in error
+
+    def test_digit_limit_csv(self, tmp_path, capsys):
+        error = self._scan(tmp_path, capsys, "census.csv",
+                           f'name,seifert\na,"{TREFOIL}"\nbad,"{{{{-1,1}},{{0,{LONG}}}}}"\n'
+                           f'b,"{SIX_ONE}"\n')
+        assert "row 1, column 1" in error and "5000 digits" in error
+        assert len(error) < 200
+
+    def test_digit_limit_jsonl(self, tmp_path, capsys):
+        lines = ['{"name": "a", "seifert": [[-1,1],[0,-1]]}',
+                 '{"name": "bad", "seifert": [[-1,1],[0,' + LONG + "]]}",
+                 '{"name": "b", "seifert": [[-1,1],[0,2]]}']
+        error = self._scan(tmp_path, capsys, "census.jsonl", "\n".join(lines) + "\n")
+        assert "row 1, column 1" in error and "5000 digits" in error
+        assert len(error) < 200
+
+    def test_digit_limit_analyze_json(self, capsys):
+        assert main(["analyze", "--matrix", f"[[-1,1],[0,{LONG}]]"]) == 1
+        err = capsys.readouterr().err
+        assert "row 1, column 1" in err and "5000 digits" in err
+        assert len(err) < 200
+
+    def test_digit_limit_analyze_grid(self, capsys):
+        assert main(["analyze", "--matrix", f"-1 1\n0 {LONG}"]) == 1
+        err = capsys.readouterr().err
+        assert "line 2, entry 2" in err and "5000 digits" in err
+        assert len(err) < 200
+
+    def test_bad_grid_token_truncated(self, capsys):
+        assert main(["analyze", "--matrix", f"-1 1\n0 {'x' * 5000}"]) == 1
+        err = capsys.readouterr().err
+        assert "line 2, entry 2: not an integer: 'xxx" in err
+        assert len(err) < 200
+
+
 class TestTwist:
     def test_range(self, capsys):
         assert main(["twist", "--m-range=-1:2"]) == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dihedral import (
+    IntMatrix,
     LinkingForm,
     ResidueQZ,
     SeifertMatrix,
@@ -102,17 +103,18 @@ class TestTorsionGroup:
     def test_pairing_symmetry(self, corpus):
         for v in corpus[:20]:
             group = double_cover_homology(v)
-            gens = group.generators
+            a, gens = group.ambient, group.generators
             for i, gi in enumerate(gens):
                 for gj in gens[i:]:
-                    assert group.pairing(gi, gj) == group.pairing(gj, gi)
+                    assert evaluate_linking(a, gi, gj) == evaluate_linking(a, gj, gi)
 
     def test_pairing_bilinear(self):
         group = double_cover_homology(NINE_37)
+        a = group.ambient
         g1, g2 = group.generators
-        s = tuple(a + b for a, b in zip(g1, g2))
-        lhs = group.pairing(s, g1)
-        rhs = ResidueQZ.of(group.pairing(g1, g1).value + group.pairing(g2, g1).value)
+        s = tuple(x + y for x, y in zip(g1, g2))
+        lhs = evaluate_linking(a, s, g1)
+        rhs = ResidueQZ.of(evaluate_linking(a, g1, g1).value + evaluate_linking(a, g2, g1).value)
         assert lhs == rhs
 
 
@@ -141,7 +143,9 @@ class TestLinkingForm:
         group = double_cover_homology(NINE_37)
         form = LinkingForm(group)
         gens = group.generators
-        assert form.matrix == tuple(tuple(group.pairing(gi, gj) for gj in gens) for gi in gens)
+        a = group.ambient
+        assert form.matrix == tuple(tuple(evaluate_linking(a, gi, gj) for gj in gens)
+                                    for gi in gens)
         assert linking_form(group) == form
         with pytest.raises(TypeError):
             LinkingForm(group, form.matrix)
@@ -217,6 +221,48 @@ class TestEvaluateLinking:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_linking(symmetrize(twist_knot(-1)), (1,), (1, 0))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            evaluate_linking(IntMatrix([[1, 2], [2, 4]]), (1, 0), (0, 1))
+
+    def test_matches_gauss_jordan_oracle(self):
+        # u^T A^{-1} v mod 1 on random matrices, almost all of them not
+        # symmetric, against A^{-1} v solved over the rationals
+        rng = random.Random(10)
+        invertible = singular = 0
+        for _ in range(120):
+            m = rng.randint(1, 5)
+            a = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
+            u = [rng.randint(-9, 9) for _ in range(m)]
+            v = [rng.randint(-9, 9) for _ in range(m)]
+            x = _solve_rational(a, v)
+            if x is None:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    evaluate_linking(IntMatrix(a), u, v)
+                continue
+            invertible += 1
+            want = ResidueQZ.of(sum(ui * xi for ui, xi in zip(u, x)))
+            assert evaluate_linking(IntMatrix(a), u, v) == want
+        assert invertible >= 100 and singular >= 1
+
+
+def _solve_rational(a, b):
+    """A^{-1} b by Gauss-Jordan elimination over Fraction; None if A is singular."""
+    m = len(a)
+    w = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for k in range(m):
+        piv = next((i for i in range(k, m) if w[i][k] != 0), None)
+        if piv is None:
+            return None
+        w[k], w[piv] = w[piv], w[k]
+        w[k] = [x / w[k][k] for x in w[k]]
+        for i in range(m):
+            if i != k and w[i][k] != 0:
+                f = w[i][k]
+                w[i] = [x - f * y for x, y in zip(w[i], w[k])]
+    return [row[m] for row in w]
 
 
 class TestSelfLinking:

@@ -306,15 +306,32 @@ class TestCharacteristicClasses:
                     assert ck.form_value() == want
 
     def test_smith_form_reduced_once_per_knot(self, monkeypatch):
-        import dihedral.seifert as seifert_mod
+        # the determinant, the cover homology, its linking form, the
+        # characteristic classes and the character bridge all read the one
+        # Smith form the SeifertMatrix keeps; snf is patched at every binding
+        import dihedral.exact as exact_mod
 
         calls = []
-        real = seifert_mod.snf
-        monkeypatch.setattr(seifert_mod, "snf", lambda a: calls.append(a) or real(a))
+        real = exact_mod.snf
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        bound = 0
+        for name, mod in list(sys.modules.items()):
+            if (name == "dihedral" or name.startswith("dihedral.")) and \
+                    getattr(mod, "snf", None) is real:
+                monkeypatch.setattr(mod, "snf", counted)
+                bound += 1
+        assert bound >= 4  # exact, seifert, cover, the package
         v = SeifertMatrix(NINE_37.matrix.to_lists())
-        double_cover_homology(v)
+        assert knot_determinant(v) == 45
+        form = linking_form(double_cover_homology(v))
         for n in (3, 5, 15):
-            characteristic_knot_classes(v, n)
+            for ck in characteristic_knot_classes(v, n):
+                char_knot_to_character(v, ck, form)
+        char_knot_to_character(v, characteristic_knot_classes(v, 3)[0])
         assert calls == [symmetrize(v)]
 
 

@@ -18,6 +18,7 @@ from dihedral import (
     SeifertMatrix,
     SigmaWBound,
     SignatureIndeterminateError,
+    characteristic_knot_classes,
     connected_sum,
     cover_signature,
     ribbon_test,
@@ -265,6 +266,26 @@ class TestXi:
         val = xi_n(v, beta, TREFOIL, 3, SigmaWBound(0))
         want = tristram_levine(TREFOIL, (1, 3)) + tristram_levine(TREFOIL, (2, 3))
         assert val.signature_sum == want
+
+    def test_signature_sum_uses_conjugate_roots(self, corpus, monkeypatch):
+        # sigma(k, n) = sigma(n - k, n): xi_n evaluates k <= (n - 1)/2 only,
+        # and its sum equals the sum over every k in 1..n-1
+        calls = []
+        real = signatures.tristram_levine
+
+        def counted(v, omega, **kwargs):
+            calls.append(omega)
+            return real(v, omega, **kwargs)
+
+        monkeypatch.setattr(signatures, "tristram_levine", counted)
+        for n, m in ((3, 2), (5, 1), (7, -2), (9, 2), (15, -4)):
+            v = twist_knot(m)
+            beta = characteristic_knot_classes(v, n)[0].beta
+            for knot in corpus[:10]:
+                want = sum(real(knot, (k, n)) for k in range(1, n))
+                calls.clear()
+                assert xi_n(v, beta, knot, n, 0).signature_sum == want
+                assert calls == [(k, n) for k in range(1, (n + 1) // 2)]
 
     def test_rejects_non_characteristic(self):
         with pytest.raises(ValueError):
