@@ -13,12 +13,11 @@ Exit codes: 0 on success, 1 on a fatal error, 2 on selftest failure.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import selftest as selftest_mod
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, require_printable
 from .obstruction import (
     DEFAULT_ENUM_CAP,
     characteristic_knot_classes,
@@ -28,6 +27,7 @@ from .report import (
     DEFAULT_N_MAX,
     SCHEMA,
     KnotRecord,
+    _to_json,
     analyze,
     parse_matrix,
     render_report_text,
@@ -85,7 +85,7 @@ def cmd_scan(args):
     cap = _resolve_enum_cap(args.enum_cap)
     rows = list(scan(args.path, jobs=args.jobs, n_max=args.n_max, enum_cap=cap))
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in rows], indent=2, sort_keys=True))
+        print(_to_json(rows))
     else:
         chunks = []
         for r in rows:
@@ -102,8 +102,7 @@ def cmd_twist(args):
     first, last = _parse_m_range(args.m_range)
     rows = twist_family(first, last, enum_cap=cap)
     if args.format == "json":
-        doc = {"schema": SCHEMA, "rows": [r.to_dict() for r in rows]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_to_json({"schema": SCHEMA, "rows": rows}))
     else:
         print(render_twist_text(rows))
     return 0
@@ -116,25 +115,24 @@ def cmd_charknots(args):
     classes = []
     try:
         for ck in characteristic_knot_classes(v, args.n, enum_cap=cap):
-            value = ck.form_value()
+            value = require_printable(ck.form_value(), "form value")
             classes.append({
-                "beta": [str(x) for x in ck.beta],
-                "form_value": str(value),
-                "form_value_mod_n2": str(value % args.n ** 2),
+                "beta": ck.beta,
+                "form_value": value,
+                "form_value_mod_n2": value % args.n ** 2,
                 "passes_criterion": seifert_criterion(v, ck),
             })
     except EnumerationCapError as e:
         note = f"not enumerated: {e}"
     if args.format == "json":
-        doc = {"schema": SCHEMA, "n": args.n, "classes": classes, "note": note}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_to_json({"schema": SCHEMA, "n": args.n, "classes": classes, "note": note}))
     else:
         if note is not None:
             print(note)
         else:
             print(f"characteristic classes mod {args.n}: {len(classes)}")
             for c in classes:
-                beta = ", ".join(c["beta"])
+                beta = ", ".join(str(x) for x in c["beta"])
                 verdict = "pass" if c["passes_criterion"] else "fail"
                 print(f"  beta ({beta})  value mod n^2 = {c['form_value_mod_n2']}"
                       f"  criterion: {verdict}")

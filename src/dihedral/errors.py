@@ -5,6 +5,8 @@ class; everything derives from ValueError, RuntimeError, or
 ArithmeticError so generic handling still works.
 """
 
+import sys
+
 __all__ = [
     "MatrixParseError",
     "SeifertMatrixError",
@@ -15,6 +17,8 @@ __all__ = [
     "NonSquareFreeError",
     "StabilizationError",
     "require_odd",
+    "oversized_digits",
+    "require_printable",
 ]
 
 
@@ -58,3 +62,26 @@ def require_odd(n):
     if n % 2 == 0:
         raise EvenModulusError(f"modulus must be odd, got {n}")
     return n
+
+
+def oversized_digits(x):
+    """The decimal digit count of the integer x when it is above the
+    interpreter's limit for int-to-str conversion
+    (sys.get_int_max_str_digits()), else 0."""
+    x, limit = abs(x), sys.get_int_max_str_digits()
+    if not limit or x.bit_length() <= 3 * limit:  # x < 8^limit < 10^limit
+        return 0
+    k = int((x.bit_length() - 1) * 0.30103) - 1  # below log10(x), the digit count less one
+    while 10 ** k <= x:
+        k += 1
+    return k if k > limit else 0
+
+
+def require_printable(x, what):
+    """Reject an integer too long to print before any work uses it: the
+    error names what it is and its digit count."""
+    k = oversized_digits(x)
+    if k:
+        raise ValueError(f"{what} has {k} digits, above the limit of "
+                         f"{sys.get_int_max_str_digits()} for integer string conversion")
+    return x

@@ -363,9 +363,6 @@ class CharKnotClass:
     def n(self):
         return self._n
 
-    def as_surface_class(self):
-        return SurfaceClass(self._beta)
-
     def form_value(self):
         """beta^T (V + V^T) beta on the canonical lift."""
         return self._value

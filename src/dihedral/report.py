@@ -6,23 +6,28 @@ determinant, the characteristic classes with their criterion results
 and stabilization summaries, and (on the twist family) the xi values
 and ribbon verdict.
 
-JSON layout: rationals are {"num": "...", "den": "..."} with decimal
-strings; unbounded integers (determinants, invariant factors,
-coordinates, form values) are decimal strings; structurally small
-integers (n, counts, sizes) are plain numbers. Output is sorted and
-fully deterministic.
+JSON layout: one writer, _to_json, prints every JSON document in the
+json.dumps(indent=2, sort_keys=True) layout, walking the report
+dataclasses by a key table per class. Integers under _NUMBER_KEYS (n,
+genus, row, counts, sizes) are plain numbers; every other integer
+(determinants, invariant factors, coordinates, form values) is a
+decimal string; rationals are {"num": "...", "den": "..."} with decimal
+strings. Output is fully deterministic.
 """
 
 import csv
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import metadata
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .cover import double_cover_homology, linking_form, self_linking
-from .errors import EnumerationCapError, MatrixParseError, require_odd
+from .errors import EnumerationCapError, MatrixParseError, require_odd, require_printable
 from .exact import ResidueQZ
 from .obstruction import (
     DEFAULT_ENUM_CAP,
@@ -33,7 +38,7 @@ from .obstruction import (
     surjective_characters,
     verdict,
 )
-from .seifert import SeifertMatrix, knot_determinant, stabilize_zero_framed
+from .seifert import SeifertMatrix, _zero_framing, knot_determinant
 from .signatures import ribbon_test, twist_xi3
 
 __all__ = [
@@ -168,22 +173,10 @@ class Report:
     conventions: tuple = CONVENTIONS
 
     def to_dict(self):
-        return {
-            "schema": SCHEMA,
-            "version": self.version,
-            "name": self.name,
-            "source": self.source,
-            "genus": self.genus,
-            "determinant": str(self.determinant),
-            "invariant_factors": [str(x) for x in self.invariant_factors],
-            "conventions": list(self.conventions),
-            "skipped_n": list(self.skipped_n),
-            "quotients": [_nblock_dict(b) for b in self.blocks],
-            "xi": _xi_dict(self.xi) if self.xi is not None else None,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -195,10 +188,10 @@ class RowError:
     error: str
 
     def to_dict(self):
-        return {"schema": SCHEMA, "name": self.name, "row": self.row, "error": self.error}
+        return json.loads(self.to_json())
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -212,79 +205,69 @@ class TwistRow:
     xi_candidates: object
     ribbon: object
 
-    def to_dict(self):
-        return {
-            "m": self.m,
-            "determinant": str(self.determinant),
-            "quotient_exists": self.quotient_exists,
-            "extends": self.extends,
-            "xi_candidates": None if self.xi_candidates is None
-            else [_fraction_dict(c) for c in self.xi_candidates],
-            "ribbon": self.ribbon,
-        }
+
+# The JSON layout, stated once. Keys holding structurally small integers
+# are JSON numbers; every other integer is a decimal string.
+_NUMBER_KEYS = frozenset({
+    "n", "genus", "row", "m", "new_size", "signature_sum", "rank_h1_cover", "skipped_n",
+    "sigma_w_range", "quotient_class_count", "extendable_class_count",
+})
+_RENAMED = {
+    "blocks": "quotients",
+    "char_classes": "characteristic_classes",
+    "char_classes_enumerated": "characteristic_classes_enumerated",
+    "char_class_note": "characteristic_class_note",
+}
+# Keys that are not fields. A class is zero-framable after stabilization
+# exactly when it passes the criterion.
+_ADDED = {
+    Report: {"schema": lambda r: SCHEMA},
+    RowError: {"schema": lambda r: SCHEMA},
+    CharEntry: {"zero_framed_exists": attrgetter("passes_criterion")},
+}
 
 
-def _fraction_dict(q):
-    f = Fraction(q)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+@functools.cache
+def _table(cls):
+    """(quoted key and separator, getter, numeric) per JSON key of a report
+    dataclass, in key order."""
+    keys = {_RENAMED.get(f.name, f.name): attrgetter(f.name) for f in fields(cls)}
+    keys.update(_ADDED.get(cls, {}))
+    return tuple((encode_basestring_ascii(k) + ": ", get, k in _NUMBER_KEYS)
+                 for k, get in sorted(keys.items()))
 
 
-def _residue_dict(r):
-    return _fraction_dict(r.value)
-
-
-def _nblock_dict(b):
-    return {
-        "n": b.n,
-        "characters_enumerated": b.characters_enumerated,
-        "character_note": b.character_note,
-        "quotient_class_count": b.quotient_class_count,
-        "extendable_class_count": b.extendable_class_count,
-        "classes": [
-            {
-                "representative": [str(x) for x in c.representative],
-                "members": [[str(x) for x in m] for m in c.members],
-                "self_linking": _residue_dict(c.self_linking),
-                "extends": c.extends,
-                "surjective": c.surjective,
-                "scope": list(c.scope),
-            }
-            for c in b.classes
-        ],
-        "characteristic_classes_enumerated": b.char_classes_enumerated,
-        "characteristic_class_note": b.char_class_note,
-        "characteristic_classes": [
-            {
-                "beta": [str(x) for x in e.beta],
-                "form_value_mod_n2": str(e.form_value_mod_n2),
-                "passes_criterion": e.passes_criterion,
-                # a class is zero-framable after stabilization exactly
-                # when it passes the criterion
-                "zero_framed_exists": e.passes_criterion,
-                "stabilization": {
-                    "status": e.stabilization.status,
-                    "new_size": e.stabilization.new_size,
-                    "squares": [str(x) for x in e.stabilization.squares],
-                    "flipped_sign": e.stabilization.flipped_sign,
-                    "stabilized_class": [str(x) for x in e.stabilization.stabilized_class],
-                },
-            }
-            for e in b.char_classes
-        ],
-    }
-
-
-def _xi_dict(x):
-    return {
-        "n": x.n,
-        "twist_parameter": str(x.twist_parameter),
-        "candidates": [_fraction_dict(c) for c in x.candidates],
-        "linking_term": _fraction_dict(x.linking_term),
-        "signature_sum": x.signature_sum,
-        "sigma_w_range": list(x.sigma_w_range),
-        "rank_h1_cover": x.rank_h1_cover,
-        "ribbon": x.ribbon,
-    }
+def _to_json(x, nl="\n", numeric=False):
+    """The text json.dumps(doc, indent=2, sort_keys=True) gives for the
+    document of x: report dataclasses, dicts, lists and tuples, strings,
+    booleans, None, Fraction and ResidueQZ (as {"num", "den"} strings), and
+    integers (numbers under _NUMBER_KEYS, decimal strings elsewhere)."""
+    t = type(x)
+    if t is int:
+        return str(x) if numeric else f'"{x}"'
+    if t is str:
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    inner = nl + "  "
+    if t is Fraction or t is ResidueQZ:
+        return f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}'
+    if t is tuple or t is list:
+        if not x:
+            return "[]"
+        items = [_to_json(v, inner, numeric) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _to_json(v, inner, k in _NUMBER_KEYS)
+                 for k, v in sorted(x.items())]
+    else:
+        items = [key + _to_json(get(x), inner, num)
+                 for key, get, num in _table(t)]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def parse_matrix(text):
@@ -400,53 +383,38 @@ def _char_entry(v, ck):
     n = ck.n
     value = ck.form_value()
     passes = seifert_criterion(v, ck)
-    if passes:
-        stab = stabilize_zero_framed(v, ck.as_surface_class(), n)
-        if stab.blocks_added == 0:
-            summary = StabSummary("already-zero-framed", v.size, (), False, ck.beta)
-        else:
-            summary = StabSummary("stabilized", stab.matrix.size, stab.squares,
-                                  stab.flipped_sign, stab.cls.coords)
+    if passes and value == 0:
+        summary = StabSummary("already-zero-framed", v.size, (), False, ck.beta)
+    elif passes:
+        squares, flipped, tail = _zero_framing(value, n)
+        summary = StabSummary("stabilized", v.size + len(tail), squares, flipped,
+                              ck.beta + tail)
     else:
         summary = StabSummary("not-zero-framable", v.size, (), False, ())
-    return CharEntry(
-        beta=ck.beta,
-        form_value_mod_n2=value % (n * n),
-        passes_criterion=passes,
-        stabilization=summary,
-    )
+    return CharEntry(beta=ck.beta, form_value_mod_n2=value % (n * n),
+                     passes_criterion=passes, stabilization=summary)
 
 
 def _analyze_n(v, group, form, n, enum_cap):
+    entries = ck_entries = ()
+    class_count = extendable = None
+    note = ck_note = ""
     try:
         chars = surjective_characters(group, form, n, enum_cap=enum_cap)
         classes = quotient_classes(chars, n)
         entries = tuple(_class_entry(form, qc) for qc in classes)
         class_count = len(classes)
         extendable = sum(1 for qc in classes if qc.extends)
-        enumerated = True
-        note = ""
     except EnumerationCapError as e:
-        chars = None
-        entries = ()
-        class_count = None
-        extendable = None
-        enumerated = False
         note = f"not enumerated: {e}"
-
     try:
         cks = characteristic_knot_classes(v, n, enum_cap=enum_cap)
         ck_entries = tuple(_char_entry(v, ck) for ck in cks)
-        ck_enumerated = True
-        ck_note = ""
     except EnumerationCapError as e:
-        cks = None
-        ck_entries = ()
-        ck_enumerated = False
         ck_note = f"not enumerated: {e}"
 
     # the two routes must agree whenever both ran to completion
-    if chars is not None and cks is not None:
+    if not note and not ck_note:
         if len(cks) != len(chars):
             raise ArithmeticError(
                 f"{len(cks)} characteristic classes but {len(chars)} characters at n={n}"
@@ -454,17 +422,10 @@ def _analyze_n(v, group, form, n, enum_cap):
         if any(e.passes_criterion for e in ck_entries) != any(e.extends for e in entries):
             raise ArithmeticError(f"extension routes disagree at n={n}")
 
-    return NBlock(
-        n=n,
-        characters_enumerated=enumerated,
-        character_note=note,
-        quotient_class_count=class_count,
-        extendable_class_count=extendable,
-        classes=entries,
-        char_classes_enumerated=ck_enumerated,
-        char_class_note=ck_note,
-        char_classes=ck_entries,
-    )
+    return NBlock(n=n, characters_enumerated=not note, character_note=note,
+                  quotient_class_count=class_count, extendable_class_count=extendable,
+                  classes=entries, char_classes_enumerated=not ck_note,
+                  char_class_note=ck_note, char_classes=ck_entries)
 
 
 def _twist_parameter(v):
@@ -490,7 +451,8 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     if not isinstance(record, KnotRecord):
         raise TypeError("analyze expects a KnotRecord or a SeifertMatrix")
     v = record.matrix
-    d = knot_determinant(v)
+    # every other integer a report prints is bounded by the determinant
+    d = require_printable(knot_determinant(v), "knot determinant")
     group = double_cover_homology(v)
     form = linking_form(group)
 
@@ -601,7 +563,7 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     rows = _census_rows(text, source=str(path))
 
@@ -640,9 +602,7 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
         d = knot_determinant(v)
         cks = characteristic_knot_classes(v, 3, enum_cap=enum_cap)
         exists = bool(cks)
-        extends = None
-        candidates = None
-        ribbon = None
+        extends = candidates = ribbon = None
         if exists:
             extends = any(seifert_criterion(v, ck) for ck in cks)
             group = double_cover_homology(v)

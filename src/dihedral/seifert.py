@@ -9,7 +9,7 @@ integer coordinate vectors in the basis implicit in V.
 import math
 from dataclasses import dataclass, field
 
-from .errors import SeifertMatrixError, StabilizationError, require_odd
+from .errors import SeifertMatrixError, StabilizationError, oversized_digits, require_odd
 from .exact import IntMatrix, det, four_squares, snf
 
 __all__ = [
@@ -45,7 +45,9 @@ class SeifertMatrix:
         mt = m.transpose()
         d = det(m - mt)
         if d != 1:
-            raise SeifertMatrixError(f"det(V - V^T) must be 1, got {d}")
+            k = oversized_digits(d)
+            shown = f"a {k}-digit integer" if k else d
+            raise SeifertMatrixError(f"det(V - V^T) must be 1, got {shown}")
         self._m = m
         self._sym = m + mt
         self._smith = None
@@ -223,22 +225,29 @@ def stabilize_zero_framed(v, beta, n):
     if value == 0:
         return ZeroFramedStabilization(v, beta)
 
+    squares, flipped, tail = _zero_framing(value, n)
+    v2 = SeifertMatrix._block_sum(v, *[_STAB_BLOCKS[-1 if flipped else 1]] * 4)
+    beta2 = SurfaceClass(beta.coords + tail)
+    a2 = symmetrize(v2)
+    check = sum(x * y for x, y in zip(beta2.coords, a2.apply(beta2.coords)))
+    if check != 0:
+        raise ArithmeticError(f"stabilized form value should be 0, got {check}")
+    return ZeroFramedStabilization(v2, beta2, blocks_added=4, flipped_sign=flipped,
+                                   squares=squares)
+
+
+def _zero_framing(value, n):
+    """How four band pairs zero-frame a class whose nonzero form value is
+    divisible by n^2: (squares s, largest first; whether the blocks are
+    mirrored; the class's coordinates on the new bands, n*s twice per
+    pair). Each pair adds -sign * 2 (n*s)^2 to the form value, so the
+    stabilized value value - sign * 2 n^2 sum(s^2) is checked to be 0."""
     scaled = abs(value) // (n * n)
     if scaled % 2 != 0:
         raise ArithmeticError(f"form value {value} over {n}^2 should be even; input is corrupt")
     squares = tuple(sorted(four_squares(scaled // 2), reverse=True))
     sign = 1 if value > 0 else -1
-
-    v2 = SeifertMatrix._block_sum(v, *[_STAB_BLOCKS[sign]] * 4)
-    # each block pair holds (n*s, n*s): its form contribution is -sign * 2 (n*s)^2
-    extra = []
-    for s in squares:
-        extra.extend((n * s, n * s))
-    beta2 = SurfaceClass(beta.coords + tuple(extra))
-
-    a2 = symmetrize(v2)
-    check = sum(x * y for x, y in zip(beta2.coords, a2.apply(beta2.coords)))
-    if check != 0:
-        raise ArithmeticError(f"stabilized form value should be 0, got {check}")
-    return ZeroFramedStabilization(v2, beta2, blocks_added=4, flipped_sign=sign < 0,
-                                   squares=squares)
+    rest = value - sign * 2 * n * n * sum(s * s for s in squares)
+    if rest != 0:
+        raise ArithmeticError(f"stabilized form value should be 0, got {rest}")
+    return squares, sign < 0, tuple(n * s for s in squares for _ in (0, 1))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dihedral import SeifertMatrix, knot_determinant
+from dihedral import SeifertMatrix, analyze, knot_determinant
 
 CORPUS_SEED = 20260819
 CORPUS_SIZE = 220
@@ -39,3 +39,9 @@ def build_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def corpus_reports(corpus):
+    """analyze() of every corpus knot, in corpus order."""
+    return tuple(analyze(v) for v in corpus)

@@ -3,6 +3,7 @@ library example runs."""
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import pathlib
 import pkgutil
@@ -11,6 +12,8 @@ import re
 import pytest
 
 import dihedral
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dihedral.__path__)
                  if not m.name.startswith("_"))
@@ -29,7 +32,7 @@ def test_module_all_resolves(name):
 
 
 def test_readme_library_example_runs():
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     out = io.StringIO()
@@ -39,3 +42,16 @@ def test_readme_library_example_runs():
     lines = out.getvalue().splitlines()
     assert len(lines) == 4
     assert sum(line.endswith("True") for line in lines) == 2
+
+
+def test_benchmark_tracer_methods_exist():
+    # bench/spans.py wraps these through vars(cls)[meth]; a method that
+    # moves off its class breaks `bench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wanted = spans.SPAN_METHODS + spans.COUNT_METHODS
+    assert wanted
+    missing = [(layer, cls, meth) for layer, cls, meth in wanted
+               if meth not in vars(getattr(importlib.import_module(f"dihedral.{layer}"), cls))]
+    assert missing == []

@@ -1,10 +1,12 @@
 """Command line interface: subcommands, exit codes, cap resolution."""
 
 import json
+import sys
 
 import pytest
 
 from dihedral.cli import main
+from dihedral.errors import oversized_digits
 
 TREFOIL = "{{-1,1},{0,-1}}"
 SIX_ONE = "{{-1,1},{0,2}}"
@@ -71,6 +73,9 @@ class TestScan:
 
 DEEP = "[" * 50_000
 LONG = "1" * 5_000  # above Python's 4,300-digit str-to-int limit
+SEVENS = "7" * 3_000
+# entries under the limit, but the knot determinant (4M + 1)^2 has 6,001 digits
+BIG_DET = f"{{{{-1,1,0,0}},{{0,{SEVENS},0,0}},{{0,0,-1,1}},{{0,0,0,{SEVENS}}}}}"
 
 
 class TestHostileRows:
@@ -132,6 +137,49 @@ class TestHostileRows:
         err = capsys.readouterr().err
         assert "line 2, entry 2" in err and "5000 digits" in err
         assert len(err) < 200
+
+    def test_oversized_determinant_csv(self, tmp_path, capsys):
+        error = self._scan(tmp_path, capsys, "census.csv",
+                           f'name,seifert\na,"{TREFOIL}"\nbad,"{BIG_DET}"\nb,"{SIX_ONE}"\n')
+        assert error.startswith("knot determinant has 6001 digits, above the limit of 4300")
+        assert len(error) < 200
+
+    def test_oversized_determinant_text(self, tmp_path, capsys):
+        p = tmp_path / "census.csv"
+        p.write_text(f'name,seifert\na,"{TREFOIL}"\nbad,"{BIG_DET}"\nb,"{SIX_ONE}"\n')
+        assert main(["scan", str(p), "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        error = out.index("\n\nerror (row 3, bad): knot determinant has 6001 digits")
+        assert out.startswith("knot: a") and out.index("\n\nknot: b") > error
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_oversized_determinant_analyze(self, capsys, fmt):
+        assert main(["analyze", "--matrix", BIG_DET, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: knot determinant has 6001 digits")
+        assert len(captured.err) < 200
+
+    def test_oversized_skew_determinant(self, capsys):
+        assert main(["analyze", "--matrix", f"{{{{0,{SEVENS}}},{{0,0}}}}"]) == 1
+        err = capsys.readouterr().err
+        assert "det(V - V^T) must be 1, got a 6000-digit integer" in err
+        assert len(err) < 200
+
+    def test_oversized_form_value_charknots(self, capsys):
+        # M = 10^4300 - 2 is within the limit, and 3 divides 4M + 1; both
+        # characteristic classes mod 3 have form values of 4,301 digits
+        m = "9" * 4299 + "8"
+        assert main(["charknots", "--matrix", f"{{{{-1,1}},{{0,{m}}}}}", "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: form value has 4301 digits, above the limit of 4300")
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("extra", [-4000, -1, 0, 1, 2, 5000])
+    def test_digit_count_at_the_limit(self, extra):
+        k = sys.get_int_max_str_digits() + extra
+        for x in (10 ** (k - 1), 10 ** k - 1, -(10 ** k - 1)):
+            assert oversized_digits(x) == (k if extra > 0 else 0)
 
     def test_bad_grid_token_truncated(self, capsys):
         assert main(["analyze", "--matrix", f"-1 1\n0 {'x' * 5000}"]) == 1

@@ -21,6 +21,7 @@ from dihedral import (
     render_report_text,
     render_twist_text,
     scan,
+    stabilize_zero_framed,
     twist_family,
     twist_knot,
 )
@@ -151,6 +152,29 @@ class TestAnalyze:
         assert (b.quotient_class_count, b.extendable_class_count) == (364, 148)
         assert len(b.char_classes) == 728
 
+    def test_stabilization_summary_matches_construction(self, corpus, corpus_reports):
+        # the summary is read off the stored form value; stabilize_zero_framed
+        # builds the stabilized matrix and checks the class on it
+        nine = parse_matrix(NINE_37_TEXT)
+        nine_sum = connected_sum(nine, nine)
+        cases = list(zip(corpus, corpus_reports)) + [(nine_sum, analyze(nine_sum))]
+        stabilized = 0
+        for v, r in cases:
+            for b in r.blocks:
+                for e in b.char_classes:
+                    s = e.stabilization
+                    if not e.passes_criterion:
+                        assert (s.status, s.new_size, s.squares, s.stabilized_class) == (
+                            "not-zero-framable", v.size, (), ())
+                        continue
+                    out = stabilize_zero_framed(v, e.beta, b.n)
+                    assert s.status == ("stabilized" if out.blocks_added
+                                        else "already-zero-framed")
+                    assert (s.new_size, s.squares, s.flipped_sign, s.stabilized_class) == (
+                        out.matrix.size, out.squares, out.flipped_sign, out.cls.coords)
+                    stabilized += out.blocks_added > 0
+        assert stabilized > 100
+
     def test_nine37_sum_report_bytes_pinned(self):
         # sha256 of the 9_37#9_37 auto-mode report without its version key:
         # a reference that work on speed must reproduce byte for byte
@@ -248,6 +272,18 @@ class TestScan:
         path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
         with pytest.raises(ValueError, match="jobs"):
             list(scan(path, jobs=jobs))
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "census.csv"
+        p.write_text('name,seifert\nt,"{{-1,1},{0,-1}}"\n', encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert [r.name for r in scan(str(p))] == ["t"]
+
+    def test_jsonl_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "census.jsonl"
+        p.write_text('{"name": "t", "seifert": [[-1,1],[0,-1]]}\n', encoding="utf-8-sig")
+        rows = list(scan(str(p)))
+        assert [(type(r).__name__, r.name) for r in rows] == [("Report", "t")]
 
     def test_bad_csv_header(self, tmp_path):
         path = self._write(tmp_path, "knot,matrix\nx,{{0}}\n")

@@ -1,0 +1,132 @@
+"""The JSON writer: its output must equal json.dumps(indent=2, sort_keys=True)
+of what it wrote, byte for byte, on every document the CLI prints."""
+
+import hashlib
+import json
+
+import pytest
+
+from dihedral import (
+    KnotRecord,
+    RowError,
+    analyze,
+    connected_sum,
+    parse_matrix,
+    render_matrix,
+    twist_knot,
+)
+from dihedral.cli import main
+
+NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
+
+
+def assert_round_trip(out):
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) == out
+
+
+def twist_sum(ms):
+    v = twist_knot(ms[0])
+    for m in ms[1:]:
+        v = connected_sum(v, twist_knot(m))
+    return v
+
+
+def shard_csv(corpus):
+    """Every fifteenth corpus knot, with one malformed row among them."""
+    lines = ["name,seifert"]
+    for i in range(0, len(corpus), 15):
+        lines.append(f'k{i:03d},"{render_matrix(corpus[i])}"')
+        if i == 60:
+            lines.append('bad,"{{1,0},{0,1}}"')
+    return "\n".join(lines) + "\n"
+
+
+def cli_stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestPinnedBytes:
+    """Stdout pinned before the writer replaced json.dumps."""
+
+    def test_census_shard(self, tmp_path, capsys, corpus, monkeypatch):
+        # a relative path, because each report names its source file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "census.csv").write_text(shard_csv(corpus), encoding="utf-8")
+        out = cli_stdout(capsys, ["scan", "census.csv"])
+        # the version key is the only other part that can vary between installs
+        doc = json.loads(out)
+        assert {r.get("version") for r in doc} - {None} == {doc[0]["version"]}
+        version = '"version": ' + json.dumps(doc[0]["version"])
+        got = hashlib.sha256(out.replace(version, '"version": "V"').encode()).hexdigest()
+        assert got == "604492e363735acd2ba5b8e4e94222a0bc4093ce04fa092b931bfc49c7b83148"
+
+    def test_twist_sweep(self, capsys):
+        out = cli_stdout(capsys, ["twist", "--m-range=-60:60"])
+        got = hashlib.sha256(out.encode()).hexdigest()
+        assert got == "07ef656bb35c27b71f9856dacaf104c80e3338633e9a71477f33c26de32b221a"
+
+
+class TestRoundTrip:
+    def test_corpus_reports(self, corpus_reports):
+        for r in corpus_reports:
+            assert_round_trip(r.to_json())
+
+    @pytest.mark.parametrize("ms, ns", [((2, 5, 8, -1), [3]), ((2, 5, 8, 11, 14, 17), [3])])
+    def test_large_group_reports(self, ms, ns):
+        assert_round_trip(analyze(KnotRecord("sum", twist_sum(ms)), ns).to_json())
+
+    def test_nine37_sum_report(self):
+        nine = parse_matrix(NINE_37_TEXT)
+        assert_round_trip(analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine))).to_json())
+
+    def test_scan(self, tmp_path, capsys, corpus):
+        p = tmp_path / "census.csv"
+        p.write_text(shard_csv(corpus), encoding="utf-8")
+        assert_round_trip(cli_stdout(capsys, ["scan", str(p)])[:-1])
+
+    def test_empty_census(self, tmp_path, capsys):
+        p = tmp_path / "census.csv"
+        p.write_text("name,seifert\n", encoding="utf-8")
+        out = cli_stdout(capsys, ["scan", str(p)])
+        assert out == "[]\n"
+        assert_round_trip(out[:-1])
+
+    def test_twist(self, capsys):
+        assert_round_trip(cli_stdout(capsys, ["twist", "--m-range=-8:8"])[:-1])
+
+    @pytest.mark.parametrize("argv, classes, note", [
+        (["--matrix", NINE_37_TEXT, "--n", "3"], 8, None),
+        (["--matrix", "{{-1,1},{0,-1}}", "--n", "5"], 0, None),
+        (["--matrix", NINE_37_TEXT, "--n", "3", "--enum-cap", "2"], 0, "not enumerated"),
+    ])
+    def test_charknots(self, capsys, argv, classes, note):
+        out = cli_stdout(capsys, ["charknots"] + argv)[:-1]
+        assert_round_trip(out)
+        doc = json.loads(out)
+        assert len(doc["classes"]) == classes
+        assert doc["note"] is None if note is None else note in doc["note"]
+
+    @pytest.mark.parametrize("name", [
+        "knot é ∑ 九", 'say "hi"', "back\\slash", "tab\there\nnewline\x1f\x7f",
+        "nul\x00byte", "lone \ud800 surrogate", "",
+    ])
+    def test_row_error_names(self, name):
+        e = RowError(name, 7, f"error about {name}")
+        assert_round_trip(e.to_json())
+        assert e.to_dict() == {"schema": "dihedral-report/1", "name": name, "row": 7,
+                               "error": f"error about {name}"}
+
+    def test_row_error_names_through_jsonl(self, tmp_path, capsys):
+        names = ["\\u00e9\\\"\\\\", "\\u0000\\u0007", "\\ud800", "\\udfff x"]
+        lines = ['{"name": "%s", "seifert": "{{1,0},{0,1}}"}' % n for n in names]
+        p = tmp_path / "census.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = cli_stdout(capsys, ["scan", str(p)])[:-1]
+        assert out.isascii()
+        assert_round_trip(out)
+        assert [r["name"] for r in json.loads(out)] == [json.loads(f'"{n}"') for n in names]
+
+    def test_to_dict_matches_to_json(self):
+        r = analyze(KnotRecord("9_37", parse_matrix(NINE_37_TEXT)))
+        assert json.dumps(r.to_dict(), indent=2, sort_keys=True) == r.to_json()
