@@ -17,6 +17,7 @@ __all__ = [
     "NonSquareFreeError",
     "StabilizationError",
     "require_odd",
+    "require_dihedral_order",
     "oversized_digits",
     "require_printable",
 ]
@@ -61,6 +62,14 @@ def require_odd(n):
         raise TypeError(f"modulus must be an integer, got {n!r}")
     if n % 2 == 0:
         raise EvenModulusError(f"modulus must be odd, got {n}")
+    return n
+
+
+def require_dihedral_order(n):
+    """Reject anything but an odd dihedral order n > 1."""
+    require_odd(n)
+    if n <= 1:
+        raise ValueError(f"dihedral order must be > 1, got {n}")
     return n
 
 

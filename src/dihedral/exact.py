@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import oversized_digits
+
 __all__ = [
     "IntMatrix",
     "SNFResult",
@@ -362,17 +364,32 @@ def is_primitive(v):
     return math.gcd(*vv) == 1
 
 
+# The four-square search walks candidates in the order of its answer, so
+# its cost grows with k itself, not with the digit count: a 21-digit k
+# would run for years. The census and benchmark knots need at most 14
+# steps, and every k below 10^5 at most 557,524 (k = 94,208). A million
+# steps, about 0.3 s, is far above both; past it the search refuses.
+_FOUR_SQUARES_STEPS = 1_000_000
+
+
 def four_squares(k):
     """Lexicographically smallest (a1, a2, a3, a4), ascending, with sum of
-    squares k. Plain bounded search; exact for any nonnegative k."""
+    squares k, by a plain search in that order; past _FOUR_SQUARES_STEPS
+    steps it raises ArithmeticError naming the digit count of k."""
     _check_int(k, "four_squares argument")
     if k < 0:
         raise ValueError(f"four_squares needs a nonnegative integer, got {k}")
+    steps = 0
     for a1 in range(math.isqrt(k // 4) + 1):
         r1 = k - a1 * a1
         for a2 in range(a1, math.isqrt(r1 // 3) + 1):
             r2 = r1 - a2 * a2
             for a3 in range(a2, math.isqrt(r2 // 2) + 1):
+                steps += 1
+                if steps > _FOUR_SQUARES_STEPS:
+                    digits = oversized_digits(k) or len(str(k))
+                    raise ArithmeticError(f"four-square search for a {digits}-digit integer "
+                                          f"stopped after {_FOUR_SQUARES_STEPS} steps")
                 r3 = r2 - a3 * a3
                 a4 = math.isqrt(r3)
                 if a4 * a4 == r3 and a4 >= a3:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
-from .errors import CriterionInapplicableError, EnumerationCapError, require_odd
+from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
 from .exact import ResidueQZ
 from .seifert import SeifertMatrix, SurfaceClass, _smith_form, symmetrize
 
@@ -49,13 +49,6 @@ SCOPE_ALL_DIHEDRAL_IF_3_DIVIDES_N = "obstructs-all-if-3-divides-n"
 DEFAULT_ENUM_CAP = 1_000_000
 
 
-def _check_n(n):
-    require_odd(n)
-    if n <= 1:
-        raise ValueError(f"dihedral order must be > 1, got {n}")
-    return n
-
-
 def _check_cap(what, count, enum_cap):
     if enum_cap is not None and count > enum_cap:
         raise EnumerationCapError(
@@ -75,10 +68,6 @@ def _image_order(form, coords):
     return e // math.gcd(e, *(form.pair(coords, g) for g in _basis(form.rank)))
 
 
-def _isotropic(form, coords):
-    return form.pair(coords, coords) == 0
-
-
 @dataclass(frozen=True)
 class Character:
     """A character of the double-cover homology with image exactly the
@@ -90,7 +79,7 @@ class Character:
     n: int
 
     def __post_init__(self):
-        _check_n(self.n)
+        require_dihedral_order(self.n)
         factors = self.form.group.invariant_factors
         if len(self.c.coords) != len(factors):
             raise ValueError(f"expected {len(factors)} coordinates, got {len(self.c.coords)}")
@@ -126,50 +115,6 @@ def _unit_act(u, coords, factors):
 
 
 @dataclass(frozen=True)
-class QuotientClass:
-    """An orbit of surjective characters under the unit action, which is
-    exactly one dihedral quotient up to equivalence. All members share
-    the extension verdict; construction rechecks that and closure."""
-
-    members: tuple
-    n: int
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a quotient class cannot be empty")
-        form = self.members[0].form
-        for ch in self.members:
-            if not isinstance(ch, Character):
-                raise TypeError("members must be Characters")
-            if ch.n != self.n:
-                raise ValueError(f"member has order {ch.n}, class has order {self.n}")
-            if ch.form != form:
-                raise ValueError("members live on different linking forms")
-        coords = [ch.c.coords for ch in self.members]
-        if coords != sorted(coords):
-            raise ValueError("members must be sorted by coordinates")
-        factors = form.group.invariant_factors
-        orbit = {_unit_act(u, coords[0], factors) for u in _units(self.n)}
-        if orbit != set(coords):
-            raise ValueError("members are not one orbit of the unit action")
-        verdicts = {_isotropic(form, ch.c.coords) for ch in self.members}
-        if len(verdicts) != 1:
-            raise ValueError("members disagree on the extension verdict")
-
-    @property
-    def representative(self):
-        return self.members[0]
-
-    @property
-    def extends(self):
-        rep = self.representative
-        return _isotropic(rep.form, rep.c.coords)
-
-    def __len__(self):
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class ExtensionVerdict:
     """Whether a character extends over a pushed-in spanning surface,
     with the scope tags the verdict carries. A failed verdict also
@@ -186,13 +131,36 @@ class ExtensionVerdict:
             raise ValueError("verdict contradicts the self-linking value")
 
 
+@dataclass(frozen=True)
+class QuotientClass:
+    """An orbit of surjective characters under the unit action, which is
+    exactly one dihedral quotient up to equivalence, and the verdict of
+    its representative, built by quotient_classes. Since lk(uc, uc) =
+    u^2 lk(c, c) for a unit u mod n, that verdict decides every member."""
+
+    members: tuple
+    n: int
+    verdict: ExtensionVerdict
+
+    @property
+    def representative(self):
+        return self.members[0]
+
+    @property
+    def extends(self):
+        return self.verdict.extends
+
+    def __len__(self):
+        return len(self.members)
+
+
 def enumerate_isotropic(form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All elements with vanishing self-linking, the trivial one included,
     in lexicographic coordinate order."""
-    _check_n(n)
+    require_dihedral_order(n)
     group = form.group
     _check_cap("torsion group", group.order, enum_cap)
-    return tuple(c for c in group.elements() if _isotropic(form, c.coords))
+    return tuple(c for c in group.elements() if form.pair(c.coords, c.coords) == 0)
 
 
 def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
@@ -203,9 +171,10 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     exactly when c has order n, and only the n-torsion H[n] is walked:
     c_i = t_i * (d_i / g_i) with g_i = gcd(d_i, n) and 0 <= t_i < g_i.
     The cap bounds |H[n]|, as it does for characteristic_knot_classes.
-    Each Character rechecks its image order through the pairing.
+    The coordinates are in range by construction and the lcm test is the
+    one image-order check, so the walk skips Character's validation.
     """
-    _check_n(n)
+    require_dihedral_order(n)
     if not isinstance(group, TorsionGroup):
         raise TypeError("surjective_characters expects a TorsionGroup")
     if form.group != group:
@@ -220,7 +189,9 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     for ts in itertools.product(*(range(g) for g in moduli)):
         if math.lcm(*(g // math.gcd(g, t) for g, t in zip(moduli, ts))) == n:
             c = GroupElement(tuple(t * s for t, s in zip(ts, steps)))
-            out.append(Character(form, c, n))
+            ch = object.__new__(Character)
+            vars(ch).update(form=form, c=c, n=n)
+            out.append(ch)
     return tuple(out)
 
 
@@ -229,9 +200,10 @@ def quotient_classes(chars, n):
 
     Each orbit is one dihedral quotient up to equivalence. Classes are
     sorted by their representative, members within a class by
-    coordinates. The input must be closed under the unit action.
+    coordinates, and each carries the verdict of its representative.
+    The input must be closed under the unit action.
     """
-    _check_n(n)
+    require_dihedral_order(n)
     chars = tuple(chars)
     if not chars:
         return ()
@@ -260,7 +232,7 @@ def quotient_classes(chars, n):
             orbit.add(moved)
         seen |= orbit
         members = tuple(by_coords[c] for c in sorted(orbit))
-        classes.append(QuotientClass(members, n))
+        classes.append(QuotientClass(members, n, verdict(form, members[0])))
     return tuple(classes)
 
 
@@ -292,7 +264,7 @@ def verdict(form, c, n=None):
     elif isinstance(c, GroupElement):
         if n is None:
             raise ValueError("a bare element needs an explicit n")
-        _check_n(n)
+        require_dihedral_order(n)
         elem = c
         surjective = _image_order(form, elem.coords) == n
     else:
@@ -321,7 +293,7 @@ def _characteristic_image(v, c, n):
 def is_characteristic_class(v, coords, n):
     """Whether the surface class is characteristic mod n and primitive
     there: (V + V^T) beta = 0 mod n and gcd(entries, n) = 1."""
-    _check_n(n)
+    require_dihedral_order(n)
     if isinstance(coords, SurfaceClass):
         coords = coords.coords
     return _characteristic_image(v, tuple(coords), n) is not None
@@ -336,7 +308,7 @@ class CharKnotClass:
     __slots__ = ("_v", "_beta", "_n", "_value")
 
     def __init__(self, v, beta, n):
-        _check_n(n)
+        require_dihedral_order(n)
         if not isinstance(v, SeifertMatrix):
             raise TypeError("CharKnotClass expects a SeifertMatrix")
         if isinstance(beta, SurfaceClass):
@@ -390,7 +362,7 @@ def characteristic_knot_classes(v, n, *, enum_cap=None):
     D y = 0 mod n pins each y_i to multiples of n / gcd(D_ii, n).
     Non-primitive solutions are then filtered out.
     """
-    _check_n(n)
+    require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     res = _smith_form(v)
@@ -471,7 +443,7 @@ def seifert_criterion(v, beta):
 def cyclic_criterion(group, n):
     """Order shortcut for cyclic covers: extendable exactly when n^2
     divides the group order. Inapplicable to non-cyclic groups."""
-    _check_n(n)
+    require_dihedral_order(n)
     if not isinstance(group, TorsionGroup):
         raise TypeError("cyclic_criterion expects a TorsionGroup")
     if group.rank > 1:

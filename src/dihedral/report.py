@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .cover import double_cover_homology, linking_form, self_linking
-from .errors import EnumerationCapError, MatrixParseError, require_odd, require_printable
+from .errors import EnumerationCapError, MatrixParseError, require_dihedral_order, require_printable
 from .exact import ResidueQZ
 from .obstruction import (
     DEFAULT_ENUM_CAP,
@@ -36,7 +36,6 @@ from .obstruction import (
     quotient_classes,
     seifert_criterion,
     surjective_characters,
-    verdict,
 )
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
 from .signatures import ribbon_test, twist_xi3
@@ -294,7 +293,7 @@ def parse_matrix(text):
             raise MatrixParseError(f"malformed matrix at position {e.pos}: {e.msg}") from None
     else:
         data = []
-        for ln, line in enumerate(s.splitlines(), start=1):
+        for ln, line in enumerate(s.split("\n"), start=1):
             if not line.strip():
                 continue
             row = []
@@ -366,11 +365,10 @@ def render_matrix(v):
     return "{" + rows + "}"
 
 
-def _class_entry(form, qc):
-    rep = qc.representative
-    vd = verdict(form, rep)
+def _class_entry(qc):
+    vd = qc.verdict
     return ClassEntry(
-        representative=rep.c.coords,
+        representative=qc.representative.c.coords,
         members=tuple(ch.c.coords for ch in qc.members),
         self_linking=vd.self_linking,
         extends=vd.extends,
@@ -402,9 +400,9 @@ def _analyze_n(v, group, form, n, enum_cap):
     try:
         chars = surjective_characters(group, form, n, enum_cap=enum_cap)
         classes = quotient_classes(chars, n)
-        entries = tuple(_class_entry(form, qc) for qc in classes)
+        entries = tuple(_class_entry(qc) for qc in classes)
         class_count = len(classes)
-        extendable = sum(1 for qc in classes if qc.extends)
+        extendable = sum(qc.extends for qc in classes)
     except EnumerationCapError as e:
         note = f"not enumerated: {e}"
     try:
@@ -460,13 +458,7 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     if n_values is None:
         ns = [n for n in range(3, n_max + 1, 2) if d % n == 0]
     else:
-        wanted = []
-        for n in n_values:
-            require_odd(n)
-            if n <= 1:
-                raise ValueError(f"dihedral order must be > 1, got {n}")
-            wanted.append(n)
-        wanted = sorted(set(wanted))
+        wanted = sorted({require_dihedral_order(n) for n in n_values})
         ns = [n for n in wanted if d % n == 0]
         skipped = tuple(n for n in wanted if d % n != 0)
 
@@ -500,8 +492,10 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
 
 
 def _census_rows(text, source):
-    """Parse census text into (row_number, name, matrix-or-RowError)."""
-    lines = text.splitlines()
+    """Parse census text into (row_number, name, matrix-or-RowError).
+    Only a line feed ends a row: a JSON string may hold U+2028, U+0085
+    and the other line boundaries str.splitlines() also breaks at."""
+    lines = text.split("\n")
     first = next((ln for ln in lines if ln.strip()), "")
     rows = []
     if not first:

@@ -96,6 +96,9 @@ def check_quotient_classes():
     classes = quotient_classes(chars, 3)
     _want(len(classes), 4, "9_37 quotient class count")
     _want(sum(qc.extends for qc in classes), 2, "9_37 extendable class count")
+    for qc in classes:  # the representative's verdict holds for the whole orbit
+        for ch in qc.members:
+            _want(verdict(form, ch), qc.verdict, f"9_37 verdict of {ch.c.coords}")
     iso = tuple(c for c in chars if c.self_linking().is_zero)
     iso_classes = quotient_classes(iso, 3)
     _want(len(iso_classes), 2, "9_37 isotropic class count")

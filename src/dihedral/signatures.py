@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonSquareFreeError, SignatureIndeterminateError, require_odd
+from .errors import NonSquareFreeError, SignatureIndeterminateError, require_dihedral_order, require_odd
 from .obstruction import is_characteristic_class
 from .seifert import SeifertMatrix, SurfaceClass, symmetrize, twist_knot
 
@@ -336,9 +336,7 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     linking term (n^2 - 1)/(6n) * beta^T A beta, plus sigma_w, plus
     the characteristic knot's signatures at all n-th roots of unity.
     """
-    require_odd(n)
-    if n <= 1:
-        raise ValueError(f"dihedral order must be > 1, got {n}")
+    require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("xi_n expects a SeifertMatrix")
     if isinstance(beta, SurfaceClass):
@@ -398,9 +396,7 @@ def ribbon_test(xi, rank_h1_cover, n):
     sigma(W) unresolved, a single surviving candidate keeps the verdict
     at RIBBON_CONSISTENT.
     """
-    require_odd(n)
-    if n <= 1:
-        raise ValueError(f"dihedral order must be > 1, got {n}")
+    require_dihedral_order(n)
     d = 3
     nn = n
     while d * d <= nn:

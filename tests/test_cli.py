@@ -1,10 +1,13 @@
 """Command line interface: subcommands, exit codes, cap resolution."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import dihedral
 from dihedral.cli import main
 from dihedral.errors import oversized_digits
 
@@ -76,6 +79,18 @@ LONG = "1" * 5_000  # above Python's 4,300-digit str-to-int limit
 SEVENS = "7" * 3_000
 # entries under the limit, but the knot determinant (4M + 1)^2 has 6,001 digits
 BIG_DET = f"{{{{-1,1,0,0}},{{0,{SEVENS},0,0}},{{0,0,-1,1}},{{0,0,0,{SEVENS}}}}}"
+# m = 2 mod 9, so the class mod 3 passes the criterion, and its form value
+# over 2 * 3^2 is a 21-digit sum of four squares no short search finds
+FOUR_SQUARES = "{{-1,1},{0,900000000000000000065}}"
+
+
+def run_cli(*argv):
+    """`python -m dihedral argv` in a subprocess, so a search that never
+    ends fails the test at its timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+    return subprocess.run([sys.executable, "-m", "dihedral", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
 
 
 class TestHostileRows:
@@ -180,6 +195,35 @@ class TestHostileRows:
         k = sys.get_int_max_str_digits() + extra
         for x in (10 ** (k - 1), 10 ** k - 1, -(10 ** k - 1)):
             assert oversized_digits(x) == (k if extra > 0 else 0)
+
+    def test_unicode_line_boundaries_in_names_jsonl(self, tmp_path, capsys):
+        # raw U+2028 and U+0085 are valid inside a JSON string; only a line
+        # feed ends a census row
+        names = ["a\u2028b", "c\x85d"]
+        lines = [json.dumps({"name": names[0], "seifert": [[-1, 1], [0, -1]]}, ensure_ascii=False),
+                 json.dumps({"name": names[1], "seifert": [[-1, 1], [0, 2]]}, ensure_ascii=False)]
+        p = tmp_path / "census.jsonl"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["scan", str(p)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in rows] == names
+        assert all("error" not in r for r in rows)
+
+    def test_four_squares_budget_analyze(self):
+        out = run_cli("analyze", "--matrix", FOUR_SQUARES, "--n", "3")
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr == ("error: four-square search for a 21-digit integer "
+                              "stopped after 1000000 steps\n")
+
+    def test_four_squares_budget_scan(self, tmp_path):
+        p = tmp_path / "census.csv"
+        p.write_text(f'name,seifert\na,"{TREFOIL}"\nbad,"{FOUR_SQUARES}"\nb,"{SIX_ONE}"\n')
+        out = run_cli("scan", str(p))
+        assert out.returncode == 0
+        rows = json.loads(out.stdout)
+        assert [r["name"] for r in rows] == ["a", "bad", "b"]
+        assert "error" not in rows[0] and "error" not in rows[2]
+        assert rows[1]["error"].startswith("four-square search for a 21-digit integer")
 
     def test_bad_grid_token_truncated(self, capsys):
         assert main(["analyze", "--matrix", f"-1 1\n0 {'x' * 5000}"]) == 1

@@ -215,6 +215,16 @@ class TestFourSquares:
         with pytest.raises(ValueError):
             four_squares(-1)
 
+    def test_step_budget(self, monkeypatch):
+        # 23 = 1 + 4 + 9 + 9 is found at the 14th step
+        import dihedral.exact as exact_mod
+
+        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 14)
+        assert four_squares(23) == (1, 2, 3, 3)
+        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 13)
+        with pytest.raises(ArithmeticError, match="2-digit integer stopped after 13 steps"):
+            four_squares(23)
+
     def test_minimal_ascending(self):
         for k in range(0, 80):
             got = four_squares(k)

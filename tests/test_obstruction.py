@@ -1,5 +1,6 @@
 """Dihedral quotients, extension verdicts, characteristic knot classes."""
 
+import dataclasses
 import math
 import os
 import random
@@ -39,6 +40,19 @@ from dihedral import (
 from dihedral.cover import GroupElement
 
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
+
+
+def walked_classes(corpus):
+    """(form, n, characters, quotient classes) for the first 25 corpus knots
+    at n in {3, 5, 7, 9} and for 9_37#9_37 at n in {3, 5, 9, 15}."""
+    nine_sum = dihedral.connected_sum(NINE_37, NINE_37)
+    for v, ns in [(v, (3, 5, 7, 9)) for v in corpus[:25]] + [(nine_sum, (3, 5, 9, 15))]:
+        group = double_cover_homology(v)
+        form = linking_form(group)
+        for n in ns:
+            if knot_determinant(v) % n == 0:
+                chars = surjective_characters(group, form, n)
+                yield form, n, chars, quotient_classes(chars, n)
 
 
 def element_order(group, coords):
@@ -196,15 +210,14 @@ class TestQuotientClasses:
             quotient_classes(chars[:1], 3)
 
     def test_members_share_verdict(self, corpus):
-        for v in corpus[:25]:
-            d = knot_determinant(v)
-            if d % 3:
-                continue
-            group = double_cover_homology(v)
-            form = linking_form(group)
-            for qc in quotient_classes(surjective_characters(group, form, 3), 3):
+        for form, n, chars, classes in walked_classes(corpus):
+            # the walk builds its characters unvalidated; the validating
+            # constructor must accept each and give the same character
+            for ch in chars:
+                assert Character(form, ch.c, n) == ch
+            for qc in classes:
                 flags = {ch.self_linking().is_zero for ch in qc.members}
-                assert len(flags) == 1
+                assert flags == {qc.extends}
 
 
 class TestVerdict:
@@ -242,14 +255,19 @@ class TestVerdict:
             verdict(form, group.element((1,)))
 
     def test_unit_action_invariance(self, corpus):
-        for v in corpus[:20]:
-            if knot_determinant(v) % 3:
-                continue
-            group = double_cover_homology(v)
-            form = linking_form(group)
-            for qc in quotient_classes(surjective_characters(group, form, 3), 3):
-                flags = {verdict(form, ch).extends for ch in qc.members}
-                assert len(flags) == 1
+        # each class stores its representative's verdict; every member u*c
+        # has that verdict, its self-linking scaled by u^2
+        for form, n, _, classes in walked_classes(corpus):
+            units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+            for qc in classes:
+                rep, stored = qc.representative, qc.verdict
+                assert stored == verdict(form, rep)
+                by_coords = {ch.c.coords: ch for ch in qc.members}
+                for u in units:
+                    member = by_coords[tuple((u * x) % d for x, d in
+                                             zip(rep.c.coords, form.group.invariant_factors))]
+                    scaled = ResidueQZ.of(u * u * stored.self_linking.value)
+                    assert verdict(form, member) == dataclasses.replace(stored, self_linking=scaled)
 
 
 class TestCharacteristicClasses:

@@ -8,6 +8,7 @@ import pytest
 
 from dihedral import (
     KnotRecord,
+    LinkingForm,
     MatrixParseError,
     Report,
     RowError,
@@ -38,6 +39,7 @@ class TestParseMatrix:
 
     def test_whitespace_grid(self):
         assert parse_matrix("-1 1\n0 2") == twist_knot(2)
+        assert parse_matrix("-1 1\r\n0 2\r\n") == twist_knot(2)
 
     def test_empty_brace_matrix(self):
         assert parse_matrix("{}").size == 0
@@ -84,6 +86,12 @@ class TestParseMatrix:
     def test_empty_text(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("")
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c", "\x0b"])
+    def test_grid_rows_end_only_at_line_feed(self, sep):
+        # str.splitlines() would break here; str.split() reads it as a space
+        with pytest.raises(SeifertMatrixError, match="square"):
+            parse_matrix(f"-1 1{sep}0 2")
 
 
 class TestAnalyze:
@@ -183,6 +191,32 @@ class TestAnalyze:
         del doc["version"]
         got = hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
         assert got == "9cbcde73a2981bff7377ca936958ba9087e0e3e7a97f01b77c27df64f6db5f33"
+
+    def test_twist_sum_report_bytes_pinned(self):
+        # sha256 of the n = 3 report on the genus-6 twist sum (364 quotient
+        # classes, 728 characteristic classes) without its version key
+        v = functools.reduce(connected_sum, map(twist_knot, (2, 5, 8, 11, 14, 17)))
+        doc = analyze(KnotRecord("2#5#8#11#14#17", v), [3]).to_dict()
+        del doc["version"]
+        got = hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+        assert got == "a1eed8d8a10972e1e3f4743af16df1b69e872ff1d36b406a6ca2246100858cca"
+
+    def test_one_pairing_per_quotient_class(self, monkeypatch):
+        # the walk checks image orders without the pairing, and each class
+        # pairs its representative once, for the verdict the report reads
+        calls = []
+        real = LinkingForm.pair
+
+        def counted(self, x, y):
+            calls.append(None)
+            return real(self, x, y)
+
+        monkeypatch.setattr(LinkingForm, "pair", counted)
+        nine = parse_matrix(NINE_37_TEXT)
+        r = analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine)))
+        classes = sum(b.quotient_class_count for b in r.blocks)
+        assert classes == 286
+        assert len(calls) == classes
 
     def test_deterministic_json(self):
         a = analyze(KnotRecord("9_37", parse_matrix(NINE_37_TEXT))).to_json()
