@@ -173,7 +173,7 @@ def build_parser():
     p = subs.add_parser("scan", help="batch reports for a census file")
     p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="concurrent rows (output stays in input order)")
+                   help="concurrent rows, at most the core count (output stays in input order)")
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, metavar="N",
                    help=f"largest n considered (default {DEFAULT_N_MAX})")
     _add_common(p)

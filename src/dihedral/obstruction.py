@@ -13,12 +13,12 @@ characteristic class cross-checks one against the other.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
 from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
-from .exact import ResidueQZ
-from .seifert import SeifertMatrix, SurfaceClass, _smith_form, symmetrize
+from .exact import ResidueQZ, _check_int
+from .seifert import SeifertMatrix, _characteristic_value, _smith_form, symmetrize
 
 __all__ = [
     "SCOPE_ORIENTABLE_B4",
@@ -279,88 +279,54 @@ def verdict(form, c, n=None):
     )
 
 
-def _characteristic_image(v, c, n):
-    """(V + V^T) c when the class c is characteristic and primitive mod
-    n, else None."""
-    if len(c) != v.size:
-        raise ValueError(f"class has {len(c)} coordinates, matrix is {v.size}x{v.size}")
-    ac = symmetrize(v).apply(c)
-    if any(x % n != 0 for x in ac) or math.gcd(*c, n) != 1:
-        return None
-    return ac
-
-
 def is_characteristic_class(v, coords, n):
     """Whether the surface class is characteristic mod n and primitive
     there: (V + V^T) beta = 0 mod n and gcd(entries, n) = 1."""
     require_dihedral_order(n)
-    if isinstance(coords, SurfaceClass):
-        coords = coords.coords
-    return _characteristic_image(v, tuple(coords), n) is not None
+    return _characteristic_value(v, tuple(coords), n) is not None
 
 
+@dataclass(frozen=True)
 class CharKnotClass:
     """A characteristic surface class mod n: (V + V^T) beta = 0 mod n,
-    primitive mod n. Stored with coordinates reduced into [0, n), and
-    with the form value beta^T (V + V^T) beta taken from the product
-    that checked it."""
+    primitive mod n. Stored with coordinates reduced into [0, n), the
+    canonical integer lift, and with the form value beta^T (V + V^T) beta
+    taken from the product that checked it. characteristic_knot_classes
+    builds its classes without this constructor: its walk checks them."""
 
-    __slots__ = ("_v", "_beta", "_n", "_value")
+    V: SeifertMatrix
+    beta: tuple
+    n: int
+    _value: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, v, beta, n):
-        require_dihedral_order(n)
-        if not isinstance(v, SeifertMatrix):
+    def __post_init__(self):
+        require_dihedral_order(self.n)
+        if not isinstance(self.V, SeifertMatrix):
             raise TypeError("CharKnotClass expects a SeifertMatrix")
-        if isinstance(beta, SurfaceClass):
-            beta = beta.coords
-        b = tuple(x % n for x in beta)
-        ab = _characteristic_image(v, b, n)
-        if ab is None:
-            raise ValueError(f"class {list(beta)} is not characteristic and primitive mod {n}")
-        self._v = v
-        self._beta = b
-        self._n = n
-        self._value = sum(x * y for x, y in zip(b, ab))
-
-    @property
-    def V(self):
-        return self._v
-
-    @property
-    def beta(self):
-        """The canonical integer lift, entries in [0, n)."""
-        return self._beta
-
-    @property
-    def n(self):
-        return self._n
+        b = tuple(_check_int(x, f"coordinate {i}") % self.n for i, x in enumerate(self.beta))
+        value = _characteristic_value(self.V, b, self.n)
+        if value is None:
+            raise ValueError(
+                f"class {list(self.beta)} is not characteristic and primitive mod {self.n}")
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "_value", value)
 
     def form_value(self):
         """beta^T (V + V^T) beta on the canonical lift."""
         return self._value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharKnotClass)
-            and self._v == other._v
-            and self._beta == other._beta
-            and self._n == other._n
-        )
-
-    def __hash__(self):
-        return hash((self._v, self._beta, self._n))
-
-    def __repr__(self):
-        return f"CharKnotClass(beta={list(self._beta)!r}, n={self._n})"
 
 
 def characteristic_knot_classes(v, n, *, enum_cap=None):
     """All characteristic classes mod n, sorted by coordinates.
 
     The kernel of A mod n is parametrized through the Smith form the
-    SeifertMatrix keeps: with P A Q = D and beta = Q y, the condition
-    D y = 0 mod n pins each y_i to multiples of n / gcd(D_ii, n).
-    Non-primitive solutions are then filtered out.
+    SeifertMatrix keeps: with P A Q = D (checked by snf) and beta = Q y,
+    the condition D y = 0 mod n pins each y_i to multiples of
+    n / gcd(D_ii, n), so every beta walked is characteristic. Q is
+    unimodular, so beta has the content of y, and a y that is not
+    primitive mod n is dropped before any product. Each kept class costs
+    Q y and A beta, the second for its form value; the walk skips
+    CharKnotClass's validation.
     """
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
@@ -373,12 +339,17 @@ def characteristic_knot_classes(v, n, *, enum_cap=None):
         raise EnumerationCapError(
             f"kernel mod {n} has {total} elements, above the enumeration cap {enum_cap}"
         )
+    a = symmetrize(v)
     out = []
     for steps in itertools.product(*(range(g) for g in moduli)):
         y = [t * (n // g) for t, g in zip(steps, moduli)]
+        if math.gcd(*y, n) != 1:
+            continue
         beta = tuple(x % n for x in res.Q.apply(y))
-        if math.gcd(*beta, n) == 1:
-            out.append(CharKnotClass(v, beta, n))
+        ck = object.__new__(CharKnotClass)
+        vars(ck).update(V=v, beta=beta, n=n,
+                        _value=sum(b * c for b, c in zip(beta, a.apply(beta))))
+        out.append(ck)
     out.sort(key=lambda ck: ck.beta)
     return tuple(out)
 

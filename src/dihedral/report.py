@@ -18,6 +18,7 @@ strings. Output is fully deterministic.
 import csv
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -440,9 +441,10 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     """Full report for one knot.
 
     Without n_values, every odd n with 1 < n <= n_max dividing the
-    determinant gets a block. With an explicit list, even entries are
-    rejected outright and odd entries not dividing the determinant are
-    recorded under skipped_n.
+    determinant gets a block; no n above the determinant divides it, so
+    none is tried. With an explicit list, even entries are rejected
+    outright and odd entries not dividing the determinant are recorded
+    under skipped_n.
     """
     if isinstance(record, SeifertMatrix):
         record = KnotRecord("knot", record)
@@ -456,7 +458,7 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
 
     skipped = ()
     if n_values is None:
-        ns = [n for n in range(3, n_max + 1, 2) if d % n == 0]
+        ns = [n for n in range(3, min(n_max, d) + 1, 2) if d % n == 0]
     else:
         wanted = sorted({require_dihedral_order(n) for n in n_values})
         ns = [n for n in wanted if d % n == 0]
@@ -553,7 +555,8 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """Analyze a census file (CSV with a name,seifert header, or JSON
     lines with name and seifert fields), yielding one Report or
     RowError per row in input order. A bad row never stops the scan.
-    jobs below 1 is rejected with ValueError.
+    jobs below 1 is rejected with ValueError; the thread pool never has
+    more workers than os.cpu_count().
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -570,8 +573,9 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
         except Exception as e:  # isolate the row, keep scanning
             return RowError(name, i, str(e))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run, rows)
     else:
         yield from map(run, rows)

@@ -3,18 +3,17 @@
 A Seifert matrix here is a square integer matrix V of even size with
 det(V - V^T) = 1, the linking data of a genus-g spanning surface. The
 empty matrix is the unknot. Homology classes on the surface are plain
-integer coordinate vectors in the basis implicit in V.
+tuples of integer coordinates in the basis implicit in V.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .errors import SeifertMatrixError, StabilizationError, oversized_digits, require_odd
-from .exact import IntMatrix, det, four_squares, snf
+from .exact import IntMatrix, _check_int, det, four_squares, snf
 
 __all__ = [
     "SeifertMatrix",
-    "SurfaceClass",
     "ZeroFramedStabilization",
     "symmetrize",
     "knot_determinant",
@@ -91,45 +90,28 @@ class SeifertMatrix:
         return f"SeifertMatrix({self._m.to_lists()!r})"
 
 
-class SurfaceClass:
-    """An integer homology class on the spanning surface, as coordinates
-    in the basis of the Seifert matrix."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords):
-        c = tuple(coords)
-        for i, x in enumerate(c):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"coordinate {i} is not an integer: {x!r}")
-        self._coords = c
-
-    @property
-    def coords(self):
-        return self._coords
-
-    def __len__(self):
-        return len(self._coords)
-
-    def __iter__(self):
-        return iter(self._coords)
-
-    def __eq__(self, other):
-        return isinstance(other, SurfaceClass) and self._coords == other._coords
-
-    def __hash__(self):
-        return hash(self._coords)
-
-    def __repr__(self):
-        return f"SurfaceClass({list(self._coords)!r})"
-
-
 def symmetrize(v):
     """V + V^T, the intersection-form presentation matrix, as formed
     when v was constructed."""
     if not isinstance(v, SeifertMatrix):
         raise TypeError("symmetrize expects a SeifertMatrix")
     return v._sym
+
+
+def _characteristic_value(v, beta, n):
+    """The form value beta^T (V + V^T) beta when the surface class beta, a
+    tuple of v.size ints, is characteristic and primitive mod n:
+    (V + V^T) beta = 0 mod n and gcd(beta, n) = 1. None when it is not.
+    The one characteristic test for a class from outside."""
+    a = symmetrize(v)
+    for i, x in enumerate(beta):
+        _check_int(x, f"coordinate {i}")
+    if len(beta) != v.size:
+        raise ValueError(f"class has {len(beta)} coordinates, matrix is {v.size}x{v.size}")
+    ab = a.apply(beta)
+    if any(x % n for x in ab) or math.gcd(*beta, n) != 1:
+        return None
+    return sum(x * y for x, y in zip(beta, ab))
 
 
 def _smith_form(v):
@@ -183,7 +165,7 @@ class ZeroFramedStabilization:
     """
 
     matrix: SeifertMatrix
-    cls: SurfaceClass
+    cls: tuple
     blocks_added: int = 0
     flipped_sign: bool = False
     squares: tuple = field(default=())
@@ -206,18 +188,10 @@ def stabilize_zero_framed(v, beta, n):
         raise ValueError(f"stabilization needs n > 1, got {n}")
     if not isinstance(v, SeifertMatrix):
         raise TypeError("stabilize_zero_framed expects a SeifertMatrix")
-    if not isinstance(beta, SurfaceClass):
-        beta = SurfaceClass(beta)
-    if len(beta) != v.size:
-        raise ValueError(f"class has {len(beta)} coordinates, matrix is {v.size}x{v.size}")
-
-    from .obstruction import is_characteristic_class  # cycle: obstruction builds on seifert
-
-    if not is_characteristic_class(v, beta.coords, n):
-        raise StabilizationError(f"class {list(beta.coords)} is not characteristic mod {n}")
-
-    a = symmetrize(v)
-    value = sum(x * y for x, y in zip(beta.coords, a.apply(beta.coords)))
+    beta = tuple(beta)
+    value = _characteristic_value(v, beta, n)
+    if value is None:
+        raise StabilizationError(f"class {list(beta)} is not characteristic mod {n}")
     if value % (n * n) != 0:
         raise StabilizationError(
             f"form value {value} is not divisible by {n}^2; the class cannot be zero-framed"
@@ -227,9 +201,8 @@ def stabilize_zero_framed(v, beta, n):
 
     squares, flipped, tail = _zero_framing(value, n)
     v2 = SeifertMatrix._block_sum(v, *[_STAB_BLOCKS[-1 if flipped else 1]] * 4)
-    beta2 = SurfaceClass(beta.coords + tail)
-    a2 = symmetrize(v2)
-    check = sum(x * y for x, y in zip(beta2.coords, a2.apply(beta2.coords)))
+    beta2 = beta + tail
+    check = sum(x * y for x, y in zip(beta2, symmetrize(v2).apply(beta2)))
     if check != 0:
         raise ArithmeticError(f"stabilized form value should be 0, got {check}")
     return ZeroFramedStabilization(v2, beta2, blocks_added=4, flipped_sign=flipped,

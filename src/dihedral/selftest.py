@@ -29,7 +29,6 @@ from .obstruction import (
 from .report import parse_matrix, render_matrix
 from .seifert import (
     SeifertMatrix,
-    SurfaceClass,
     connected_sum,
     knot_determinant,
     stabilize_zero_framed,
@@ -152,15 +151,15 @@ def check_cyclic_shortcut():
 
 def check_stabilization():
     v = twist_knot(11)
-    result = stabilize_zero_framed(v, SurfaceClass((-1, 1)), 3)
+    result = stabilize_zero_framed(v, (-1, 1), 3)
     v2, b2 = result
-    _want(b2.coords, (-1, 1, 3, 3, 0, 0, 0, 0, 0, 0), "stabilized class layout")
+    _want(b2, (-1, 1, 3, 3, 0, 0, 0, 0, 0, 0), "stabilized class layout")
     _want(v2.size, 10, "stabilized matrix size")
     a2 = symmetrize(v2)
-    _want(sum(x * y for x, y in zip(b2.coords, a2.apply(b2.coords))), 0,
+    _want(sum(x * y for x, y in zip(b2, a2.apply(b2))), 0,
           "stabilized form value")
     _want(result.flipped_sign, False, "stabilization sign for positive value")
-    flipped = stabilize_zero_framed(twist_knot(-7), SurfaceClass((-1, 1)), 3)
+    flipped = stabilize_zero_framed(twist_knot(-7), (-1, 1), 3)
     _want(flipped.flipped_sign, True, "stabilization sign for negative value")
 
 

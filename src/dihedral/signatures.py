@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonSquareFreeError, SignatureIndeterminateError, require_dihedral_order, require_odd
-from .obstruction import is_characteristic_class
-from .seifert import SeifertMatrix, SurfaceClass, symmetrize, twist_knot
+from .seifert import SeifertMatrix, _characteristic_value, twist_knot
 
 __all__ = [
     "RIBBON_CONSISTENT",
@@ -339,17 +338,13 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("xi_n expects a SeifertMatrix")
-    if isinstance(beta, SurfaceClass):
-        coords = beta.coords
-    else:
-        coords = tuple(beta)
-    if not is_characteristic_class(v, coords, n):
+    coords = tuple(beta)
+    value = _characteristic_value(v, coords, n)
+    if value is None:
         raise ValueError(f"class {list(coords)} is not characteristic and primitive mod {n}")
     if not isinstance(beta_knot, SeifertMatrix):
         raise TypeError("the characteristic knot must come as a SeifertMatrix")
 
-    a = symmetrize(v)
-    value = sum(x * y for x, y in zip(coords, a.apply(coords)))
     linking_term = Fraction((n * n - 1) * value, 6 * n)
 
     # sigma(k, n) = sigma(n - k, n), and n is odd: sum k <= (n - 1)/2, doubled
@@ -385,7 +380,7 @@ def twist_xi3(m):
     if m % 3 != 2:
         raise ValueError(f"twist parameter {m} has no order-3 dihedral quotient")
     v = twist_knot(m)
-    return xi_n(v, SurfaceClass((-1, 1)), SeifertMatrix(()), 3, SigmaWBound(1))
+    return xi_n(v, (-1, 1), SeifertMatrix(()), 3, SigmaWBound(1))
 
 
 def ribbon_test(xi, rank_h1_cover, n):

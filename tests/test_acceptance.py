@@ -15,7 +15,6 @@ from functools import reduce
 from dihedral import (
     ResidueQZ,
     SeifertMatrix,
-    SurfaceClass,
     TorsionGroup,
     analyze,
     char_knot_to_character,
@@ -216,7 +215,7 @@ def test_criterion_07_stabilization(corpus):
     for v, beta, n in jobs:
         out = stabilize_zero_framed(v, beta, n)
         size = v.size
-        coords = out.cls.coords
+        coords = out.cls
         assert coords[:size] == tuple(beta)
         assert all(x % n == 0 for x in coords[size:])
         assert lift_value(out.matrix, coords) == 0

@@ -13,6 +13,7 @@ from dihedral.errors import oversized_digits
 
 TREFOIL = "{{-1,1},{0,-1}}"
 SIX_ONE = "{{-1,1},{0,2}}"
+NINE_37 = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
 
 class TestAnalyze:
@@ -42,6 +43,13 @@ class TestAnalyze:
     def test_bad_matrix_fails(self, capsys):
         assert main(["analyze", "--matrix", "{{1,1},{1,1}}"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_n_max_stops_at_determinant(self):
+        # no n above the determinant divides it, so auto mode stops there
+        default = run_cli("analyze", "--matrix", NINE_37)
+        huge = run_cli("analyze", "--matrix", NINE_37, "--n-max", "1000000000000000")
+        assert default.returncode == huge.returncode == 0
+        assert huge.stdout == default.stdout
 
 
 class TestScan:

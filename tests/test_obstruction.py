@@ -38,21 +38,27 @@ from dihedral import (
     verdict,
 )
 from dihedral.cover import GroupElement
+from dihedral.exact import IntMatrix
 
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
 
 
-def walked_classes(corpus):
-    """(form, n, characters, quotient classes) for the first 25 corpus knots
-    at n in {3, 5, 7, 9} and for 9_37#9_37 at n in {3, 5, 9, 15}."""
+def walk_inputs(corpus):
+    """(matrix, n) for the first 25 corpus knots at n in {3, 5, 7, 9} and
+    for 9_37#9_37 at n in {3, 5, 9, 15}, where n divides the determinant."""
     nine_sum = dihedral.connected_sum(NINE_37, NINE_37)
     for v, ns in [(v, (3, 5, 7, 9)) for v in corpus[:25]] + [(nine_sum, (3, 5, 9, 15))]:
-        group = double_cover_homology(v)
-        form = linking_form(group)
         for n in ns:
             if knot_determinant(v) % n == 0:
-                chars = surjective_characters(group, form, n)
-                yield form, n, chars, quotient_classes(chars, n)
+                yield v, n
+
+
+def walked_classes(corpus):
+    """(form, n, characters, quotient classes) over walk_inputs."""
+    for v, n in walk_inputs(corpus):
+        form = linking_form(double_cover_homology(v))
+        chars = surjective_characters(form.group, form, n)
+        yield form, n, chars, quotient_classes(chars, n)
 
 
 def element_order(group, coords):
@@ -314,14 +320,34 @@ class TestCharacteristicClasses:
             characteristic_knot_classes(NINE_37, 3, enum_cap=3)
 
     def test_form_value_stored(self, corpus):
-        for v in corpus[:20]:
+        # the walk builds its classes unvalidated; the validating
+        # constructor must accept each and give the same class and value
+        for v, n in walk_inputs(corpus):
             a = symmetrize(v)
-            for n in (3, 5, 7):
-                if knot_determinant(v) % n:
-                    continue
-                for ck in characteristic_knot_classes(v, n):
-                    want = sum(x * y for x, y in zip(ck.beta, a.apply(ck.beta)))
-                    assert ck.form_value() == want
+            for ck in characteristic_knot_classes(v, n):
+                want = sum(x * y for x, y in zip(ck.beta, a.apply(ck.beta)))
+                assert ck.form_value() == want
+                built = CharKnotClass(v, ck.beta, n)
+                assert built == ck
+                assert built.form_value() == ck.form_value()
+
+    def test_walk_products(self, monkeypatch):
+        # primitivity is decided on y before any product, and each kept
+        # class costs Q y and A beta: two IntMatrix.apply calls
+        v = dihedral.connected_sum(NINE_37, NINE_37)
+        assert knot_determinant(v) == 2025
+        calls = []
+        real = IntMatrix.apply
+
+        def counted(self, vec):
+            calls.append(vec)
+            return real(self, vec)
+
+        monkeypatch.setattr(IntMatrix, "apply", counted)
+        for n, classes in ((9, 0), (45, 0), (15, 1920)):
+            calls.clear()
+            assert len(characteristic_knot_classes(v, n)) == classes
+            assert len(calls) == 2 * classes
 
     def test_smith_form_reduced_once_per_knot(self, monkeypatch):
         # the determinant, the cover homology, its linking form, the

@@ -3,9 +3,11 @@
 import functools
 import hashlib
 import json
+import os
 
 import pytest
 
+from dihedral import report
 from dihedral import (
     KnotRecord,
     LinkingForm,
@@ -179,7 +181,7 @@ class TestAnalyze:
                     assert s.status == ("stabilized" if out.blocks_added
                                         else "already-zero-framed")
                     assert (s.new_size, s.squares, s.flipped_sign, s.stabilized_class) == (
-                        out.matrix.size, out.squares, out.flipped_sign, out.cls.coords)
+                        out.matrix.size, out.squares, out.flipped_sign, out.cls)
                     stabilized += out.blocks_added > 0
         assert stabilized > 100
 
@@ -296,6 +298,30 @@ class TestScan:
         seq = [r.to_json() for r in scan(path, jobs=1)]
         par = [r.to_json() for r in scan(path, jobs=4)]
         assert seq == par
+
+    def test_jobs_bounded_by_core_count(self, tmp_path, monkeypatch):
+        # the pool is recorded, not started: no thread is made
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(report, "ThreadPoolExecutor", Recorder)
+        path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
+        cores = os.cpu_count() or 1
+        rows = list(scan(path, jobs=cores + 1))
+        assert [r.name for r in rows] == ["trefoil"]
+        assert seen == ([cores] if cores > 1 else [])
 
     def test_missing_file(self):
         with pytest.raises(OSError):

@@ -3,15 +3,17 @@
 import pytest
 
 from dihedral import (
+    CharKnotClass,
     SeifertMatrix,
     SeifertMatrixError,
     StabilizationError,
-    SurfaceClass,
     connected_sum,
+    is_characteristic_class,
     knot_determinant,
     stabilize_zero_framed,
     symmetrize,
     twist_knot,
+    xi_n,
 )
 from dihedral.errors import EvenModulusError
 from dihedral.exact import IntMatrix
@@ -134,7 +136,7 @@ class TestStabilization:
     def test_pinned_example(self):
         v = twist_knot(11)
         out = stabilize_zero_framed(v, (-1, 1), 3)
-        assert out.cls.coords == (-1, 1, 3, 3, 0, 0, 0, 0, 0, 0)
+        assert out.cls == (-1, 1, 3, 3, 0, 0, 0, 0, 0, 0)
         assert out.matrix.size == 10
         assert out.blocks_added == 4
         assert not out.flipped_sign
@@ -143,7 +145,7 @@ class TestStabilization:
     def test_tuple_unpacking(self):
         v2, b2 = stabilize_zero_framed(twist_knot(11), (-1, 1), 3)
         assert isinstance(v2, SeifertMatrix)
-        assert isinstance(b2, SurfaceClass)
+        assert b2 == (-1, 1, 3, 3, 0, 0, 0, 0, 0, 0)
 
     @staticmethod
     def _form_value(v, coords):
@@ -180,7 +182,7 @@ class TestStabilization:
         out = stabilize_zero_framed(v, (-1, 1), 3)
         assert out.matrix == v
         assert out.blocks_added == 0
-        assert out.cls.coords == (-1, 1)
+        assert out.cls == (-1, 1)
 
     def test_rejects_non_characteristic(self):
         with pytest.raises(StabilizationError):
@@ -196,8 +198,35 @@ class TestStabilization:
             stabilize_zero_framed(twist_knot(2), (-1, 1), 4)
 
 
-class TestSurfaceClass:
-    def test_tuple_behavior(self):
-        c = SurfaceClass((-1, 1))
-        assert tuple(c) == (-1, 1)
-        assert len(c) == 2
+# The four entry points that take a surface class from outside; each runs
+# the one characteristic test of dihedral.seifert on it.
+CLASS_TAKERS = {
+    "CharKnotClass": CharKnotClass,
+    "is_characteristic_class": is_characteristic_class,
+    "stabilize_zero_framed": stabilize_zero_framed,
+    "xi_n": lambda v, beta, n: xi_n(v, beta, SeifertMatrix([]), n, 0),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(CLASS_TAKERS))
+class TestClassBoundary:
+    # on twist_knot(2) mod 3, (-1, 1) is characteristic and primitive
+
+    @pytest.mark.parametrize("beta", [(-1.0, 1), (-1, True)], ids=["float", "bool"])
+    def test_non_int_coordinate(self, taker, beta):
+        with pytest.raises(TypeError, match="is not an integer"):
+            CLASS_TAKERS[taker](twist_knot(2), beta, 3)
+
+    @pytest.mark.parametrize("beta", [(-1,), (-1, 1, 0)])
+    def test_wrong_length(self, taker, beta):
+        with pytest.raises(ValueError, match="coordinates, matrix is 2x2"):
+            CLASS_TAKERS[taker](twist_knot(2), beta, 3)
+
+    @pytest.mark.parametrize("beta", [(1, 1), (3, -3), (0, 0)],
+                             ids=["not-characteristic", "not-primitive", "zero"])
+    def test_rejects_non_characteristic(self, taker, beta):
+        if taker == "is_characteristic_class":
+            assert not is_characteristic_class(twist_knot(2), beta, 3)
+        else:
+            with pytest.raises(ValueError, match="not characteristic"):
+                CLASS_TAKERS[taker](twist_knot(2), beta, 3)

@@ -27,7 +27,6 @@ from dihedral import (
     twist_xi3,
     xi_n,
 )
-from dihedral.seifert import SurfaceClass
 
 TREFOIL = twist_knot(-1)
 # An unknot: a stabilizing band pair with both framings zero. Every
@@ -252,17 +251,17 @@ class TestXi:
 
     def test_exact_sigma(self):
         v = twist_knot(2)
-        val = xi_n(v, SurfaceClass((-1, 1)), SeifertMatrix([]), 3, 1)
+        val = xi_n(v, (-1, 1), SeifertMatrix([]), 3, 1)
         assert val.is_exact
         assert val.candidates == (Fraction(1),)
 
     def test_signature_sum_term(self):
         # a trefoil characteristic knot contributes its two signatures
         v = connected_sum(TREFOIL, TREFOIL)
-        beta = SurfaceClass((1, 2, 0, 0))
+        beta = (1, 2, 0, 0)
         from dihedral import is_characteristic_class
 
-        assert is_characteristic_class(v, beta.coords, 3)
+        assert is_characteristic_class(v, beta, 3)
         val = xi_n(v, beta, TREFOIL, 3, SigmaWBound(0))
         want = tristram_levine(TREFOIL, (1, 3)) + tristram_levine(TREFOIL, (2, 3))
         assert val.signature_sum == want
@@ -289,7 +288,7 @@ class TestXi:
 
     def test_rejects_non_characteristic(self):
         with pytest.raises(ValueError):
-            xi_n(twist_knot(2), SurfaceClass((1, 1)), SeifertMatrix([]), 3, 0)
+            xi_n(twist_knot(2), (1, 1), SeifertMatrix([]), 3, 0)
 
 
 class TestRibbon:
