@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
 from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
@@ -171,8 +172,9 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     exactly when c has order n, and only the n-torsion H[n] is walked:
     c_i = t_i * (d_i / g_i) with g_i = gcd(d_i, n) and 0 <= t_i < g_i.
     The cap bounds |H[n]|, as it does for characteristic_knot_classes.
-    The coordinates are in range by construction and the lcm test is the
-    one image-order check, so the walk skips Character's validation.
+    The coordinates are ints in range by construction and the lcm test is
+    the one image-order check, so the walk skips the validation of
+    GroupElement and Character.
     """
     require_dihedral_order(n)
     if not isinstance(group, TorsionGroup):
@@ -188,7 +190,8 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     out = []
     for ts in itertools.product(*(range(g) for g in moduli)):
         if math.lcm(*(g // math.gcd(g, t) for g, t in zip(moduli, ts))) == n:
-            c = GroupElement(tuple(t * s for t, s in zip(ts, steps)))
+            c = object.__new__(GroupElement)
+            object.__setattr__(c, "coords", tuple(t * s for t, s in zip(ts, steps)))
             ch = object.__new__(Character)
             vars(ch).update(form=form, c=c, n=n)
             out.append(ch)
@@ -290,14 +293,17 @@ def is_characteristic_class(v, coords, n):
 class CharKnotClass:
     """A characteristic surface class mod n: (V + V^T) beta = 0 mod n,
     primitive mod n. Stored with coordinates reduced into [0, n), the
-    canonical integer lift, and with the form value beta^T (V + V^T) beta
-    taken from the product that checked it. characteristic_knot_classes
-    builds its classes without this constructor: its walk checks them."""
+    canonical integer lift, and with its form value beta^T (V + V^T) beta
+    mod n^2, which decides the criterion. characteristic_knot_classes
+    builds its classes without this constructor: its walk checks them
+    and carries the value mod n^2 forward, so the exact value of a walked
+    class is formed on first use of form_value()."""
 
     V: SeifertMatrix
     beta: tuple
     n: int
-    _value: int = field(init=False, repr=False, compare=False)
+    _value_mod_n2: int = field(init=False, repr=False, compare=False)
+    _value: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_dihedral_order(self.n)
@@ -309,47 +315,95 @@ class CharKnotClass:
             raise ValueError(
                 f"class {list(self.beta)} is not characteristic and primitive mod {self.n}")
         object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "_value_mod_n2", value % (self.n * self.n))
         object.__setattr__(self, "_value", value)
 
     def form_value(self):
-        """beta^T (V + V^T) beta on the canonical lift."""
+        """beta^T (V + V^T) beta on the canonical lift, exact. Formed on
+        first call for a walked class and checked against the value mod
+        n^2 the walk carried."""
+        if self._value is None:
+            beta = self.beta
+            value = sum(x * y for x, y in zip(beta, symmetrize(self.V).apply(beta)))
+            if (value - self._value_mod_n2) % (self.n * self.n):
+                raise ArithmeticError(
+                    f"form value {value} of class {list(beta)} disagrees with "
+                    f"{self._value_mod_n2} mod {self.n}^2 from the walk; input is corrupt")
+            object.__setattr__(self, "_value", value)
         return self._value
 
+    def form_value_mod_n2(self):
+        """The form value reduced into [0, n^2)."""
+        return self._value_mod_n2
 
-def characteristic_knot_classes(v, n, *, enum_cap=None):
+
+def _walk_kernel(steps, k, beta, gy, f, content, keep):
+    """Call keep(beta, f) for every primitive y, walking coordinate k and
+    those after it; the coordinates below k are fixed in beta, G y, f and
+    content = gcd(n, y). keep reduces the sums."""
+    g, s, b_col, g_col, f_step = steps[k]
+    for t in range(g):
+        if t:
+            f += 2 * s * gy[k] + f_step
+            beta = tuple(map(add, beta, b_col))
+            gy = tuple(map(add, gy, g_col))
+        c = math.gcd(content, t * s)
+        if k + 1 < len(steps):
+            _walk_kernel(steps, k + 1, beta, gy, f, c, keep)
+        elif c == 1:
+            keep(beta, f)
+
+
+def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All characteristic classes mod n, sorted by coordinates.
 
     The kernel of A mod n is parametrized through the Smith form the
     SeifertMatrix keeps: with P A Q = D (checked by snf) and beta = Q y,
     the condition D y = 0 mod n pins each y_i to multiples of
-    n / gcd(D_ii, n), so every beta walked is characteristic. Q is
-    unimodular, so beta has the content of y, and a y that is not
-    primitive mod n is dropped before any product. Each kept class costs
-    Q y and A beta, the second for its form value; the walk skips
-    CharKnotClass's validation.
+    s_i = n / g_i, g_i = gcd(D_ii, n), so every beta walked is
+    characteristic. Q is unimodular, so beta has the content of y, and a
+    y that is not primitive mod n is skipped.
+
+    The walk nests one loop per coordinate with g_i > 1 and keeps one
+    state per loop, so it holds nothing but the kept classes. Each step
+    adds one precomputed column to beta mod n and to G y mod n^2, where
+    G = Q^T A Q, and updates f = y^T G y mod n^2 and the content of y.
+    Since A Q y = 0 mod n, f is the form value of the canonical lift mod
+    n^2. The exact form value is formed only for the classes with f = 0,
+    whose stabilization needs it, and checked against f there; the walk
+    skips CharKnotClass's validation.
     """
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     res = _smith_form(v)
-    diag = res.diagonal()
-    moduli = [math.gcd(d, n) for d in diag]
-    total = math.prod(moduli)
-    if enum_cap is not None and total > enum_cap:
-        raise EnumerationCapError(
-            f"kernel mod {n} has {total} elements, above the enumeration cap {enum_cap}"
-        )
+    walked = [(res.Q.column(i), g) for i, d in enumerate(res.diagonal())
+              if (g := math.gcd(d, n)) > 1]
+    _check_cap(f"kernel mod {n}", math.prod(g for _, g in walked), enum_cap)
+    if math.gcd(n, *(n // g for _, g in walked)) != 1:
+        return ()  # gcd(n, s_1, ..., s_r) > 1 divides every y: none is primitive
     a = symmetrize(v)
+    nn = n * n
+    # per walked coordinate k, where y_k steps by s_k through g_k values: the
+    # step's column of beta mod n and of G y mod n^2 (s_k G e_k), and
+    # s_k^2 G_kk mod n^2, so that f += 2 s_k (G y)_k + s_k^2 G_kk
+    steps = []
+    for k, (q, g) in enumerate(walked):
+        s, aq = n // g, a.apply(q)
+        g_col = [sum(x * y for x, y in zip(qj, aq)) for qj, _ in walked]
+        steps.append((g, s, tuple(s * x % n for x in q), tuple(s * x % nn for x in g_col),
+                      s * s * g_col[k] % nn))
     out = []
-    for steps in itertools.product(*(range(g) for g in moduli)):
-        y = [t * (n // g) for t, g in zip(steps, moduli)]
-        if math.gcd(*y, n) != 1:
-            continue
-        beta = tuple(x % n for x in res.Q.apply(y))
+
+    def keep(beta, f):
         ck = object.__new__(CharKnotClass)
-        vars(ck).update(V=v, beta=beta, n=n,
-                        _value=sum(b * c for b, c in zip(beta, a.apply(beta))))
+        vars(ck).update(V=v, beta=tuple(x % n for x in beta), n=n,
+                        _value_mod_n2=f % nn, _value=None)
+        if ck._value_mod_n2 == 0:
+            ck.form_value()
         out.append(ck)
+
+    _walk_kernel(steps, 0, (0,) * v.size, (0,) * len(steps), 0, n, keep)
     out.sort(key=lambda ck: ck.beta)
     return tuple(out)
 
@@ -386,7 +440,7 @@ def char_knot_to_character(v, beta, form=None):
         raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
     ch = Character(form, c, n) if _image_order(form, c.coords) == n else None
     # e * lk(c, c) / e == form value / n^2 mod 1, cross-multiplied
-    e, got, value = form.exponent, form.pair(c.coords, c.coords), beta.form_value()
+    e, got, value = form.exponent, form.pair(c.coords, c.coords), beta.form_value_mod_n2()
     if (got * n * n - value * e) % (e * n * n) != 0:
         raise ArithmeticError(
             f"self-linking {got}/{e} disagrees with form value {value}/{n * n} mod 1; "
@@ -407,8 +461,7 @@ def seifert_criterion(v, beta):
         raise TypeError("seifert_criterion expects a CharKnotClass")
     if beta.V != v:
         raise ValueError("class was built on a different Seifert matrix")
-    n = beta.n
-    return beta.form_value() % (n * n) == 0
+    return beta.form_value_mod_n2() == 0
 
 
 def cyclic_criterion(group, n):

@@ -257,6 +257,9 @@ def _to_json(x, nl="\n", numeric=False):
     if t is tuple or t is list:
         if not x:
             return "[]"
+        if all(type(v) is int for v in x):  # coordinates, factors: one join
+            q = "" if numeric else '"'
+            return f"[{inner}{q}" + f"{q},{inner}{q}".join(map(str, x)) + f"{q}{nl}]"
         items = [_to_json(v, inner, numeric) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
@@ -379,18 +382,17 @@ def _class_entry(qc):
 
 
 def _char_entry(v, ck):
-    n = ck.n
-    value = ck.form_value()
+    # only a passing class needs its exact form value, for the squares
     passes = seifert_criterion(v, ck)
-    if passes and value == 0:
+    if not passes:
+        summary = StabSummary("not-zero-framable", v.size, (), False, ())
+    elif (value := ck.form_value()) == 0:
         summary = StabSummary("already-zero-framed", v.size, (), False, ck.beta)
-    elif passes:
-        squares, flipped, tail = _zero_framing(value, n)
+    else:
+        squares, flipped, tail = _zero_framing(value, ck.n)
         summary = StabSummary("stabilized", v.size + len(tail), squares, flipped,
                               ck.beta + tail)
-    else:
-        summary = StabSummary("not-zero-framable", v.size, (), False, ())
-    return CharEntry(beta=ck.beta, form_value_mod_n2=value % (n * n),
+    return CharEntry(beta=ck.beta, form_value_mod_n2=ck.form_value_mod_n2(),
                      passes_criterion=passes, stabilization=summary)
 
 

@@ -1,6 +1,7 @@
 """Dihedral quotients, extension verdicts, characteristic knot classes."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -39,6 +40,7 @@ from dihedral import (
 )
 from dihedral.cover import GroupElement
 from dihedral.exact import IntMatrix
+from dihedral.seifert import _smith_form
 
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
 
@@ -331,9 +333,30 @@ class TestCharacteristicClasses:
                 assert built == ck
                 assert built.form_value() == ck.form_value()
 
+    def test_cap_is_on_by_default(self):
+        # 3^13 kernel elements of the sum of 13 trefoils at n = 3 exceed
+        # DEFAULT_ENUM_CAP; a walk without a cap would pass the timeout
+        script = textwrap.dedent("""
+            from dihedral import EnumerationCapError, characteristic_knot_classes, connected_sum, twist_knot
+            v = twist_knot(-1)
+            for _ in range(12):
+                v = connected_sum(v, twist_knot(-1))
+            try:
+                characteristic_knot_classes(v, 3)
+            except EnumerationCapError as e:
+                print(e)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=30, check=True)
+        assert out.stdout.startswith(f"kernel mod 3 has {3 ** 13} elements, above the "
+                                     "enumeration cap 1000000")
+
     def test_walk_products(self, monkeypatch):
-        # primitivity is decided on y before any product, and each kept
-        # class costs Q y and A beta: two IntMatrix.apply calls
+        # the walk applies A once per walked coordinate to set up its
+        # columns, and once per passing class for the exact form value; a
+        # modulus no primitive y can reach walks nothing
         v = dihedral.connected_sum(NINE_37, NINE_37)
         assert knot_determinant(v) == 2025
         calls = []
@@ -344,10 +367,32 @@ class TestCharacteristicClasses:
             return real(self, vec)
 
         monkeypatch.setattr(IntMatrix, "apply", counted)
-        for n, classes in ((9, 0), (45, 0), (15, 1920)):
+        for n, classes, passing, setup in ((9, 0, 0, 0), (45, 0, 0, 0), (15, 1920, 256, 4)):
             calls.clear()
-            assert len(characteristic_knot_classes(v, n)) == classes
-            assert len(calls) == 2 * classes
+            cks = characteristic_knot_classes(v, n)
+            assert len(cks) == classes
+            assert len(calls) == setup + passing
+            assert sum(seifert_criterion(v, ck) for ck in cks) == passing
+            assert len(calls) == setup + passing  # the criterion reads the carried value
+
+    def test_walk_matches_product_oracle(self, corpus):
+        # the product walk this one replaced, beta = Q y mod n and
+        # beta^T A beta by products, gives the same classes and values
+        for v, n in walk_inputs(corpus):
+            want = _product_walk(v, n)
+            cks = characteristic_knot_classes(v, n)
+            assert [ck.beta for ck in cks] == sorted(want)
+            for ck in cks:
+                assert ck.form_value_mod_n2() == want[ck.beta] % (n * n)
+                assert ck.form_value() == want[ck.beta]
+                assert seifert_criterion(v, ck) == (want[ck.beta] % (n * n) == 0)
+
+    def test_form_value_checked_against_walk(self):
+        ck = next(ck for ck in characteristic_knot_classes(NINE_37, 5)
+                  if not seifert_criterion(NINE_37, ck))
+        object.__setattr__(ck, "_value_mod_n2", ck.form_value_mod_n2() + 1)
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            ck.form_value()
 
     def test_smith_form_reduced_once_per_knot(self, monkeypatch):
         # the determinant, the cover homology, its linking form, the
@@ -485,4 +530,19 @@ def _all_vectors(size, n):
     out = [()]
     for _ in range(size):
         out = [v + (x,) for v in out for x in range(n)]
+    return out
+
+
+def _product_walk(v, n):
+    """{beta: beta^T A beta} by the product walk: y over the kernel of D
+    mod n, beta = Q y mod n, and A beta for each primitive class."""
+    res = _smith_form(v)
+    a = symmetrize(v)
+    moduli = [math.gcd(d, n) for d in res.diagonal()]
+    out = {}
+    for ts in itertools.product(*(range(g) for g in moduli)):
+        y = [t * (n // g) for t, g in zip(ts, moduli)]
+        if math.gcd(*y, n) == 1:
+            beta = tuple(x % n for x in res.Q.apply(y))
+            out[beta] = sum(b * c for b, c in zip(beta, a.apply(beta)))
     return out

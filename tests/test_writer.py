@@ -16,6 +16,7 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.cli import main
+from dihedral.report import _to_json
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -130,3 +131,26 @@ class TestRoundTrip:
     def test_to_dict_matches_to_json(self):
         r = analyze(KnotRecord("9_37", parse_matrix(NINE_37_TEXT)))
         assert json.dumps(r.to_dict(), indent=2, sort_keys=True) == r.to_json()
+
+
+def decimal_strings(x):
+    """x with every int (not bool) as its decimal string, as the writer
+    prints integers outside the number keys."""
+    if type(x) is int:
+        return str(x)
+    if isinstance(x, (tuple, list)):
+        return [decimal_strings(v) for v in x]
+    return x
+
+
+class TestIntLeaves:
+    """Sequences of ints are written in one join; the layout must not move."""
+
+    @pytest.mark.parametrize("value", [
+        (), [], (7,), [0], (0, -3, 12345678901234567890), ((),), ((1, 2), (), (3,)),
+        [(-1,), [2, [3, 4]], ()], (1, True), (None, 2), ("a", 3),
+    ])
+    @pytest.mark.parametrize("key, numeric", [("skipped_n", True), ("beta", False)])
+    def test_matches_json_dumps(self, value, key, numeric):
+        want = {key: value if numeric else decimal_strings(value)}
+        assert _to_json({key: value}) == json.dumps(want, indent=2, sort_keys=True)
