@@ -18,7 +18,6 @@ __all__ = [
     "ResidueQZ",
     "snf",
     "det",
-    "is_primitive",
     "four_squares",
 ]
 
@@ -352,16 +351,6 @@ def snf(a):
         raise ArithmeticError("Smith normal form transforms are not unimodular")
     diag = tuple(dm[i, i] for i in range(min(m, n)))
     return SNFResult(P=pm, Q=qm, D=dm, invariant_factors=tuple(x for x in diag if x > 1))
-
-
-def is_primitive(v):
-    """True when the integer vector has gcd 1. The empty vector is not."""
-    vv = tuple(v)
-    for i, x in enumerate(vv):
-        _check_int(x, f"entry {i}")
-    if not vv:
-        return False
-    return math.gcd(*vv) == 1
 
 
 # The four-square search walks candidates in the order of its answer, so

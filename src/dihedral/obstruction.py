@@ -5,16 +5,23 @@ corresponds to a nonzero character on the double-cover homology with
 values in the order-n subgroup of Q/Z. The character extends over a
 spanning surface pushed into the 4-ball if and only if its
 self-linking vanishes; equivalently, a characteristic knot on the
-surface is zero-framable after stabilization. Both routes are
-implemented here, independently, and the character built from a
-characteristic class cross-checks one against the other.
+surface is zero-framable after stabilization.
+
+Both routes come from one walk over k in prod Z/g_t, g_t = gcd(d_t, n)
+for the torsion entries d_t of the Smith form P A Q = D. Each k names
+the character c_t = k_t d_t / g_t and the characteristic class
+beta = Q y mod n, y_t = k_t n / g_t, carried with f = y^T Q^T A Q y mod
+n^2, which is the form value of beta and n^2 lk(c, c). Checked per
+element: D y = 0 mod n and primitivity of y (c of order n). Per unit
+orbit, that is per quotient class: the representative's verdict
+pair(c, c) against f. Per block: char_knot_to_character, which solves
+through P, sends the first representative's class back to its c.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, attrgetter
 
 from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
 from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
@@ -107,14 +114,6 @@ class Character:
         return self_linking(self.form, self.c)
 
 
-def _units(n):
-    return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
-
-
-def _unit_act(u, coords, factors):
-    return tuple((u * x) % d for x, d in zip(coords, factors))
-
-
 @dataclass(frozen=True)
 class ExtensionVerdict:
     """Whether a character extends over a pushed-in spanning surface,
@@ -164,37 +163,102 @@ def enumerate_isotropic(form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     return tuple(c for c in group.elements() if form.pair(c.coords, c.coords) == 0)
 
 
+def _walk(n, factors, enum_cap, what, v=None):
+    """The one walk at n: (c, beta, f) for each k in prod Z/g_t,
+    g_t = gcd(d_t, n) over the invariant factors d_t, whose y
+    (y_t = k_t n / g_t) is primitive mod n, in lexicographic order of k
+    and so of c (c_t = k_t d_t / g_t). y is primitive, and c has order n,
+    when each p^a || n has a t with p^a | g_t and p not dividing k_t.
+    Given the Seifert matrix v with these Smith factors, beta = Q y and
+    f = y^T Q^T A Q y (reduce mod n and n^2); without v, () and 0.
+    """
+    moduli = [math.gcd(d, n) for d in factors]
+    _check_cap(what, math.prod(moduli), enum_cap)
+    walked = [t for t, g in enumerate(moduli) if g > 1]
+    if math.gcd(n, *(n // moduli[t] for t in walked)) != 1:
+        return []  # gcd(n, s_1, ..., s_r) > 1 divides every y: none is primitive
+    if v is None:
+        qs = aqs = [()] * len(walked)
+    else:
+        res, a = _smith_form(v), symmetrize(v)
+        at = [k for k, d in enumerate(res.diagonal()) if d > 1]
+        qs = [res.Q.column(at[t]) for t in walked]
+        aqs = [a.apply(q) for q in qs]
+    nn = n * n
+    # per walked t, where k_t steps by 1 and y_t by s: what each k_t appends
+    # to c (with the zeros up to the next walked t), the step's column of
+    # beta mod n and of G y mod n^2 (G = Q^T A Q), and s^2 G_tt mod n^2
+    steps = []
+    for i, (t, end, q, aq) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, aqs)):
+        g = moduli[t]
+        s, c_step, pad = n // g, factors[t] // g, (0,) * (end - t - 1)
+        g_col = [sum(x * y for x, y in zip(qj, aq)) for qj in qs]
+        steps.append((g, s, tuple((x * c_step,) + pad for x in range(g)),
+                      tuple(s * x % n for x in q), tuple(s * x % nn for x in g_col),
+                      s * s * g_col[i] % nn))
+    out = []
+    _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, out)
+    return out
+
+
+def _walk_from(steps, i, c, beta, gy, f, content, out):
+    """Walk coordinate i and those after it; the coordinates below i are
+    fixed in c, beta, G y, f and content = gcd(n, y). A step adds its
+    columns and f += 2 s (G y)_i + s^2 G_ii; one state per coordinate."""
+    g, s, tails, b_col, g_col, f_step = steps[i]
+    last = i + 1 == len(steps)
+    for t in range(g):
+        if t:
+            f += 2 * s * gy[i] + f_step
+            beta = tuple(map(add, beta, b_col))
+            gy = tuple(map(add, gy, g_col))
+        ct, ci = c + tails[t], math.gcd(content, t * s)
+        if not last:
+            _walk_from(steps, i + 1, ct, beta, gy, f, ci, out)
+        elif ci == 1:
+            out.append((ct, beta, f))
+
+
+def _orbits(coords, factors, n):
+    """The unit-action orbits of coordinate tuples listed in increasing
+    order, as (index of the least member, sorted members), least members
+    first; ValueError when the set is not closed under the units."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    left = set(coords)
+    for i, c in enumerate(coords):
+        if c in left:
+            orbit = {tuple(u * x % d for x, d in zip(c, factors)) for u in units}
+            if not orbit <= left:
+                raise ValueError("character set is not closed under the unit action")
+            left -= orbit
+            yield i, sorted(orbit)
+
+
+def _character(form, c, n):
+    """A Character built without its constructor, for a c of order n."""
+    ch = object.__new__(Character)
+    vars(ch).update(form=form, c=c, n=n)
+    return ch
+
+
 def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All characters with image exactly the order-n subgroup of Q/Z,
-    in lexicographic coordinate order.
-
-    The linking form is nondegenerate, so chi_c has image order n
-    exactly when c has order n, and only the n-torsion H[n] is walked:
-    c_i = t_i * (d_i / g_i) with g_i = gcd(d_i, n) and 0 <= t_i < g_i.
-    The cap bounds |H[n]|, as it does for characteristic_knot_classes.
-    The coordinates are ints in range by construction and the lcm test is
-    the one image-order check, so the walk skips the validation of
-    GroupElement and Character.
+    in lexicographic coordinate order: the c of the one walk, without
+    surface columns, so any basis of the group will do. The form is
+    nondegenerate, so chi_c has image order n exactly when c has order n;
+    the walk's primitivity test is that one check, and it skips the
+    validation of GroupElement and Character.
     """
     require_dihedral_order(n)
     if not isinstance(group, TorsionGroup):
         raise TypeError("surjective_characters expects a TorsionGroup")
     if form.group != group:
         raise ValueError("linking form does not belong to the given group")
-    factors = group.invariant_factors
-    moduli = [math.gcd(d, n) for d in factors]
-    _check_cap(f"n-torsion subgroup H[{n}]", math.prod(moduli), enum_cap)
-    if group.exponent % n != 0:
-        return ()
-    steps = [d // g for d, g in zip(factors, moduli)]
     out = []
-    for ts in itertools.product(*(range(g) for g in moduli)):
-        if math.lcm(*(g // math.gcd(g, t) for g, t in zip(moduli, ts))) == n:
-            c = object.__new__(GroupElement)
-            object.__setattr__(c, "coords", tuple(t * s for t, s in zip(ts, steps)))
-            ch = object.__new__(Character)
-            vars(ch).update(form=form, c=c, n=n)
-            out.append(ch)
+    for coords, _, _ in _walk(n, group.invariant_factors, enum_cap, f"n-torsion subgroup H[{n}]"):
+        c = object.__new__(GroupElement)
+        object.__setattr__(c, "coords", coords)
+        out.append(_character(form, c, n))
     return tuple(out)
 
 
@@ -211,7 +275,6 @@ def quotient_classes(chars, n):
     if not chars:
         return ()
     form = chars[0].form
-    factors = form.group.invariant_factors
     by_coords = {}
     for ch in chars:
         if not isinstance(ch, Character):
@@ -221,20 +284,9 @@ def quotient_classes(chars, n):
         if ch.form != form:
             raise ValueError("characters live on different linking forms")
         by_coords[ch.c.coords] = ch
-    units = _units(n)
-    seen = set()
     classes = []
-    for coords in sorted(by_coords):
-        if coords in seen:
-            continue
-        orbit = set()
-        for u in units:
-            moved = _unit_act(u, coords, factors)
-            if moved not in by_coords:
-                raise ValueError("character set is not closed under the unit action")
-            orbit.add(moved)
-        seen |= orbit
-        members = tuple(by_coords[c] for c in sorted(orbit))
+    for _, orbit in _orbits(sorted(by_coords), form.group.invariant_factors, n):
+        members = tuple(by_coords[c] for c in orbit)
         classes.append(QuotientClass(members, n, verdict(form, members[0])))
     return tuple(classes)
 
@@ -272,14 +324,12 @@ def verdict(form, c, n=None):
         surjective = _image_order(form, elem.coords) == n
     else:
         raise TypeError("verdict expects a Character or a GroupElement")
-    sl = self_linking(form, elem)
-    extends = sl.is_zero
-    return ExtensionVerdict(
-        extends=extends,
-        self_linking=sl,
-        scope_note=_scope_tags(extends, n),
-        surjective=surjective,
-    )
+    return _verdict(self_linking(form, elem), n, surjective)
+
+
+def _verdict(sl, n, surjective=True):
+    """The verdict on a character of order n, or a bare element, of self-linking sl."""
+    return ExtensionVerdict(sl.is_zero, sl, _scope_tags(sl.is_zero, n), surjective)
 
 
 def is_characteristic_class(v, coords, n):
@@ -337,75 +387,63 @@ class CharKnotClass:
         return self._value_mod_n2
 
 
-def _walk_kernel(steps, k, beta, gy, f, content, keep):
-    """Call keep(beta, f) for every primitive y, walking coordinate k and
-    those after it; the coordinates below k are fixed in beta, G y, f and
-    content = gcd(n, y). keep reduces the sums."""
-    g, s, b_col, g_col, f_step = steps[k]
-    for t in range(g):
-        if t:
-            f += 2 * s * gy[k] + f_step
-            beta = tuple(map(add, beta, b_col))
-            gy = tuple(map(add, gy, g_col))
-        c = math.gcd(content, t * s)
-        if k + 1 < len(steps):
-            _walk_kernel(steps, k + 1, beta, gy, f, c, keep)
-        elif c == 1:
-            keep(beta, f)
+def _walked_class(v, n, beta, f):
+    """A CharKnotClass built without its constructor from the walk's beta
+    and f; the exact form value, checked against f, only when f = 0 mod n^2."""
+    ck = object.__new__(CharKnotClass)
+    vars(ck).update(V=v, beta=tuple(x % n for x in beta), n=n,
+                    _value_mod_n2=f % (n * n), _value=None)
+    if ck._value_mod_n2 == 0:
+        ck.form_value()
+    return ck
 
 
 def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
-    """All characteristic classes mod n, sorted by coordinates.
-
-    The kernel of A mod n is parametrized through the Smith form the
-    SeifertMatrix keeps: with P A Q = D (checked by snf) and beta = Q y,
-    the condition D y = 0 mod n pins each y_i to multiples of
-    s_i = n / g_i, g_i = gcd(D_ii, n), so every beta walked is
-    characteristic. Q is unimodular, so beta has the content of y, and a
-    y that is not primitive mod n is skipped.
-
-    The walk nests one loop per coordinate with g_i > 1 and keeps one
-    state per loop, so it holds nothing but the kept classes. Each step
-    adds one precomputed column to beta mod n and to G y mod n^2, where
-    G = Q^T A Q, and updates f = y^T G y mod n^2 and the content of y.
-    Since A Q y = 0 mod n, f is the form value of the canonical lift mod
-    n^2. The exact form value is formed only for the classes with f = 0,
-    whose stabilization needs it, and checked against f there; the walk
-    skips CharKnotClass's validation.
+    """All characteristic classes mod n, sorted by coordinates: the beta
+    of the one walk. With P A Q = D (checked by snf) and beta = Q y,
+    D y = 0 mod n makes each beta walked characteristic, and Q is
+    unimodular, so beta has the content of y. The walk carries each
+    form value mod n^2 and skips CharKnotClass's validation.
     """
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
-    res = _smith_form(v)
-    walked = [(res.Q.column(i), g) for i, d in enumerate(res.diagonal())
-              if (g := math.gcd(d, n)) > 1]
-    _check_cap(f"kernel mod {n}", math.prod(g for _, g in walked), enum_cap)
-    if math.gcd(n, *(n // g for _, g in walked)) != 1:
-        return ()  # gcd(n, s_1, ..., s_r) > 1 divides every y: none is primitive
-    a = symmetrize(v)
-    nn = n * n
-    # per walked coordinate k, where y_k steps by s_k through g_k values: the
-    # step's column of beta mod n and of G y mod n^2 (s_k G e_k), and
-    # s_k^2 G_kk mod n^2, so that f += 2 s_k (G y)_k + s_k^2 G_kk
-    steps = []
-    for k, (q, g) in enumerate(walked):
-        s, aq = n // g, a.apply(q)
-        g_col = [sum(x * y for x, y in zip(qj, aq)) for qj, _ in walked]
-        steps.append((g, s, tuple(s * x % n for x in q), tuple(s * x % nn for x in g_col),
-                      s * s * g_col[k] % nn))
-    out = []
+    leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)
+    return tuple(sorted((_walked_class(v, n, beta, f) for _, beta, f in leaves),
+                        key=attrgetter("beta")))
 
-    def keep(beta, f):
-        ck = object.__new__(CharKnotClass)
-        vars(ck).update(V=v, beta=tuple(x % n for x in beta), n=n,
-                        _value_mod_n2=f % nn, _value=None)
-        if ck._value_mod_n2 == 0:
-            ck.form_value()
-        out.append(ck)
 
-    _walk_kernel(steps, 0, (0,) * v.size, (0,) * len(steps), 0, n, keep)
-    out.sort(key=lambda ck: ck.beta)
-    return tuple(out)
+def _check_linking(got, e, value, n):
+    """e lk(c, c) / e against the form value of c's characteristic class
+    over n^2, mod 1, cross-multiplied."""
+    if (got * n * n - value * e) % (e * n * n) != 0:
+        raise ArithmeticError(
+            f"self-linking {got}/{e} disagrees with form value {value}/{n * n} mod 1; "
+            "routes are inconsistent"
+        )
+
+
+def _extension_walk(v, form, n, enum_cap):
+    """Both routes at n from one walk, checked per class and per block:
+    ((members, verdict) per quotient class, with members the sorted
+    character coordinates; the characteristic classes sorted by beta).
+    form is on the Smith basis of v's cover homology. The cap names the
+    kernel mod n, which has the size of H[n].
+    """
+    factors = form.group.invariant_factors
+    leaves = _walk(n, factors, enum_cap, f"kernel mod {n}", v)
+    cks = [_walked_class(v, n, beta, f) for _, beta, f in leaves]
+    e = form.exponent
+    classes = []
+    for i, members in _orbits([c for c, _, _ in leaves], factors, n):
+        got = form.pair(members[0], members[0])
+        _check_linking(got, e, cks[i].form_value_mod_n2(), n)
+        classes.append((tuple(members), _verdict(ResidueQZ.of(got, e), n)))
+    if cks and char_knot_to_character(v, cks[0], form).c.coords != leaves[0][0]:
+        raise ArithmeticError(f"class {list(cks[0].beta)} maps to another character than "
+                              f"the walk's {leaves[0][0]}; routes disagree at n={n}")
+    cks.sort(key=attrgetter("beta"))
+    return classes, tuple(cks)
 
 
 def char_knot_to_character(v, beta, form=None):
@@ -415,7 +453,7 @@ def char_knot_to_character(v, beta, form=None):
     through the linking form to give the character. Passing a
     precomputed linking form avoids rebuilding the group. The result
     is rechecked: its self-linking must equal the form value of the
-    lift divided by n^2, mod 1.
+    lift divided by n^2, mod 1, and its image must have order n.
     """
     if not isinstance(beta, CharKnotClass):
         raise TypeError("char_knot_to_character expects a CharKnotClass")
@@ -438,19 +476,12 @@ def char_knot_to_character(v, beta, form=None):
     w2 = tuple(x // n for x in a.apply(shifted))
     if group.coords_of(w2) != c:
         raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
-    ch = Character(form, c, n) if _image_order(form, c.coords) == n else None
-    # e * lk(c, c) / e == form value / n^2 mod 1, cross-multiplied
-    e, got, value = form.exponent, form.pair(c.coords, c.coords), beta.form_value_mod_n2()
-    if (got * n * n - value * e) % (e * n * n) != 0:
-        raise ArithmeticError(
-            f"self-linking {got}/{e} disagrees with form value {value}/{n * n} mod 1; "
-            "routes are inconsistent"
-        )
-    if ch is None:
+    _check_linking(form.pair(c.coords, c.coords), form.exponent, beta.form_value_mod_n2(), n)
+    if _image_order(form, c.coords) != n:
         raise ArithmeticError(
             "characteristic class produced a non-surjective character; input is corrupt"
         )
-    return ch
+    return _character(form, c, n)
 
 
 def seifert_criterion(v, beta):

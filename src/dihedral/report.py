@@ -27,17 +27,11 @@ from importlib import metadata
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .cover import double_cover_homology, linking_form, self_linking
+from .cover import double_cover_homology, linking_form
 from .errors import EnumerationCapError, MatrixParseError, require_dihedral_order, require_printable
 from .exact import ResidueQZ
-from .obstruction import (
-    DEFAULT_ENUM_CAP,
-    characteristic_knot_classes,
-    char_knot_to_character,
-    quotient_classes,
-    seifert_criterion,
-    surjective_characters,
-)
+from .obstruction import DEFAULT_ENUM_CAP, _extension_walk, seifert_criterion
+from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
 from .signatures import ribbon_test, twist_xi3
 
@@ -369,18 +363,6 @@ def render_matrix(v):
     return "{" + rows + "}"
 
 
-def _class_entry(qc):
-    vd = qc.verdict
-    return ClassEntry(
-        representative=qc.representative.c.coords,
-        members=tuple(ch.c.coords for ch in qc.members),
-        self_linking=vd.self_linking,
-        extends=vd.extends,
-        surjective=vd.surjective,
-        scope=vd.scope_note,
-    )
-
-
 def _char_entry(v, ck):
     # only a passing class needs its exact form value, for the squares
     passes = seifert_criterion(v, ck)
@@ -396,37 +378,24 @@ def _char_entry(v, ck):
                      passes_criterion=passes, stabilization=summary)
 
 
-def _analyze_n(v, group, form, n, enum_cap):
-    entries = ck_entries = ()
-    class_count = extendable = None
-    note = ck_note = ""
+def _analyze_n(v, form, n, enum_cap):
+    # one walk gives both routes, checked per class and per block; it is
+    # H[n] and the kernel mod n at once, so a cap stops both, by one size
     try:
-        chars = surjective_characters(group, form, n, enum_cap=enum_cap)
-        classes = quotient_classes(chars, n)
-        entries = tuple(_class_entry(qc) for qc in classes)
-        class_count = len(classes)
-        extendable = sum(qc.extends for qc in classes)
-    except EnumerationCapError as e:
-        note = f"not enumerated: {e}"
-    try:
-        cks = characteristic_knot_classes(v, n, enum_cap=enum_cap)
-        ck_entries = tuple(_char_entry(v, ck) for ck in cks)
+        classes, cks = _extension_walk(v, form, n, enum_cap)
     except EnumerationCapError as e:
         ck_note = f"not enumerated: {e}"
-
-    # the two routes must agree whenever both ran to completion
-    if not note and not ck_note:
-        if len(cks) != len(chars):
-            raise ArithmeticError(
-                f"{len(cks)} characteristic classes but {len(chars)} characters at n={n}"
-            )
-        if any(e.passes_criterion for e in ck_entries) != any(e.extends for e in entries):
-            raise ArithmeticError(f"extension routes disagree at n={n}")
-
-    return NBlock(n=n, characters_enumerated=not note, character_note=note,
-                  quotient_class_count=class_count, extendable_class_count=extendable,
-                  classes=entries, char_classes_enumerated=not ck_note,
-                  char_class_note=ck_note, char_classes=ck_entries)
+        note = ck_note.replace(f"kernel mod {n}", f"n-torsion subgroup H[{n}]", 1)
+        return NBlock(n=n, characters_enumerated=False, character_note=note,
+                      quotient_class_count=None, extendable_class_count=None, classes=(),
+                      char_classes_enumerated=False, char_class_note=ck_note, char_classes=())
+    entries = tuple(ClassEntry(m[0], m, vd.self_linking, vd.extends, vd.surjective, vd.scope_note)
+                    for m, vd in classes)
+    return NBlock(n=n, characters_enumerated=True, character_note="",
+                  quotient_class_count=len(entries),
+                  extendable_class_count=sum(e.extends for e in entries), classes=entries,
+                  char_classes_enumerated=True, char_class_note="",
+                  char_classes=tuple(_char_entry(v, ck) for ck in cks))
 
 
 def _twist_parameter(v):
@@ -466,7 +435,7 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
         ns = [n for n in wanted if d % n == 0]
         skipped = tuple(n for n in wanted if d % n != 0)
 
-    blocks = tuple(_analyze_n(v, group, form, n, enum_cap) for n in ns)
+    blocks = tuple(_analyze_n(v, form, n, enum_cap) for n in ns)
 
     xi = None
     m = _twist_parameter(v)
@@ -588,7 +557,8 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
 
     Each row records the determinant, whether an order-3 dihedral
     quotient exists, whether it extends, and the xi candidates with
-    the ribbon verdict. Both extension routes are run and must agree.
+    the ribbon verdict. Both extension routes come from the one walk at
+    n = 3, with its checks.
     """
     if not isinstance(m_first, int) or not isinstance(m_last, int):
         raise TypeError("twist range endpoints must be integers")
@@ -600,19 +570,13 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
     for m in range(m_first, m_last + 1):
         v = twist_knot(m)
         d = knot_determinant(v)
-        cks = characteristic_knot_classes(v, 3, enum_cap=enum_cap)
-        exists = bool(cks)
+        classes = ()
+        if d % 3 == 0:  # only then can an order-3 quotient exist
+            classes, _ = _extension_walk(v, linking_form(double_cover_homology(v)), 3, enum_cap)
+        exists = bool(classes)
         extends = candidates = ribbon = None
         if exists:
-            extends = any(seifert_criterion(v, ck) for ck in cks)
-            group = double_cover_homology(v)
-            form = linking_form(group)
-            by_chars = any(
-                self_linking(form, char_knot_to_character(v, ck, form).c).is_zero
-                for ck in cks
-            )
-            if by_chars != extends:
-                raise ArithmeticError(f"extension routes disagree at m={m}")
+            extends = any(vd.extends for _, vd in classes)
             val = twist_xi3(m)
             candidates = val.candidates
             ribbon = ribbon_test(val, 0, 3)

@@ -26,7 +26,7 @@ from .obstruction import (
     surjective_characters,
     verdict,
 )
-from .report import parse_matrix, render_matrix
+from .report import analyze, parse_matrix, render_matrix
 from .seifert import (
     SeifertMatrix,
     connected_sum,
@@ -136,6 +136,21 @@ def check_character_route():
     _want(self_linking(form, ch.c), _residue(1, 3), "trefoil character self-linking")
 
 
+def check_route_bijection():
+    # each characteristic class of 9_37 maps to its own character, with the
+    # verdict of that character's class; analyze runs the walk's own checks
+    v = REFERENCE_9_37
+    form = linking_form(double_cover_homology(v))
+    for n in (3, 5, 15):
+        classes = quotient_classes(surjective_characters(form.group, form, n), n)
+        verdicts = {ch.c.coords: qc.extends for qc in classes for ch in qc.members}
+        cks = characteristic_knot_classes(v, n)
+        hit = {char_knot_to_character(v, ck, form).c.coords: seifert_criterion(v, ck)
+               for ck in cks}
+        _want((len(cks), hit), (len(verdicts), verdicts), f"9_37 classes to characters at n={n}")
+    _want(tuple(b.n for b in analyze(v, [3, 5, 15]).blocks), (3, 5, 15), "9_37 checked blocks")
+
+
 def check_cyclic_shortcut():
     v = SeifertMatrix([[-10, 1], [0, 2]])
     group = double_cover_homology(v)
@@ -210,6 +225,7 @@ CHECKS = (
     ("trefoil verdict and scope", check_trefoil_verdict),
     ("twist family laws", check_twist_laws),
     ("characteristic-class character route", check_character_route),
+    ("class-to-character bijection of 9_37", check_route_bijection),
     ("cyclic-order shortcut", check_cyclic_shortcut),
     ("zero-framed stabilization", check_stabilization),
     ("four-square decompositions", check_four_squares),

@@ -12,7 +12,6 @@ from dihedral.exact import (
     SNFResult,
     det,
     four_squares,
-    is_primitive,
     snf,
 )
 
@@ -192,15 +191,6 @@ class TestResidue:
 
     def test_ordering(self):
         assert ResidueQZ.of(Fraction(1, 3)) < ResidueQZ.of(Fraction(2, 3))
-
-
-class TestPrimitivity:
-    def test_cases(self):
-        assert is_primitive((1, 2))
-        assert is_primitive((0, 0, 1))
-        assert not is_primitive((2, 4))
-        assert not is_primitive(())
-        assert not is_primitive((0, 0))
 
 
 class TestFourSquares:

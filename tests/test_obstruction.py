@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dihedral
+import dihedral.report
 from dihedral import (
     Character,
     CharKnotClass,
@@ -22,6 +23,7 @@ from dihedral import (
     QuotientClass,
     ResidueQZ,
     SeifertMatrix,
+    analyze,
     char_knot_to_character,
     characteristic_knot_classes,
     cyclic_criterion,
@@ -38,18 +40,21 @@ from dihedral import (
     twist_knot,
     verdict,
 )
-from dihedral.cover import GroupElement
+from dihedral import obstruction
+from dihedral.cover import GroupElement, LinkingForm, TorsionGroup
 from dihedral.exact import IntMatrix
+from dihedral.obstruction import _walk
 from dihedral.seifert import _smith_form
 
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
 
 
 def walk_inputs(corpus):
-    """(matrix, n) for the first 25 corpus knots at n in {3, 5, 7, 9} and
-    for 9_37#9_37 at n in {3, 5, 9, 15}, where n divides the determinant."""
+    """(matrix, n) for the first 25 corpus knots at n in {3, 5, 7, 9, 15, 45}
+    and for 9_37#9_37 at n in {3, 5, 9, 15, 45}, where n divides the
+    determinant."""
     nine_sum = dihedral.connected_sum(NINE_37, NINE_37)
-    for v, ns in [(v, (3, 5, 7, 9)) for v in corpus[:25]] + [(nine_sum, (3, 5, 9, 15))]:
+    for v, ns in [(v, (3, 5, 7, 9, 15, 45)) for v in corpus[:25]] + [(nine_sum, (3, 5, 9, 15, 45))]:
         for n in ns:
             if knot_determinant(v) % n == 0:
                 yield v, n
@@ -460,26 +465,80 @@ class TestCharacterBridge:
         assert "depends on the chosen lift" in out.stdout
 
     def test_class_level_round_trip(self, corpus):
-        # the classes of isotropic surjective characters are exactly the
-        # classes hit by criterion-passing characteristic knots
-        for v in corpus[:15]:
-            d = knot_determinant(v)
-            if d % 3:
-                continue
-            group = double_cover_homology(v)
-            form = linking_form(group)
-            chars = surjective_characters(group, form, 3)
-            classes = quotient_classes(chars, 3)
-            hit = set()
-            for ck in characteristic_knot_classes(v, 3):
-                if not seifert_criterion(v, ck):
-                    continue
-                ch = char_knot_to_character(v, ck, form)
-                for idx, qc in enumerate(classes):
-                    if any(m.c == ch.c for m in qc.members):
-                        hit.add(idx)
-            extendable = {i for i, qc in enumerate(classes) if qc.extends}
-            assert hit == extendable
+        # the walk's class beta(k) of each quotient class representative c(k)
+        # maps back to c(k) by the independent map, and the class verdict is
+        # f(k) = 0 mod n^2; the classes hit by criterion-passing
+        # characteristic knots are exactly the extendable ones
+        for v, n in walk_inputs(corpus):
+            form = linking_form(double_cover_homology(v))
+            classes = quotient_classes(surjective_characters(form.group, form, n), n)
+            reps = {qc.representative.c.coords: qc for qc in classes}
+            seen = 0
+            for c, beta, f in _walk(n, form.group.invariant_factors, None, "", v):
+                if c in reps:
+                    ck = CharKnotClass(v, beta, n)
+                    assert ck.form_value_mod_n2() == f % (n * n)
+                    assert char_knot_to_character(v, ck, form).c.coords == c
+                    assert reps[c].extends == (f % (n * n) == 0)
+                    seen += 1
+            assert seen == len(classes)
+            index = {ch.c.coords: i for i, qc in enumerate(classes) for ch in qc.members}
+            hit = {index[char_knot_to_character(v, ck, form).c.coords]
+                   for ck in characteristic_knot_classes(v, n) if seifert_criterion(v, ck)}
+            assert hit == {i for i, qc in enumerate(classes) if qc.extends}
+
+
+class TestRouteChecks:
+    """analyze checks each class's verdict against the form value f the
+    walk carried, and runs the independent map once per block: a fault on
+    either side raises."""
+
+    @staticmethod
+    def corrupt_table(monkeypatch):
+        def corrupted(group):
+            form = LinkingForm(group)
+            table = [list(row) for row in form._table]
+            table[0][0] = (table[0][0] + 1) % form.exponent
+            object.__setattr__(form, "_table", tuple(map(tuple, table)))
+            return form
+
+        monkeypatch.setattr(dihedral.report, "linking_form", corrupted)
+
+    @staticmethod
+    def corrupt_column(monkeypatch):
+        real = obstruction._walk_from
+
+        def corrupted(steps, i, *state):
+            if i == 0:  # one entry of the first step's column of G y
+                g, s, tails, b_col, g_col, f_step = steps[0]
+                g_col = (g_col[0],) + (g_col[1] + 1,) + g_col[2:]
+                steps = [(g, s, tails, b_col, g_col, f_step)] + steps[1:]
+            return real(steps, i, *state)
+
+        monkeypatch.setattr(obstruction, "_walk_from", corrupted)
+
+    @staticmethod
+    def corrupt_solver(monkeypatch):
+        # 2c passes every check of the map itself at n = 3: the lift check,
+        # lk(2c, 2c) = 4 lk(c, c), and the image order
+        real = TorsionGroup.coords_of
+
+        def corrupted(self, vec):
+            c = real(self, vec)
+            return GroupElement(tuple(2 * x % d for x, d in zip(c.coords, self.invariant_factors)))
+
+        monkeypatch.setattr(TorsionGroup, "coords_of", corrupted)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("corrupt_table", "routes are inconsistent"),
+        ("corrupt_column", "routes are inconsistent"),
+        ("corrupt_solver", "routes disagree at n=3"),
+    ])
+    def test_corrupted_side_raises(self, monkeypatch, fault, message):
+        assert analyze(NINE_37, [3]).blocks[0].quotient_class_count == 4
+        getattr(self, fault)(monkeypatch)
+        with pytest.raises(ArithmeticError, match=message):
+            analyze(NINE_37, [3])
 
 
 class TestCriteria:

@@ -205,7 +205,9 @@ class TestAnalyze:
 
     def test_one_pairing_per_quotient_class(self, monkeypatch):
         # the walk checks image orders without the pairing, and each class
-        # pairs its representative once, for the verdict the report reads
+        # pairs its representative once, for the verdict the report reads;
+        # the independent map, run once per nonempty block, pairs c with
+        # itself and with each of the rank generators
         calls = []
         real = LinkingForm.pair
 
@@ -218,7 +220,9 @@ class TestAnalyze:
         r = analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine)))
         classes = sum(b.quotient_class_count for b in r.blocks)
         assert classes == 286
-        assert len(calls) == classes
+        blocks = sum(1 for b in r.blocks if b.classes)
+        assert (blocks, len(r.invariant_factors)) == (3, 4)
+        assert len(calls) == classes + blocks * (1 + 4)
 
     def test_deterministic_json(self):
         a = analyze(KnotRecord("9_37", parse_matrix(NINE_37_TEXT))).to_json()
