@@ -7,146 +7,39 @@ which of them extend over surfaces in the 4-ball, and evaluates the
 xi signature invariant with its ribbon obstruction.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
-    CriterionInapplicableError,
-    EnumerationCapError,
-    EvenModulusError,
-    MatrixParseError,
-    NonSquareFreeError,
-    SeifertMatrixError,
-    SignatureIndeterminateError,
-    StabilizationError,
+    CriterionInapplicableError, EnumerationCapError, EvenModulusError,
+    MatrixParseError, NonSquareFreeError, SeifertMatrixError,
+    SignatureIndeterminateError, StabilizationError,
 )
-from .exact import (
-    IntMatrix,
-    ResidueQZ,
-    SNFResult,
-    det,
-    four_squares,
-    snf,
-)
+from .exact import IntMatrix, ResidueQZ, SNFResult, det, four_squares, snf
 from .seifert import (
-    SeifertMatrix,
-    ZeroFramedStabilization,
-    connected_sum,
-    knot_determinant,
-    stabilize_zero_framed,
-    symmetrize,
-    twist_knot,
+    SeifertMatrix, ZeroFramedStabilization, connected_sum, knot_determinant,
+    stabilize_zero_framed, symmetrize, twist_knot,
 )
 from .cover import (
-    GroupElement,
-    LinkingForm,
-    TorsionGroup,
-    double_cover_homology,
-    evaluate_linking,
-    linking_form,
-    self_linking,
+    GroupElement, LinkingForm, TorsionGroup, double_cover_homology,
+    evaluate_linking, linking_form, self_linking,
 )
 from .obstruction import (
-    DEFAULT_ENUM_CAP,
-    Character,
-    CharKnotClass,
-    ExtensionVerdict,
-    QuotientClass,
-    char_knot_to_character,
-    characteristic_knot_classes,
-    cyclic_criterion,
-    enumerate_isotropic,
-    is_characteristic_class,
-    quotient_classes,
-    seifert_criterion,
-    surjective_characters,
-    verdict,
+    DEFAULT_ENUM_CAP, Character, CharKnotClass, ExtensionVerdict, QuotientClass,
+    char_knot_to_character, characteristic_knot_classes, cyclic_criterion,
+    enumerate_isotropic, is_characteristic_class, quotient_classes,
+    seifert_criterion, surjective_characters, verdict,
 )
 from .signatures import (
-    RIBBON_CONSISTENT,
-    RIBBON_OBSTRUCTED,
-    SigmaWBound,
-    XiValue,
-    cover_signature,
-    ribbon_test,
-    tristram_levine,
-    twist_xi3,
-    xi_n,
+    RIBBON_CONSISTENT, RIBBON_OBSTRUCTED, SigmaWBound, XiValue, ribbon_test,
+    tristram_levine, twist_xi3, xi_n,
 )
 from .report import (
-    KnotRecord,
-    Report,
-    RowError,
-    TwistRow,
-    analyze,
-    parse_matrix,
-    render_matrix,
-    render_report_text,
-    render_twist_text,
-    scan,
-    twist_family,
+    KnotRecord, Report, RowError, TwistRow, analyze, parse_matrix, render_matrix,
+    render_report_text, render_twist_text, scan, twist_family,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Character",
-    "CharKnotClass",
-    "CriterionInapplicableError",
-    "DEFAULT_ENUM_CAP",
-    "EnumerationCapError",
-    "EvenModulusError",
-    "ExtensionVerdict",
-    "GroupElement",
-    "IntMatrix",
-    "KnotRecord",
-    "LinkingForm",
-    "MatrixParseError",
-    "NonSquareFreeError",
-    "QuotientClass",
-    "Report",
-    "ResidueQZ",
-    "RIBBON_CONSISTENT",
-    "RIBBON_OBSTRUCTED",
-    "RowError",
-    "SeifertMatrix",
-    "SeifertMatrixError",
-    "SigmaWBound",
-    "SignatureIndeterminateError",
-    "SNFResult",
-    "StabilizationError",
-    "TorsionGroup",
-    "TwistRow",
-    "XiValue",
-    "ZeroFramedStabilization",
-    "analyze",
-    "char_knot_to_character",
-    "characteristic_knot_classes",
-    "connected_sum",
-    "cover_signature",
-    "cyclic_criterion",
-    "det",
-    "double_cover_homology",
-    "enumerate_isotropic",
-    "evaluate_linking",
-    "four_squares",
-    "is_characteristic_class",
-    "knot_determinant",
-    "linking_form",
-    "parse_matrix",
-    "quotient_classes",
-    "render_matrix",
-    "render_report_text",
-    "render_twist_text",
-    "ribbon_test",
-    "scan",
-    "seifert_criterion",
-    "self_linking",
-    "snf",
-    "stabilize_zero_framed",
-    "surjective_characters",
-    "symmetrize",
-    "tristram_levine",
-    "twist_family",
-    "twist_knot",
-    "twist_xi3",
-    "verdict",
-    "xi_n",
-]
+# Every public name imported above, stated there once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

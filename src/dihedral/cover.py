@@ -162,13 +162,6 @@ class TorsionGroup:
         """The largest invariant factor; 1 for the trivial group."""
         return self._factors[-1] if self._factors else 1
 
-    def element(self, coords):
-        """Reduce arbitrary integer coordinates into canonical range."""
-        c = tuple(coords)
-        if len(c) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
-        return GroupElement(tuple(x % d for x, d in zip(c, self._factors)))
-
     def elements(self):
         """All elements, in lexicographic coordinate order."""
         for c in itertools.product(*(range(d) for d in self._factors)):

@@ -98,12 +98,6 @@ class Character:
         if got != self.n:
             raise ValueError(f"character image has order {got}, expected {self.n}")
 
-    def values(self):
-        """The character on each group generator."""
-        e = self.form.exponent
-        return tuple(ResidueQZ.of(self.form.pair(self.c.coords, g), e)
-                     for g in _basis(self.form.rank))
-
     def evaluate(self, x):
         """The character on an arbitrary element given by coordinates."""
         if not isinstance(x, GroupElement):

@@ -9,10 +9,10 @@ minors D_j = (conj(w) - 1)^j p_j(w) of H(w). A pivot is taken only where
 it is nonzero at w, which is decided exactly as a nonzero remainder mod
 the cyclotomic polynomial of w's order, so no tolerance enters. The one
 refusal is a singular H(w), which happens exactly when w is a root of the
-Alexander polynomial det(x V - V^T). Each sign is read from a float
-evaluation under an explicit error bound, and only when that bound does
-not exclude zero from a certified interval evaluation (mpmath.iv, the
-one use of mpmath).
+Alexander polynomial det(x V - V^T). Each sign is read from one exact
+integer sum over a fixed-point table of cos and sin at 2^bits scale,
+whose error bound is proven; bits doubles until that bound excludes
+zero. No floats and no dependency enter.
 
 On top of it sits the xi invariant of a dihedral quotient: a linking-form
 term, a cover-signature correction sigma(W) known only up to sign in
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonSquareFreeError, SignatureIndeterminateError, require_dihedral_order, require_odd
+from .errors import NonSquareFreeError, SignatureIndeterminateError, require_dihedral_order
 from .seifert import SeifertMatrix, _characteristic_value, twist_knot
 
 __all__ = [
@@ -38,21 +38,12 @@ __all__ = [
     "xi_n",
     "twist_xi3",
     "ribbon_test",
-    "cover_signature",
 ]
 
 RIBBON_CONSISTENT = "consistent-with-ribbon"
 RIBBON_OBSTRUCTED = "not-ribbon"
 
 DEFAULT_PRECISION_BITS = 128
-
-# A float evaluation decides a sign when its magnitude exceeds this
-# fraction of the sum of the absolute coefficients: each term's float
-# error is below 2^-46 of its coefficient (the angle, cos/sin, the
-# conversion and the product each add a few units in the last place).
-_FLOAT_MARGIN = 2.0 ** -40
-# Above this many bits a coefficient sum may overflow a float.
-_FLOAT_BITS = 1000
 
 
 def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
@@ -61,9 +52,9 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     omega is the pair (k, n) with 0 < k < n. The inertia is exact; raises
     SignatureIndeterminateError exactly when the form is singular at w,
     that is when w is a root of the Alexander polynomial det(x V - V^T).
-    precision_bits is the starting precision of the certified interval
-    evaluation used for a sign that floats cannot settle; it is doubled
-    until the sign is certain, so it never changes the answer.
+    precision_bits is the starting precision of the fixed-point sign
+    evaluation; it is doubled until the sign is certain, so it never
+    changes the answer.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
@@ -233,46 +224,85 @@ def _real_sign(coeffs, depth, k, d, precision_bits):
 
     conj(w) - 1 = 2 sin(theta / 2) exp(-i (theta + pi) / 2) with
     theta = 2 pi k / d, so up to a positive factor D is the sum of
-    c_j exp(i pi t_j / (2 d)) with t_j = 4 j k - depth (2 k + d). D is a
-    minor of a Hermitian matrix, so it is real: an imaginary part that is
-    certainly nonzero raises ArithmeticError.
+    c_j exp(i pi t_j / (2 d)) with t_j = 4 j k - depth (2 k + d). Over the
+    table of _unit_circle its real and imaginary parts are exact integer
+    sums, each within sum |c_j| units of 2^bits times the true value, and
+    bits doubles from precision_bits until that bound settles the sign,
+    which it does because the value is nonzero. D is a minor of a
+    Hermitian matrix, so it is real: an imaginary part that is certainly
+    nonzero raises ArithmeticError.
     """
     turns = [(4 * j * k - depth * (2 * k + d)) % (4 * d) for j in range(len(coeffs))]
     total = sum(map(abs, coeffs))
-    if total.bit_length() <= _FLOAT_BITS:
-        step = math.pi / (2 * d)
-        re = math.fsum(c * math.cos(step * t) for c, t in zip(coeffs, turns) if c)
-        im = math.fsum(c * math.sin(step * t) for c, t in zip(coeffs, turns) if c)
-        err = total * _FLOAT_MARGIN
-        if abs(im) > err:
-            raise ArithmeticError(f"a minor of H(w) has imaginary part {im!r}: the form is not Hermitian")
-        if abs(re) > err:
-            return 1 if re > 0 else -1
-    return _interval_sign(coeffs, turns, d, precision_bits)
-
-
-def _interval_sign(coeffs, turns, d, bits):
-    """The sign in _real_sign, from mpmath interval arithmetic starting at
-    `bits` of precision and doubling until the interval excludes zero,
-    which it does once narrow enough because the value is nonzero."""
-    # A private context, so that setting its precision leaves the shared
-    # mpmath.iv untouched.
-    from mpmath.ctx_iv import MPIntervalContext
-
-    ctx = MPIntervalContext()
+    bits = precision_bits
     while True:
-        ctx.prec = bits
-        step = ctx.pi / (2 * d)
-        re = im = ctx.mpf(0)
+        cos, sin = _unit_circle(d, bits)
+        re = im = 0
         for c, t in zip(coeffs, turns):
             if c:
-                re += c * ctx.cos(step * t)
-                im += c * ctx.sin(step * t)
-        if 0 not in im:
-            raise ArithmeticError(f"a minor of H(w) has imaginary part {im}: the form is not Hermitian")
-        if 0 not in re:
+                re += c * cos[t]
+                im += c * sin[t]
+        if abs(im) > total:
+            raise ArithmeticError(f"a minor of H(w) has imaginary part {im} / 2^{bits}: "
+                                  f"the form is not Hermitian")
+        if abs(re) > total:
             return 1 if re > 0 else -1
         bits *= 2
+
+
+@lru_cache(maxsize=64)
+def _unit_circle(d, bits):
+    """Two tuples of integers within one unit of 2^bits cos(pi t / 2d) and
+    2^bits sin(pi t / 2d), for t in [0, 4d).
+
+    Everything runs at p = bits + g working bits, g = 2 bitlen(bits + d)
+    + 8 guard bits, so 2^(g - 1) > 128 (bits + d)^2. Machin's pi =
+    16 atan(1/5) - 4 atan(1/239) is within 5p + 40 units (_atan_inv), so
+    the step y = pi / 2d is within 3p + 21, and cos y and sin y move by
+    at most that. The Taylor terms 2^p y^i / i! are each truncated once
+    after a factor below 2, so each carries under 2 units; they stop at
+    the first zero term, within p + 3 terms and with a tail below 4
+    units, so each sum adds under p + 8 units. The step z = exp(i y) is
+    thus within E = 6p + 42 units as a complex number. Each power
+    z^(r + 1) = z^r z adds under E + 2 units to the error of z^r and
+    scales it by |z| <= 1 + E / 2^p, so z^r for r < d is within
+    2 d (E + 2) <= d (12p + 88) < 2^(g - 1) units, and each of its parts
+    within one unit once rounded to scale 2^bits. The other quadrants
+    are quarter turns of the first.
+    """
+    guard = 2 * (bits + d).bit_length() + 8
+    p = bits + guard
+    y = (16 * _atan_inv(5, p) - 4 * _atan_inv(239, p)) // (2 * d)
+    parts = [0, 0, 0, 0]  # the Taylor terms with i = 0, 1, 2, 3 mod 4
+    term, i = 1 << p, 0
+    while term:
+        parts[i % 4] += term
+        i += 1
+        term = (term * y >> p) // i
+    step_c, step_s = parts[0] - parts[2], parts[1] - parts[3]
+    half = 1 << (guard - 1)
+    quarter, c, s = [], 1 << p, 0
+    for _ in range(d):
+        quarter.append(((c + half) >> guard, (s + half) >> guard))
+        c, s = (c * step_c - s * step_s) >> p, (s * step_c + c * step_s) >> p
+    cos, sin = [], []
+    for _ in range(4):
+        cos += (c for c, _ in quarter)
+        sin += (s for _, s in quarter)
+        quarter = [(-s, c) for c, s in quarter]
+    return tuple(cos), tuple(sin)
+
+
+def _atan_inv(x, p):
+    """2^p atan(1/x) for an integer x > 1, within p/4 + 2 units: each term
+    floor(2^p / ((2i + 1) x^(2i + 1))) is an exact floor, and the
+    alternating tail is below the first term that floors to zero."""
+    total, power, i = 0, (1 << p) // x, 1
+    while power:
+        total += power // i if i % 4 == 1 else -(power // i)
+        power //= x * x
+        i += 2
+    return total
 
 
 @dataclass(frozen=True)
@@ -411,25 +441,3 @@ def ribbon_test(xi, rank_h1_cover, n):
     if all(abs(c) > bound for c in xi.candidates):
         return RIBBON_OBSTRUCTED
     return RIBBON_CONSISTENT
-
-
-def cover_signature(sigma_x, euler_branch, xi_contributions, n):
-    """Signature of the n-fold branched cover from base data:
-    n * sigma(X) - (n - 1)/4 * e(B) - sum of xi contributions.
-
-    The branching surface's self-intersection e(B) must be even. The
-    result is an exact rational.
-    """
-    require_odd(n)
-    if n < 1:
-        raise ValueError(f"cover order must be positive, got {n}")
-    if not isinstance(sigma_x, int) or isinstance(sigma_x, bool):
-        raise TypeError(f"sigma_x must be an integer, got {sigma_x!r}")
-    if not isinstance(euler_branch, int) or isinstance(euler_branch, bool):
-        raise TypeError(f"euler_branch must be an integer, got {euler_branch!r}")
-    if euler_branch % 2 != 0:
-        raise ValueError(f"self-intersection of the branching surface must be even, got {euler_branch}")
-    total = Fraction(n * sigma_x) - Fraction((n - 1) * euler_branch, 4)
-    for x in xi_contributions:
-        total -= Fraction(x)
-    return total

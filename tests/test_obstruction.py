@@ -142,9 +142,9 @@ class TestSurjectiveCharacters:
         group = double_cover_homology(NINE_37)
         form = linking_form(group)
         with pytest.raises(ValueError):
-            Character(form, group.element((0, 0)), 3)
+            Character(form, GroupElement((0, 0)), 3)
         with pytest.raises(ValueError):
-            Character(form, group.element((0, 1)), 3)
+            Character(form, GroupElement((0, 1)), 3)
 
 
 class TestCharacter:
@@ -153,25 +153,31 @@ class TestCharacter:
             d = knot_determinant(v)
             group = double_cover_homology(v)
             form = linking_form(group)
-            gens = [group.element(tuple(int(i == j) for j in range(group.rank)))
-                    for i in range(group.rank)]
             for n in (3, 5, 7, 9):
                 if d % n:
                     continue
                 for ch in surjective_characters(group, form, n):
                     assert ch.evaluate(ch.c) == ch.self_linking()
-                    assert tuple(ch.evaluate(g) for g in gens) == ch.values()
+                    assert _on_generators(ch) == _residue_row(form, ch)
 
     def test_values_match_residue_matrix(self):
-        # oracle: sum_i c_i lk(g_i, g_j) from the tabulated residues
         group = double_cover_homology(NINE_37)
         form = linking_form(group)
         for ch in surjective_characters(group, form, 3):
-            want = tuple(
-                ResidueQZ.of(sum(x * row[j].value for x, row in zip(ch.c.coords, form.matrix)))
-                for j in range(group.rank)
-            )
-            assert ch.values() == want
+            assert _on_generators(ch) == _residue_row(form, ch)
+
+
+def _on_generators(ch):
+    rank = ch.form.group.rank
+    return tuple(ch.evaluate(GroupElement(tuple(int(i == j) for j in range(rank))))
+                 for i in range(rank))
+
+
+def _residue_row(form, ch):
+    """Oracle for _on_generators: sum_i c_i lk(g_i, g_j) from the
+    tabulated residues."""
+    return tuple(ResidueQZ.of(sum(x * row[j].value for x, row in zip(ch.c.coords, form.matrix)))
+                 for j in range(form.group.rank))
 
 
 class TestQuotientClasses:
@@ -257,7 +263,7 @@ class TestVerdict:
     def test_trivial_element_flagged(self):
         group = double_cover_homology(twist_knot(-1))
         form = linking_form(group)
-        vd = verdict(form, group.element((0,)), n=3)
+        vd = verdict(form, GroupElement((0,)), n=3)
         assert vd.extends
         assert not vd.surjective
 
@@ -265,7 +271,7 @@ class TestVerdict:
         group = double_cover_homology(twist_knot(-1))
         form = linking_form(group)
         with pytest.raises(ValueError):
-            verdict(form, group.element((1,)))
+            verdict(form, GroupElement((1,)))
 
     def test_unit_action_invariance(self, corpus):
         # each class stores its representative's verdict; every member u*c

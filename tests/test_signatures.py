@@ -20,7 +20,6 @@ from dihedral import (
     SignatureIndeterminateError,
     characteristic_knot_classes,
     connected_sum,
-    cover_signature,
     ribbon_test,
     tristram_levine,
     twist_knot,
@@ -152,23 +151,50 @@ class TestTristramLevine:
                 if want is not None or got is None:
                     assert got == want, (v, omega)
 
-    def test_large_entries_use_interval_fallback(self, monkeypatch):
+    def test_large_entries_double_precision(self, monkeypatch):
         v = _near_isotropic(10 ** 12)
-        calls = []
-        fallback = signatures._interval_sign
-
-        def spy(*args):
-            calls.append(args)
-            return fallback(*args)
-
-        monkeypatch.setattr(signatures, "_interval_sign", spy)
         want = eigh_signature(v, (1, 5), precision_bits=256)
-        assert tristram_levine(v, (1, 5)) == want == 2
-        assert len(calls) == 1
-        # the starting precision of the fallback never changes the answer
-        for bits in (2, 16, 1024):
+        assert want == 2
+        tables = []
+        table = signatures._unit_circle
+
+        def spy(d, bits):
+            tables.append(bits)
+            return table(d, bits)
+
+        monkeypatch.setattr(signatures, "_unit_circle", spy)
+        # the starting precision never changes the answer
+        for bits in (2, 16, 128, 1024):
+            tables.clear()
             assert tristram_levine(v, (1, 5), precision_bits=bits) == want
-        assert len(calls) == 4
+            # each sign's search starts at precision_bits and doubles
+            assert all(b == bits or b == 2 * a for a, b in zip(tables, tables[1:]))
+            if bits == 2:
+                # the second minor needs more bits than a float carries
+                assert max(tables) >= 128
+            if bits == 1024:
+                assert tables == [1024] * 4  # one table per sign
+
+    def test_large_entries_leave_mpmath_out(self):
+        rows = _near_isotropic(10 ** 12).matrix.to_lists()
+        code = ("import ast, sys; sys.path.insert(0, sys.argv[1]); import dihedral; "
+                "v = dihedral.SeifertMatrix(ast.literal_eval(sys.argv[2])); "
+                "print(dihedral.tristram_levine(v, (1, 5), precision_bits=2), 'mpmath' in sys.modules)")
+        done = subprocess.run([sys.executable, "-I", "-c", code, SRC, repr(rows)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "False"]
+
+    def test_unit_circle_table_within_one_unit(self):
+        for bits in (64, 128, 1024):
+            with mpmath.workprec(2 * bits):
+                for d in range(1, 31):
+                    cos, sin = signatures._unit_circle(d, bits)
+                    assert len(cos) == len(sin) == 4 * d
+                    for t in range(4 * d):
+                        x = mpmath.mpf(t) / (2 * d)
+                        assert abs(cos[t] - mpmath.ldexp(mpmath.cospi(x), bits)) < 1, (d, bits, t)
+                        assert abs(sin[t] - mpmath.ldexp(mpmath.sinpi(x), bits)) < 1, (d, bits, t)
 
     def test_precision_bits_validation(self):
         with pytest.raises(TypeError):
@@ -195,8 +221,7 @@ class TestTristramLevine:
         code = (
             "from dihedral import signatures as s\n"
             "for call in (lambda: s._exact_quotient(7, 2),\n"
-            "             lambda: s._real_sign([1], 1, 1, 3, 64),\n"
-            "             lambda: s._interval_sign([1], [7], 3, 64)):\n"
+            "             lambda: s._real_sign([1], 1, 1, 3, 64)):\n"
             "    try:\n"
             "        call()\n"
             "    except ArithmeticError:\n"
@@ -312,13 +337,3 @@ class TestRibbon:
         # one candidate inside the bound keeps the knot ribbon-possible
         val = twist_xi3(2)  # candidates -1, 1
         assert ribbon_test(val, 0, 3) == RIBBON_CONSISTENT
-
-
-class TestCoverSignature:
-    def test_arithmetic(self):
-        got = cover_signature(-2, 4, (Fraction(1), Fraction(-1)), 3)
-        assert got == Fraction(3 * -2) - Fraction(2 * 4, 4) - 0
-
-    def test_even_euler_required(self):
-        with pytest.raises(ValueError):
-            cover_signature(0, 3, (), 3)
