@@ -15,11 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .exact import IntMatrix, ResidueQZ, snf
+from .exact import IntMatrix, ResidueQZ, _check_int, snf
 from .seifert import SeifertMatrix, _smith_form, symmetrize
 
 __all__ = [
-    "GroupElement",
     "TorsionGroup",
     "LinkingForm",
     "double_cover_homology",
@@ -27,26 +26,6 @@ __all__ = [
     "evaluate_linking",
     "self_linking",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Coordinates of a torsion-group element, one per cyclic factor,
-    each reduced into [0, d_i)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        for i, x in enumerate(self.coords):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"coordinate {i} is not an integer: {x!r}")
-
-    @property
-    def is_trivial(self):
-        return all(x == 0 for x in self.coords)
-
-    def __repr__(self):
-        return f"GroupElement({list(self.coords)!r})"
 
 
 class _Smith:
@@ -163,9 +142,8 @@ class TorsionGroup:
         return self._factors[-1] if self._factors else 1
 
     def elements(self):
-        """All elements, in lexicographic coordinate order."""
-        for c in itertools.product(*(range(d) for d in self._factors)):
-            yield GroupElement(c)
+        """All elements as coordinate tuples, in lexicographic order."""
+        return itertools.product(*(range(d) for d in self._factors))
 
     def coords_of(self, vec):
         """Coordinates of the class of an ambient integer vector.
@@ -186,7 +164,7 @@ class TorsionGroup:
         diff = [x - sum(c * g[i] for c, g in zip(coords, self._gens)) for i, x in enumerate(v)]
         if any(x % d for x, d in zip(self._smith.coords(diff), self._factors)):
             raise ArithmeticError("coordinate solve failed its self-check")
-        return GroupElement(coords)
+        return coords
 
     def __eq__(self, other):
         return (
@@ -310,16 +288,23 @@ def evaluate_linking(a, u, v):
     return ResidueQZ.of(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
 
 
+def _element(group, c):
+    """The one check of an element of H from outside: c must hold one int
+    (not bool) per invariant factor d_i, each in [0, d_i). Returns c as
+    a tuple."""
+    c = tuple(c)
+    factors = group.invariant_factors
+    if len(c) != len(factors):
+        raise ValueError(f"expected {len(factors)} coordinates, got {len(c)}")
+    for i, (x, d) in enumerate(zip(c, factors)):
+        if not 0 <= _check_int(x, f"coordinate {i}") < d:
+            raise ValueError(f"coordinate {i} = {x} is outside [0, {d})")
+    return c
+
+
 def self_linking(form, c):
-    """lk(c, c) for an element given by coordinates on the form's group."""
+    """lk(c, c) for an element given by its coordinate tuple on the form's group."""
     if not isinstance(form, LinkingForm):
         raise TypeError("self_linking expects a LinkingForm")
-    if not isinstance(c, GroupElement):
-        raise TypeError("self_linking expects a GroupElement")
-    factors = form.group.invariant_factors
-    if len(c.coords) != len(factors):
-        raise ValueError(f"expected {len(factors)} coordinates, got {len(c.coords)}")
-    for i, (x, d) in enumerate(zip(c.coords, factors)):
-        if not 0 <= x < d:
-            raise ValueError(f"coordinate {i} = {x} is outside [0, {d})")
-    return ResidueQZ.of(form.pair(c.coords, c.coords), form.exponent)
+    c = _element(form.group, c)
+    return ResidueQZ.of(form.pair(c, c), form.exponent)

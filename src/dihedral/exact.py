@@ -83,11 +83,6 @@ class IntMatrix:
     def cols(self):
         return len(self._rows[0]) if self._rows else 0
 
-    @property
-    def entries(self):
-        """All entries, row-major."""
-        return tuple(x for r in self._rows for x in r)
-
     def row(self, i):
         return self._rows[i]
 

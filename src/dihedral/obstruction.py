@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add, attrgetter
 
-from .cover import GroupElement, LinkingForm, TorsionGroup, double_cover_homology, linking_form, self_linking
+from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
 from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
 from .exact import ResidueQZ, _check_int
 from .seifert import SeifertMatrix, _characteristic_value, _smith_form, symmetrize
@@ -38,7 +38,6 @@ __all__ = [
     "QuotientClass",
     "ExtensionVerdict",
     "CharKnotClass",
-    "enumerate_isotropic",
     "surjective_characters",
     "quotient_classes",
     "verdict",
@@ -79,33 +78,27 @@ def _image_order(form, coords):
 @dataclass(frozen=True)
 class Character:
     """A character of the double-cover homology with image exactly the
-    order-n subgroup of Q/Z, named by the element c representing it
-    through the linking form."""
+    order-n subgroup of Q/Z, named by the element c (a coordinate tuple)
+    representing it through the linking form."""
 
     form: LinkingForm
-    c: GroupElement
+    c: tuple
     n: int
 
     def __post_init__(self):
         require_dihedral_order(self.n)
-        factors = self.form.group.invariant_factors
-        if len(self.c.coords) != len(factors):
-            raise ValueError(f"expected {len(factors)} coordinates, got {len(self.c.coords)}")
-        for i, (x, d) in enumerate(zip(self.c.coords, factors)):
-            if not 0 <= x < d:
-                raise ValueError(f"coordinate {i} = {x} is outside [0, {d})")
-        got = _image_order(self.form, self.c.coords)
+        object.__setattr__(self, "c", _element(self.form.group, self.c))
+        got = _image_order(self.form, self.c)
         if got != self.n:
             raise ValueError(f"character image has order {got}, expected {self.n}")
 
     def evaluate(self, x):
-        """The character on an arbitrary element given by coordinates."""
-        if not isinstance(x, GroupElement):
-            raise TypeError("evaluate expects a GroupElement")
-        return ResidueQZ.of(self.form.pair(self.c.coords, x.coords), self.form.exponent)
+        """The character on an element given by its coordinate tuple."""
+        x = _element(self.form.group, x)
+        return ResidueQZ.of(self.form.pair(self.c, x), self.form.exponent)
 
     def self_linking(self):
-        return self_linking(self.form, self.c)
+        return ResidueQZ.of(self.form.pair(self.c, self.c), self.form.exponent)
 
 
 @dataclass(frozen=True)
@@ -146,15 +139,6 @@ class QuotientClass:
 
     def __len__(self):
         return len(self.members)
-
-
-def enumerate_isotropic(form, n, *, enum_cap=DEFAULT_ENUM_CAP):
-    """All elements with vanishing self-linking, the trivial one included,
-    in lexicographic coordinate order."""
-    require_dihedral_order(n)
-    group = form.group
-    _check_cap("torsion group", group.order, enum_cap)
-    return tuple(c for c in group.elements() if form.pair(c.coords, c.coords) == 0)
 
 
 def _walk(n, factors, enum_cap, what, v=None):
@@ -241,19 +225,15 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     surface columns, so any basis of the group will do. The form is
     nondegenerate, so chi_c has image order n exactly when c has order n;
     the walk's primitivity test is that one check, and it skips the
-    validation of GroupElement and Character.
+    validation of Character.
     """
     require_dihedral_order(n)
     if not isinstance(group, TorsionGroup):
         raise TypeError("surjective_characters expects a TorsionGroup")
     if form.group != group:
         raise ValueError("linking form does not belong to the given group")
-    out = []
-    for coords, _, _ in _walk(n, group.invariant_factors, enum_cap, f"n-torsion subgroup H[{n}]"):
-        c = object.__new__(GroupElement)
-        object.__setattr__(c, "coords", coords)
-        out.append(_character(form, c, n))
-    return tuple(out)
+    leaves = _walk(n, group.invariant_factors, enum_cap, f"n-torsion subgroup H[{n}]")
+    return tuple(_character(form, c, n) for c, _, _ in leaves)
 
 
 def quotient_classes(chars, n):
@@ -277,7 +257,7 @@ def quotient_classes(chars, n):
             raise ValueError(f"character has order {ch.n}, expected {n}")
         if ch.form != form:
             raise ValueError("characters live on different linking forms")
-        by_coords[ch.c.coords] = ch
+        by_coords[ch.c] = ch
     classes = []
     for _, orbit in _orbits(sorted(by_coords), form.group.invariant_factors, n):
         members = tuple(by_coords[c] for c in orbit)
@@ -297,28 +277,27 @@ def _scope_tags(extends, n):
 def verdict(form, c, n=None):
     """Extension verdict for a character, or for a bare element.
 
-    A Character carries its own n. A bare GroupElement needs n passed
-    explicitly; the degenerate (non-surjective) cases, the trivial
-    element included, are allowed and flagged through the surjective
-    field.
+    A Character carries its own n. A bare element, given as a coordinate
+    tuple, needs n passed explicitly; the degenerate (non-surjective)
+    cases, the trivial element included, are allowed and flagged through
+    the surjective field.
     """
+    if not isinstance(form, LinkingForm):
+        raise TypeError("verdict expects a LinkingForm")
     if isinstance(c, Character):
         if n is not None and n != c.n:
             raise ValueError(f"character has order {c.n}, but n = {n} was passed")
         n = c.n
         if form != c.form:
             raise ValueError("character does not live on the given form")
-        elem = c.c
-        surjective = True
-    elif isinstance(c, GroupElement):
+        elem, surjective = c.c, True
+    else:
         if n is None:
             raise ValueError("a bare element needs an explicit n")
         require_dihedral_order(n)
-        elem = c
-        surjective = _image_order(form, elem.coords) == n
-    else:
-        raise TypeError("verdict expects a Character or a GroupElement")
-    return _verdict(self_linking(form, elem), n, surjective)
+        elem = _element(form.group, c)
+        surjective = _image_order(form, elem) == n
+    return _verdict(ResidueQZ.of(form.pair(elem, elem), form.exponent), n, surjective)
 
 
 def _verdict(sl, n, surjective=True):
@@ -433,7 +412,7 @@ def _extension_walk(v, form, n, enum_cap):
         got = form.pair(members[0], members[0])
         _check_linking(got, e, cks[i].form_value_mod_n2(), n)
         classes.append((tuple(members), _verdict(ResidueQZ.of(got, e), n)))
-    if cks and char_knot_to_character(v, cks[0], form).c.coords != leaves[0][0]:
+    if cks and char_knot_to_character(v, cks[0], form).c != leaves[0][0]:
         raise ArithmeticError(f"class {list(cks[0].beta)} maps to another character than "
                               f"the walk's {leaves[0][0]}; routes disagree at n={n}")
     cks.sort(key=attrgetter("beta"))
@@ -470,8 +449,8 @@ def char_knot_to_character(v, beta, form=None):
     w2 = tuple(x // n for x in a.apply(shifted))
     if group.coords_of(w2) != c:
         raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
-    _check_linking(form.pair(c.coords, c.coords), form.exponent, beta.form_value_mod_n2(), n)
-    if _image_order(form, c.coords) != n:
+    _check_linking(form.pair(c, c), form.exponent, beta.form_value_mod_n2(), n)
+    if _image_order(form, c) != n:
         raise ArithmeticError(
             "characteristic class produced a non-surjective character; input is corrupt"
         )

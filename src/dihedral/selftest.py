@@ -20,7 +20,6 @@ from .obstruction import (
     characteristic_knot_classes,
     char_knot_to_character,
     cyclic_criterion,
-    enumerate_isotropic,
     quotient_classes,
     seifert_criterion,
     surjective_characters,
@@ -82,8 +81,9 @@ def check_linking_values():
 
 
 def check_isotropic_set():
-    form = linking_form(_group_9_37())
-    got = tuple(c.coords for c in enumerate_isotropic(form, 3))
+    group = _group_9_37()
+    form = linking_form(group)
+    got = tuple(c for c in group.elements() if form.pair(c, c) == 0)
     _want(got, ((0, 0), (0, 5), (0, 10), (1, 5), (2, 10)), "9_37 isotropic set")
 
 
@@ -97,7 +97,7 @@ def check_quotient_classes():
     _want(sum(qc.extends for qc in classes), 2, "9_37 extendable class count")
     for qc in classes:  # the representative's verdict holds for the whole orbit
         for ch in qc.members:
-            _want(verdict(form, ch), qc.verdict, f"9_37 verdict of {ch.c.coords}")
+            _want(verdict(form, ch), qc.verdict, f"9_37 verdict of {ch.c}")
     iso = tuple(c for c in chars if c.self_linking().is_zero)
     iso_classes = quotient_classes(iso, 3)
     _want(len(iso_classes), 2, "9_37 isotropic class count")
@@ -143,9 +143,9 @@ def check_route_bijection():
     form = linking_form(double_cover_homology(v))
     for n in (3, 5, 15):
         classes = quotient_classes(surjective_characters(form.group, form, n), n)
-        verdicts = {ch.c.coords: qc.extends for qc in classes for ch in qc.members}
+        verdicts = {ch.c: qc.extends for qc in classes for ch in qc.members}
         cks = characteristic_knot_classes(v, n)
-        hit = {char_knot_to_character(v, ck, form).c.coords: seifert_criterion(v, ck)
+        hit = {char_knot_to_character(v, ck, form).c: seifert_criterion(v, ck)
                for ck in cks}
         _want((len(cks), hit), (len(verdicts), verdicts), f"9_37 classes to characters at n={n}")
     _want(tuple(b.n for b in analyze(v, [3, 5, 15]).blocks), (3, 5, 15), "9_37 checked blocks")

@@ -44,6 +44,10 @@ RIBBON_CONSISTENT = "consistent-with-ribbon"
 RIBBON_OBSTRUCTED = "not-ribbon"
 
 DEFAULT_PRECISION_BITS = 128
+# The largest starting precision. A table at p bits costs about p / log p
+# products of p-bit integers, so a start far above what a sign needs is
+# slow; the doubling may still climb past this bound.
+_MAX_PRECISION_BITS = 4096
 
 
 def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
@@ -53,8 +57,8 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     SignatureIndeterminateError exactly when the form is singular at w,
     that is when w is a root of the Alexander polynomial det(x V - V^T).
     precision_bits is the starting precision of the fixed-point sign
-    evaluation; it is doubled until the sign is certain, so it never
-    changes the answer.
+    evaluation, in [2, 4096]; it is doubled until the sign is certain,
+    so it never changes the answer.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
@@ -65,8 +69,9 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
         raise ValueError(f"omega exponent must satisfy 0 < k < n, got k={k}, n={n}")
     if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
         raise TypeError(f"precision_bits must be an integer, got {precision_bits!r}")
-    if precision_bits < 2:
-        raise ValueError(f"precision_bits must be at least 2, got {precision_bits}")
+    if not 2 <= precision_bits <= _MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be in [2, {_MAX_PRECISION_BITS}], "
+                         f"got {precision_bits}")
     if v.size == 0:
         return 0
     g = math.gcd(k, n)
@@ -363,7 +368,8 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     sigma_w is the cover-signature correction: an exact int, or a
     SigmaWBound when only its magnitude is known. The result is the
     linking term (n^2 - 1)/(6n) * beta^T A beta, plus sigma_w, plus
-    the characteristic knot's signatures at all n-th roots of unity.
+    the characteristic knot's signatures at all n-th roots of unity,
+    each from the starting precision_bits, in [2, 4096].
     """
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):

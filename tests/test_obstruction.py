@@ -28,7 +28,6 @@ from dihedral import (
     characteristic_knot_classes,
     cyclic_criterion,
     double_cover_homology,
-    enumerate_isotropic,
     is_characteristic_class,
     knot_determinant,
     linking_form,
@@ -41,7 +40,7 @@ from dihedral import (
     verdict,
 )
 from dihedral import obstruction
-from dihedral.cover import GroupElement, LinkingForm, TorsionGroup
+from dihedral.cover import LinkingForm, TorsionGroup
 from dihedral.exact import IntMatrix
 from dihedral.obstruction import _walk
 from dihedral.seifert import _smith_form
@@ -73,25 +72,19 @@ def element_order(group, coords):
                       for x, d in zip(coords, group.invariant_factors)))
 
 
+def isotropic(form):
+    """The elements of vanishing self-linking, the trivial one included."""
+    return [c for c in form.group.elements() if form.pair(c, c) == 0]
+
+
 class TestIsotropic:
     def test_nine37_count(self):
         form = linking_form(double_cover_homology(NINE_37))
-        assert len(enumerate_isotropic(form, 3)) == 5
+        assert len(isotropic(form)) == 5
 
     def test_trefoil_only_zero(self):
         form = linking_form(double_cover_homology(twist_knot(-1)))
-        iso = enumerate_isotropic(form, 3)
-        assert len(iso) == 1 and iso[0].is_trivial
-
-    def test_cap(self):
-        form = linking_form(double_cover_homology(NINE_37))
-        with pytest.raises(EnumerationCapError):
-            enumerate_isotropic(form, 3, enum_cap=10)
-
-    def test_even_n(self):
-        form = linking_form(double_cover_homology(NINE_37))
-        with pytest.raises(EvenModulusError):
-            enumerate_isotropic(form, 2)
+        assert isotropic(form) == [(0,)]
 
 
 class TestSurjectiveCharacters:
@@ -105,12 +98,8 @@ class TestSurjectiveCharacters:
             for n in (3, 5, 7, 9):
                 if d % n:
                     continue
-                got = {ch.c.coords for ch in surjective_characters(group, form, n)}
-                want = {
-                    c.coords
-                    for c in group.elements()
-                    if not c.is_trivial and element_order(group, c.coords) == n
-                }
+                got = {ch.c for ch in surjective_characters(group, form, n)}
+                want = {c for c in group.elements() if element_order(group, c) == n}
                 assert got == want
 
     def test_nine37_count(self):
@@ -134,17 +123,25 @@ class TestSurjectiveCharacters:
         group = double_cover_homology(twist_knot(5))
         form = linking_form(group)
         chars = surjective_characters(group, form, 3, enum_cap=5)
-        assert [ch.c.coords for ch in chars] == [(7,), (14,)]
+        assert [ch.c for ch in chars] == [(7,), (14,)]
         with pytest.raises(EnumerationCapError, match=r"H\[3\] has 3 elements"):
             surjective_characters(group, form, 3, enum_cap=2)
+
+    def test_even_n(self):
+        group = double_cover_homology(NINE_37)
+        form = linking_form(group)
+        with pytest.raises(EvenModulusError):
+            surjective_characters(group, form, 2)
+        with pytest.raises(EvenModulusError):
+            verdict(form, (0, 0), n=2)
 
     def test_image_is_validated(self):
         group = double_cover_homology(NINE_37)
         form = linking_form(group)
-        with pytest.raises(ValueError):
-            Character(form, GroupElement((0, 0)), 3)
-        with pytest.raises(ValueError):
-            Character(form, GroupElement((0, 1)), 3)
+        with pytest.raises(ValueError, match="image has order 1"):
+            Character(form, (0, 0), 3)
+        with pytest.raises(ValueError, match="image has order 15"):
+            Character(form, (0, 1), 3)
 
 
 class TestCharacter:
@@ -169,15 +166,54 @@ class TestCharacter:
 
 def _on_generators(ch):
     rank = ch.form.group.rank
-    return tuple(ch.evaluate(GroupElement(tuple(int(i == j) for j in range(rank))))
-                 for i in range(rank))
+    return tuple(ch.evaluate(tuple(int(i == j) for j in range(rank))) for i in range(rank))
 
 
 def _residue_row(form, ch):
     """Oracle for _on_generators: sum_i c_i lk(g_i, g_j) from the
     tabulated residues."""
-    return tuple(ResidueQZ.of(sum(x * row[j].value for x, row in zip(ch.c.coords, form.matrix)))
+    return tuple(ResidueQZ.of(sum(x * row[j].value for x, row in zip(ch.c, form.matrix)))
                  for j in range(form.group.rank))
+
+
+def _element_takers():
+    """The four entry points that take an element of H from outside, on
+    9_37 at n = 3; each runs the one element check of dihedral.cover."""
+    form = linking_form(double_cover_homology(NINE_37))
+    ch = surjective_characters(form.group, form, 3)[0]
+    return {
+        "Character": lambda c: Character(form, c, 3),
+        "Character.evaluate": ch.evaluate,
+        "self_linking": lambda c: self_linking(form, c),
+        "verdict": lambda c: verdict(form, c, n=3),
+    }
+
+
+ELEMENT_TAKERS = sorted(_element_takers())
+
+
+@pytest.mark.parametrize("taker", ELEMENT_TAKERS)
+class TestElementBoundary:
+    # H = Z3 + Z15 on the Smith basis; (1, 5) has order 3
+
+    def test_accepts_a_tuple_or_a_list(self, taker):
+        take = _element_takers()[taker]
+        assert take((1, 5)) == take([1, 5])
+
+    @pytest.mark.parametrize("c, message", [
+        ((1,), "expected 2 coordinates, got 1"),
+        ((1, 0, 7), "expected 2 coordinates, got 3"),
+        ((1, 15), r"coordinate 1 = 15 is outside \[0, 15\)"),
+        ((-1, 5), r"coordinate 0 = -1 is outside \[0, 3\)"),
+    ], ids=["short", "long", "above-range", "negative"])
+    def test_rejects_malformed(self, taker, c, message):
+        with pytest.raises(ValueError, match=message):
+            _element_takers()[taker](c)
+
+    @pytest.mark.parametrize("c", [(1.0, 5), (1, True)], ids=["float", "bool"])
+    def test_non_int_coordinate(self, taker, c):
+        with pytest.raises(TypeError, match="is not an integer"):
+            _element_takers()[taker](c)
 
 
 class TestQuotientClasses:
@@ -188,8 +224,8 @@ class TestQuotientClasses:
         classes = quotient_classes(chars, 3)
         assert len(classes) == 4
         assert sum(qc.extends for qc in classes) == 2
-        seen = [ch.c.coords for qc in classes for ch in qc.members]
-        assert sorted(seen) == sorted(ch.c.coords for ch in chars)
+        seen = [ch.c for qc in classes for ch in qc.members]
+        assert sorted(seen) == sorted(ch.c for ch in chars)
 
     def test_isotropic_subset(self):
         group = double_cover_homology(NINE_37)
@@ -212,8 +248,8 @@ class TestQuotientClasses:
                 classes = quotient_classes(chars, n)
                 units = [u for u in range(1, n) if math.gcd(u, n) == 1]
                 for qc in classes:
-                    coords = {ch.c.coords for ch in qc.members}
-                    rep = qc.members[0].c.coords
+                    coords = {ch.c for ch in qc.members}
+                    rep = qc.members[0].c
                     orbit = {
                         tuple((u * x) % f for x, f in
                               zip(rep, group.invariant_factors))
@@ -263,7 +299,7 @@ class TestVerdict:
     def test_trivial_element_flagged(self):
         group = double_cover_homology(twist_knot(-1))
         form = linking_form(group)
-        vd = verdict(form, GroupElement((0,)), n=3)
+        vd = verdict(form, (0,), n=3)
         assert vd.extends
         assert not vd.surjective
 
@@ -271,7 +307,14 @@ class TestVerdict:
         group = double_cover_homology(twist_knot(-1))
         form = linking_form(group)
         with pytest.raises(ValueError):
-            verdict(form, GroupElement((1,)))
+            verdict(form, (1,))
+
+    def test_form_type_checked(self):
+        group = double_cover_homology(twist_knot(-1))
+        ch = surjective_characters(group, linking_form(group), 3)[0]
+        for c in (ch, (1,)):
+            with pytest.raises(TypeError, match="expects a LinkingForm"):
+                verdict(group, c, n=3)
 
     def test_unit_action_invariance(self, corpus):
         # each class stores its representative's verdict; every member u*c
@@ -281,10 +324,10 @@ class TestVerdict:
             for qc in classes:
                 rep, stored = qc.representative, qc.verdict
                 assert stored == verdict(form, rep)
-                by_coords = {ch.c.coords: ch for ch in qc.members}
+                by_coords = {ch.c: ch for ch in qc.members}
                 for u in units:
                     member = by_coords[tuple((u * x) % d for x, d in
-                                             zip(rep.c.coords, form.group.invariant_factors))]
+                                             zip(rep.c, form.group.invariant_factors))]
                     scaled = ResidueQZ.of(u * u * stored.self_linking.value)
                     assert verdict(form, member) == dataclasses.replace(stored, self_linking=scaled)
 
@@ -449,13 +492,13 @@ class TestCharacterBridge:
         script = textwrap.dedent("""
             import itertools
             from dihedral import char_knot_to_character, characteristic_knot_classes, twist_knot
-            from dihedral.cover import GroupElement, TorsionGroup
+            from dihedral.cover import TorsionGroup
 
             solve, calls = TorsionGroup.coords_of, itertools.count()
 
             def lift_dependent(self, vec):
                 c = solve(self, vec)
-                return c if next(calls) % 2 == 0 else GroupElement(((c.coords[0] + 1) % 3,))
+                return c if next(calls) % 2 == 0 else ((c[0] + 1) % 3,)
 
             TorsionGroup.coords_of = lift_dependent
             v = twist_knot(-1)
@@ -478,18 +521,18 @@ class TestCharacterBridge:
         for v, n in walk_inputs(corpus):
             form = linking_form(double_cover_homology(v))
             classes = quotient_classes(surjective_characters(form.group, form, n), n)
-            reps = {qc.representative.c.coords: qc for qc in classes}
+            reps = {qc.representative.c: qc for qc in classes}
             seen = 0
             for c, beta, f in _walk(n, form.group.invariant_factors, None, "", v):
                 if c in reps:
                     ck = CharKnotClass(v, beta, n)
                     assert ck.form_value_mod_n2() == f % (n * n)
-                    assert char_knot_to_character(v, ck, form).c.coords == c
+                    assert char_knot_to_character(v, ck, form).c == c
                     assert reps[c].extends == (f % (n * n) == 0)
                     seen += 1
             assert seen == len(classes)
-            index = {ch.c.coords: i for i, qc in enumerate(classes) for ch in qc.members}
-            hit = {index[char_knot_to_character(v, ck, form).c.coords]
+            index = {ch.c: i for i, qc in enumerate(classes) for ch in qc.members}
+            hit = {index[char_knot_to_character(v, ck, form).c]
                    for ck in characteristic_knot_classes(v, n) if seifert_criterion(v, ck)}
             assert hit == {i for i, qc in enumerate(classes) if qc.extends}
 
@@ -531,7 +574,7 @@ class TestRouteChecks:
 
         def corrupted(self, vec):
             c = real(self, vec)
-            return GroupElement(tuple(2 * x % d for x, d in zip(c.coords, self.invariant_factors)))
+            return tuple(2 * x % d for x, d in zip(c, self.invariant_factors))
 
         monkeypatch.setattr(TorsionGroup, "coords_of", corrupted)
 

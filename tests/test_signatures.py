@@ -216,6 +216,39 @@ class TestTristramLevine:
                     prod = out
             assert prod == [-1] + [0] * (d - 1) + [1]
 
+    @pytest.mark.parametrize("call", ["tristram_levine", "xi_n"])
+    def test_starting_precision_bounded(self, call):
+        # a start above 4,096 bits is refused; 4,096 itself still runs
+        run = {
+            "tristram_levine": lambda bits: tristram_levine(TREFOIL, (1, 15), precision_bits=bits),
+            "xi_n": lambda bits: xi_n(twist_knot(2), (-1, 1), TREFOIL, 3, 0, precision_bits=bits),
+        }[call]
+        assert run(4096) == run(signatures.DEFAULT_PRECISION_BITS)
+        with pytest.raises(ValueError, match=r"in \[2, 4096\], got 4097"):
+            run(4097)
+
+    @pytest.mark.parametrize("offset", [0, 1, -1, 2, -2, 3, -3])
+    def test_hermitian_check_threshold(self, monkeypatch, offset):
+        # D = (conj(w) - 1)^2 (2 x + 3 x^4) at w = exp(2 pi i / 3) is real:
+        # both terms land on the angle pi, where the table is exact
+        # (cos -2^bits, sin 0). Sine entries off by u units make
+        # |im| = 5 |u| against sum |c_j| = 5. The proof allows one unit per
+        # entry, so |u| = 1 still decides the sign; |u| >= 2 is certainly
+        # not real and must raise.
+        table = signatures._unit_circle
+
+        def shifted(d, bits):
+            cos, sin = table(d, bits)
+            return cos, tuple(x + offset for x in sin)
+
+        monkeypatch.setattr(signatures, "_unit_circle", shifted)
+        coeffs, depth, k, d = [0, 2, 0, 0, 3], 2, 1, 3
+        if abs(offset) <= 1:
+            assert signatures._real_sign(coeffs, depth, k, d, 64) == -1
+        else:
+            with pytest.raises(ArithmeticError, match="not Hermitian"):
+                signatures._real_sign(coeffs, depth, k, d, 64)
+
     def test_internal_checks_raise_under_optimize(self):
         # the exact-division and Hermitian checks are not asserts
         code = (
@@ -332,6 +365,19 @@ class TestRibbon:
         val = twist_xi3(2)
         with pytest.raises(NonSquareFreeError):
             ribbon_test(val, 0, 9)
+
+    @pytest.mark.parametrize("n, square_free", [
+        (15, True), (105, True), (45, False), (75, False), (225, False),
+    ])
+    def test_square_free_scan_on_composite_n(self, n, square_free):
+        # the scan divides out each prime it meets: 75 = 3 * 5^2 finds 5^2
+        # only after dividing out 3
+        val = twist_xi3(2)  # candidates -1, 1, inside every bound here
+        if square_free:
+            assert ribbon_test(val, 0, n) == RIBBON_CONSISTENT
+        else:
+            with pytest.raises(NonSquareFreeError, match=f"got {n}"):
+                ribbon_test(val, 0, n)
 
     def test_obstruction_needs_all_candidates_out(self):
         # one candidate inside the bound keeps the knot ribbon-possible
