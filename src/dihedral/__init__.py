@@ -9,6 +9,10 @@ xi signature invariant with its ribbon obstruction.
 
 from types import ModuleType as _Module
 
+# The one definition of the version. It stands above the submodule imports
+# so that report can take Report.version from it; pyproject.toml reads it.
+__version__ = "0.1.0"
+
 from .errors import (
     CriterionInapplicableError, EnumerationCapError, EvenModulusError,
     MatrixParseError, NonSquareFreeError, SeifertMatrixError,
@@ -37,8 +41,6 @@ from .report import (
     KnotRecord, Report, RowError, TwistRow, analyze, parse_matrix, render_matrix,
     render_report_text, render_twist_text, scan, twist_family,
 )
-
-__version__ = "0.1.0"
 
 # Every public name imported above, stated there once.
 __all__ = sorted(name for name, value in globals().items()

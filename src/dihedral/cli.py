@@ -20,6 +20,7 @@ from . import selftest as selftest_mod
 from .errors import EnumerationCapError, require_printable
 from .obstruction import (
     DEFAULT_ENUM_CAP,
+    _enum_cap,
     characteristic_knot_classes,
     seifert_criterion,
 )
@@ -42,9 +43,7 @@ ENV_ENUM_CAP = "DIHEDRAL_ENUM_CAP"
 def _resolve_enum_cap(flag_value):
     """Apply the flag > environment > default precedence."""
     if flag_value is not None:
-        if flag_value < 1:
-            raise ValueError(f"enumeration cap must be >= 1, got {flag_value}")
-        return flag_value
+        return _enum_cap(flag_value)
     raw = os.environ.get(ENV_ENUM_CAP)
     if raw is not None:
         try:

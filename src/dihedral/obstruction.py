@@ -56,6 +56,14 @@ SCOPE_ALL_DIHEDRAL_IF_3_DIVIDES_N = "obstructs-all-if-3-divides-n"
 DEFAULT_ENUM_CAP = 1_000_000
 
 
+def _enum_cap(enum_cap):
+    """The one check of an enumeration cap from outside, made by every
+    entry point that walks: None (no cap) or an int >= 1, not a bool."""
+    if enum_cap is not None and _check_int(enum_cap, "enumeration cap") < 1:
+        raise ValueError(f"enumeration cap must be >= 1, got {enum_cap}")
+    return enum_cap
+
+
 def _check_cap(what, count, enum_cap):
     if enum_cap is not None and count > enum_cap:
         raise EnumerationCapError(
@@ -86,6 +94,8 @@ class Character:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.form, LinkingForm):
+            raise TypeError("Character expects a LinkingForm")
         require_dihedral_order(self.n)
         object.__setattr__(self, "c", _element(self.form.group, self.c))
         got = _image_order(self.form, self.c)
@@ -228,6 +238,7 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     validation of Character.
     """
     require_dihedral_order(n)
+    _enum_cap(enum_cap)
     if not isinstance(group, TorsionGroup):
         raise TypeError("surjective_characters expects a TorsionGroup")
     if form.group != group:
@@ -379,6 +390,7 @@ def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     form value mod n^2 and skips CharKnotClass's validation.
     """
     require_dihedral_order(n)
+    _enum_cap(enum_cap)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)

@@ -15,22 +15,21 @@ decimal string; rationals are {"num": "...", "den": "..."} with decimal
 strings. Output is fully deterministic.
 """
 
-import csv
 import functools
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from importlib import metadata
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
+from . import __version__
 from .cover import double_cover_homology, linking_form
 from .errors import EnumerationCapError, MatrixParseError, require_dihedral_order, require_printable
-from .exact import ResidueQZ
-from .obstruction import DEFAULT_ENUM_CAP, _extension_walk, seifert_criterion
+from .exact import ResidueQZ, _check_int
+from .obstruction import DEFAULT_ENUM_CAP, _enum_cap, _extension_walk, seifert_criterion
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
 from .signatures import ribbon_test, twist_xi3
@@ -58,11 +57,6 @@ __all__ = [
 
 SCHEMA = "dihedral-report/1"
 DEFAULT_N_MAX = 99
-
-try:
-    VERSION = metadata.version("dihedral")
-except metadata.PackageNotFoundError:
-    VERSION = "0+unknown"
 
 CONVENTIONS = (
     "linking values are u^T (V + V^T)^{-1} v reduced into [0,1)",
@@ -163,7 +157,7 @@ class Report:
     blocks: tuple
     skipped_n: tuple
     xi: object
-    version: str = VERSION
+    version: str = __version__
     conventions: tuple = CONVENTIONS
 
     def to_dict(self):
@@ -421,6 +415,7 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
         record = KnotRecord("knot", record)
     if not isinstance(record, KnotRecord):
         raise TypeError("analyze expects a KnotRecord or a SeifertMatrix")
+    _enum_cap(enum_cap)
     v = record.matrix
     # every other integer a report prints is bounded by the determinant
     d = require_printable(knot_determinant(v), "knot determinant")
@@ -464,10 +459,21 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     )
 
 
+def _utf8(s, what):
+    """s, or MatrixParseError when s holds a lone surrogate, which is how
+    scan reads a byte that is not UTF-8."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise MatrixParseError(f"{what} is not valid UTF-8 at character {e.start}") from None
+    return s
+
+
 def _census_rows(text, source):
     """Parse census text into (row_number, name, matrix-or-RowError).
     Only a line feed ends a row: a JSON string may hold U+2028, U+0085
-    and the other line boundaries str.splitlines() also breaks at."""
+    and the other line boundaries str.splitlines() also breaks at. A row
+    that is not UTF-8, or that the csv module cannot read, is a RowError."""
     lines = text.split("\n")
     first = next((ln for ln in lines if ln.strip()), "")
     rows = []
@@ -479,7 +485,7 @@ def _census_rows(text, source):
                 continue
             name = f"row {i}"
             try:
-                obj = _json_loads(line)
+                obj = _json_loads(_utf8(line, "census line"))
                 if not isinstance(obj, dict):
                     raise MatrixParseError("census line is not a JSON object")
                 name = obj.get("name") or name
@@ -499,39 +505,52 @@ def _census_rows(text, source):
                 rows.append((i, name, RowError(str(name), i, str(e))))
         return rows
 
-    reader = csv.reader(lines)
+    import csv
+
+    # each line keeps its line feed, so a quoted field spanning lines keeps it too
+    reader = csv.reader(ln + "\n" for ln in lines)
     try:
         header = next(reader)
-    except StopIteration:
-        raise MatrixParseError("census file is empty") from None
+    except csv.Error as e:
+        raise MatrixParseError(f"malformed census header: {e}") from None
     if [h.strip().lower() for h in header] != ["name", "seifert"]:
         raise MatrixParseError(
             f"census header must be name,seifert; got {','.join(header)!r}"
         )
-    for i, row in enumerate(reader, start=2):
+    for i in itertools.count(2):
+        name = f"row {i}"
+        try:
+            row = next(reader, None)
+        except csv.Error as e:  # a field above csv.field_size_limit()
+            rows.append((i, name, RowError(name, i, f"malformed CSV: {e}")))
+            continue
+        if row is None:
+            return rows
         if not row or all(not cell.strip() for cell in row):
             continue
-        name = row[0].strip() if row and row[0].strip() else f"row {i}"
         try:
+            name = _utf8(row[0], "name").strip() or name
             if len(row) != 2:
                 raise MatrixParseError(f"expected 2 columns, got {len(row)}")
-            v = parse_matrix(row[1])
+            v = parse_matrix(_utf8(row[1], "seifert field"))
             rows.append((i, name, KnotRecord(name, v, source=source)))
         except (MatrixParseError, ValueError, TypeError) as e:
             rows.append((i, name, RowError(name, i, str(e))))
-    return rows
 
 
 def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """Analyze a census file (CSV with a name,seifert header, or JSON
     lines with name and seifert fields), yielding one Report or
     RowError per row in input order. A bad row never stops the scan.
-    jobs below 1 is rejected with ValueError; the thread pool never has
-    more workers than os.cpu_count().
+    jobs must be an int >= 1 and enum_cap None or an int >= 1 (TypeError
+    or ValueError before any row is read). More than one job runs rows on
+    a thread pool, loaded only then, with at most os.cpu_count() workers.
     """
-    if jobs < 1:
+    if _check_int(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    with open(path, encoding="utf-8-sig") as fh:
+    _enum_cap(enum_cap)
+    # a byte that is not UTF-8 becomes a lone surrogate, and its row a RowError
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
     rows = _census_rows(text, source=str(path))
 
@@ -546,6 +565,8 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
 
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run, rows)
     else:
@@ -564,6 +585,7 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
         raise TypeError("twist range endpoints must be integers")
     if m_first > m_last:
         raise ValueError(f"empty twist range: {m_first} > {m_last}")
+    _enum_cap(enum_cap)
     from .seifert import twist_knot
 
     out = []

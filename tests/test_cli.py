@@ -318,6 +318,25 @@ class TestSelftest:
         assert "0 failed" in out
 
 
+class TestStartup:
+    # loaded only by what needs them: an installed-metadata lookup (none is
+    # made) and scan with more than one job
+    NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging")
+
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # measured against the modules the interpreter had before the import,
+        # since a site hook may load some of these on its own
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+                "import dihedral.cli; print(*sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60)
+        loaded = out.stdout.split()
+        assert "dihedral.cli" in loaded
+        assert [m for m in loaded
+                if any(m == p or m.startswith(p + ".") for p in self.NOT_LOADED)] == []
+
+
 class TestParserShape:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

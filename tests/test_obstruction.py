@@ -145,6 +145,12 @@ class TestSurjectiveCharacters:
 
 
 class TestCharacter:
+    @pytest.mark.parametrize("form", ["none", "torsion-group"])
+    def test_form_type_checked(self, form):
+        group = double_cover_homology(twist_knot(-1))
+        with pytest.raises(TypeError, match="Character expects a LinkingForm"):
+            Character(None if form == "none" else group, (1,), 3)
+
     def test_evaluate_matches_self_linking_and_values(self, corpus):
         for v in corpus[:20]:
             d = knot_determinant(v)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import dihedral
 from dihedral import report
 from dihedral import (
     KnotRecord,
@@ -17,14 +18,18 @@ from dihedral import (
     SeifertMatrix,
     SeifertMatrixError,
     analyze,
+    characteristic_knot_classes,
     connected_sum,
+    double_cover_homology,
     knot_determinant,
+    linking_form,
     parse_matrix,
     render_matrix,
     render_report_text,
     render_twist_text,
     scan,
     stabilize_zero_framed,
+    surjective_characters,
     twist_family,
     twist_knot,
 )
@@ -320,7 +325,8 @@ class TestScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(report, "ThreadPoolExecutor", Recorder)
+        # scan imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
         path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
         cores = os.cpu_count() or 1
         rows = list(scan(path, jobs=cores + 1))
@@ -337,6 +343,45 @@ class TestScan:
         with pytest.raises(ValueError, match="jobs"):
             list(scan(path, jobs=jobs))
 
+    @pytest.mark.parametrize("jobs", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_jobs_not_int_rejected(self, tmp_path, jobs):
+        path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
+        with pytest.raises(TypeError, match="jobs is not an integer"):
+            list(scan(path, jobs=jobs))
+
+    def test_quoted_grid_keeps_its_line_feeds(self, tmp_path):
+        path = self._write(tmp_path, 'name,seifert\nt,"-1 1\n0 -1"\nu,"{{-1,1},\n{0,2}}"\n')
+        assert [(r.name, r.determinant) for r in scan(path)] == [("t", 3), ("u", 9)]
+
+    def test_row_not_utf8_isolated(self, tmp_path):
+        p = tmp_path / "census.csv"
+        p.write_bytes(b'name,seifert\na,"{{-1,1},{0,-1}}"\nb\xff,"{{-1,1},{0,2}}"\n'
+                      b'c,"{{-1,\xc3}},{0,2}}"\nd,"{{-1,1},{0,2}}"\n')
+        rows = list(scan(str(p)))
+        assert [(type(r).__name__, r.name) for r in rows] == [
+            ("Report", "a"), ("RowError", "row 3"), ("RowError", "c"), ("Report", "d")]
+        assert rows[1].error == "name is not valid UTF-8 at character 1"
+        assert rows[2].error == "seifert field is not valid UTF-8 at character 5"
+
+    def test_jsonl_not_utf8_isolated(self, tmp_path):
+        p = tmp_path / "census.jsonl"
+        p.write_bytes(b'{"name": "a", "seifert": [[-1,1],[0,-1]]}\n'
+                      b'{"name": "b\xff", "seifert": [[-1,1],[0,2]]}\n'
+                      b'{"name": "c", "seifert": [[-1,1],[0,2]]}\n')
+        rows = list(scan(str(p)))
+        assert [(type(r).__name__, r.name) for r in rows] == [
+            ("Report", "a"), ("RowError", "row 2"), ("Report", "c")]
+        assert rows[1].error == "census line is not valid UTF-8 at character 11"
+
+    def test_field_above_csv_limit_isolated(self, tmp_path):
+        deep = "{" * 70_000 + "}" * 70_000
+        path = self._write(tmp_path, f'name,seifert\na,"{{{{-1,1}},{{0,-1}}}}"\nbad,"{deep}"\n'
+                                     'b,"{{-1,1},{0,2}}"\n')
+        rows = list(scan(path))
+        assert [(type(r).__name__, r.name) for r in rows] == [
+            ("Report", "a"), ("RowError", "row 3"), ("Report", "b")]
+        assert rows[1].error.startswith("malformed CSV: field larger than field limit")
+
     def test_csv_with_byte_order_mark(self, tmp_path):
         p = tmp_path / "census.csv"
         p.write_text('name,seifert\nt,"{{-1,1},{0,-1}}"\n', encoding="utf-8-sig")
@@ -349,10 +394,58 @@ class TestScan:
         rows = list(scan(str(p)))
         assert [(type(r).__name__, r.name) for r in rows] == [("Report", "t")]
 
+    def test_header_above_csv_limit_rejected(self, tmp_path):
+        path = self._write(tmp_path, f'name,"{"x" * 200_000}"\nt,"{{{{-1,1}},{{0,-1}}}}"\n')
+        with pytest.raises(MatrixParseError, match="malformed census header: field larger"):
+            list(scan(path))
+
     def test_bad_csv_header(self, tmp_path):
         path = self._write(tmp_path, "knot,matrix\nx,{{0}}\n")
         with pytest.raises(ValueError):
             list(scan(path))
+
+
+def test_report_version_is_the_package_version():
+    assert Report.version == dihedral.__version__
+    assert analyze(twist_knot(-1)).version == dihedral.__version__
+
+
+def _cap_takers(tmp_path):
+    """Every entry point that walks, on the trefoil (H[3] has 3 elements)
+    or, for analyze, the unknot, which walks nothing."""
+    census = tmp_path / "census.csv"
+    census.write_text('name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
+    form = linking_form(double_cover_homology(twist_knot(-1)))
+    return {
+        "analyze": lambda cap: analyze(twist_knot(0), enum_cap=cap),
+        "scan": lambda cap: list(scan(str(census), enum_cap=cap)),
+        "twist_family": lambda cap: twist_family(-1, -1, enum_cap=cap),
+        "surjective_characters": lambda cap: surjective_characters(form.group, form, 3,
+                                                                   enum_cap=cap),
+        "characteristic_knot_classes": lambda cap: characteristic_knot_classes(
+            twist_knot(-1), 3, enum_cap=cap),
+    }
+
+
+CAP_TAKERS = ("analyze", "characteristic_knot_classes", "scan", "surjective_characters",
+              "twist_family")
+
+
+@pytest.mark.parametrize("taker", CAP_TAKERS)
+class TestEnumCapValidated:
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_accepted(self, tmp_path, taker, cap):
+        _cap_takers(tmp_path)[taker](cap)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_below_one(self, tmp_path, taker, cap):
+        with pytest.raises(ValueError, match=f"enumeration cap must be >= 1, got {cap}"):
+            _cap_takers(tmp_path)[taker](cap)
+
+    @pytest.mark.parametrize("cap", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_not_int(self, tmp_path, taker, cap):
+        with pytest.raises(TypeError, match="enumeration cap is not an integer"):
+            _cap_takers(tmp_path)[taker](cap)
 
 
 class TestTwistFamily:
