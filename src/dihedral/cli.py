@@ -28,6 +28,7 @@ from .report import (
     DEFAULT_N_MAX,
     SCHEMA,
     KnotRecord,
+    _escaped,
     _to_json,
     analyze,
     parse_matrix,
@@ -89,7 +90,7 @@ def cmd_scan(args):
         chunks = []
         for r in rows:
             if hasattr(r, "error"):
-                chunks.append(f"error (row {r.row}, {r.name}): {r.error}")
+                chunks.append(_escaped(f"error (row {r.row}, {r.name}): {r.error}"))
             else:
                 chunks.append(render_report_text(r))
         print("\n\n".join(chunks))

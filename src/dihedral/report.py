@@ -291,6 +291,9 @@ def parse_matrix(text):
             row = []
             for col, tok in enumerate(line.split(), start=1):
                 try:
+                    # int() reads any Unicode digit; the other forms take ASCII only
+                    if not tok.isascii():
+                        raise ValueError
                     row.append(int(tok, 10))
                 except ValueError:
                     raise MatrixParseError(f"line {ln}, entry {col}: {_bad_token(tok)}") from None
@@ -320,7 +323,7 @@ def _bad_token(tok):
     """Why a text token is not a matrix entry: more digits than int()
     converts, or not an integer (echoing at most 24 characters)."""
     digits, limit = tok.lstrip("+-"), sys.get_int_max_str_digits()
-    if digits.isdecimal() and 0 < limit < len(digits):
+    if digits.isascii() and digits.isdecimal() and 0 < limit < len(digits):
         return f"integer has {len(digits)} digits, above the limit of {limit}"
     shown = repr(tok) if len(tok) <= 24 else f"{tok[:24]!r}... ({len(tok)} characters)"
     return f"not an integer: {shown}"
@@ -467,6 +470,12 @@ def _utf8(s, what):
     except UnicodeEncodeError as e:
         raise MatrixParseError(f"{what} is not valid UTF-8 at character {e.start}") from None
     return s
+
+
+def _escaped(s):
+    """s with every lone surrogate written as its \\udXXX escape, as the
+    JSON writer writes it, so that a text layout always prints."""
+    return s.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _census_rows(text, source):
@@ -649,7 +658,7 @@ def render_report_text(r):
         lines.append(f"  linking term {x.linking_term}, signatures {x.signature_sum}, "
                      f"sigma(W) in {list(x.sigma_w_range)}")
         lines.append(f"  ribbon: {x.ribbon}")
-    return "\n".join(lines)
+    return _escaped("\n".join(lines))
 
 
 def render_twist_text(rows):

@@ -7,12 +7,14 @@ B(x) = x V - V^T, and one fraction-free symmetric elimination of B over
 Z[x] yields the polynomials p_j whose values give the nested principal
 minors D_j = (conj(w) - 1)^j p_j(w) of H(w). A pivot is taken only where
 it is nonzero at w, which is decided exactly as a nonzero remainder mod
-the cyclotomic polynomial of w's order, so no tolerance enters. The one
-refusal is a singular H(w), which happens exactly when w is a root of the
-Alexander polynomial det(x V - V^T). Each sign is read from one exact
-integer sum over a fixed-point table of cos and sin at 2^bits scale,
-whose error bound is proven; bits doubles until that bound excludes
-zero. No floats and no dependency enter.
+the cyclotomic polynomial of w's order d, so no tolerance enters. The
+elimination thus depends only on d, not on k: it runs once per
+(matrix, d), the last 8 pairs are kept, and only the sign pass reads k.
+The one refusal is a singular H(w), which happens exactly when w is a
+root of the Alexander polynomial det(x V - V^T). Each sign is read
+from one exact integer sum over a fixed-point table of cos and sin at
+2^bits scale, whose error bound is proven; bits doubles until that
+bound excludes zero. No floats and no dependency enter.
 
 On top of it sits the xi invariant of a dihedral quotient: a linking-form
 term, a cover-signature correction sigma(W) known only up to sign in
@@ -58,7 +60,8 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     that is when w is a root of the Alexander polynomial det(x V - V^T).
     precision_bits is the starting precision of the fixed-point sign
     evaluation, in [2, 4096]; it is doubled until the sign is certain,
-    so it never changes the answer.
+    so it never changes the answer. The elimination is shared by every
+    k of one order d = n / gcd(k, n); only the sign pass runs per call.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
@@ -75,12 +78,34 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     if v.size == 0:
         return 0
     g = math.gcd(k, n)
-    return _inertia(v.matrix.to_lists(), k // g, n // g, precision_bits)
+    k, d = k // g, n // g
+    sign = 1  # sign of the nested minor D_depth; D_0 = 1
+    negatives = 0
+    for pivot in _minor_chain(v, d):
+        if pivot is _SINGULAR:
+            raise SignatureIndeterminateError(
+                f"signature indeterminate: exp(2 pi i {k}/{d}) is a root of the "
+                f"Alexander polynomial det(x V - V^T), so the form is singular there"
+            )
+        s = -sign if pivot is _PAIR else _real_sign(*pivot, k, d, precision_bits)
+        negatives += s != sign
+        sign = s
+    return v.size - 2 * negatives
 
 
-def _inertia(rows, k, d, precision_bits):
-    """Signature of H(w), w = exp(2 pi i k / d) with gcd(k, d) = 1, by
-    Bareiss elimination of B(x) = x V - V^T with symmetric pivoting.
+# The markers of _minor_chain for a 2x2 pivot and for a singular form.
+_PAIR, _SINGULAR = "pair", "singular"
+
+
+@lru_cache(maxsize=8)
+def _minor_chain(v, d):
+    """The pivots of a Bareiss elimination of B(x) = x V - V^T with
+    symmetric pivoting, taken where nonzero at the primitive d-th roots
+    of unity: (coefficients, depth) of the nested minor p = D_depth for a
+    1x1 pivot, _PAIR for a 2x2 one, and a final _SINGULAR when no entry
+    left is nonzero there. None of it depends on which primitive root w
+    is, so the chain serves every k prime to d; eight entries hold every
+    order of one sweep over n <= 15.
 
     Every entry is a polynomial in Z[x] packed into one integer as its
     value at x = 2^bits, with bits wide enough for any minor of B, so
@@ -93,14 +118,14 @@ def _inertia(rows, k, d, precision_bits):
     negative eigenvalue; its new entries are the bordered 3x3
     determinants divided by prev^2.
     """
+    rows = v.matrix.to_lists()
     size = len(rows)
     bits = _coefficient_bits(rows)
     a = [[(rows[i][j] << bits) - rows[j][i] for j in range(size)] for i in range(size)]
     live = list(range(size))
     prev = 1
     depth = 0
-    sign = 1  # sign of the nested minor D_depth; D_0 = 1
-    negatives = 0
+    chain = []
     while live:
         for r in live:
             coeffs = _unpack(a[r][r], bits)
@@ -110,9 +135,7 @@ def _inertia(rows, k, d, precision_bits):
             r = None
         if r is not None:
             depth += 1
-            s = _real_sign(coeffs, depth, k, d, precision_bits)
-            negatives += s != sign
-            sign = s
+            chain.append((tuple(coeffs), depth))
             live.remove(r)
             p, row_r = a[r][r], a[r]
             for i in live:
@@ -125,13 +148,10 @@ def _inertia(rows, k, d, precision_bits):
         t, u = next(((t, u) for t in live for u in live
                      if t != u and not _vanishes(_unpack(a[t][u], bits), d)), (None, None))
         if t is None:
-            raise SignatureIndeterminateError(
-                f"signature indeterminate: exp(2 pi i {k}/{d}) is a root of the "
-                f"Alexander polynomial det(x V - V^T), so the form is singular there"
-            )
+            chain.append(_SINGULAR)
+            break
         depth += 2
-        negatives += 1
-        sign = -sign
+        chain.append(_PAIR)
         live.remove(t)
         live.remove(u)
         row_t, row_u = a[t], a[u]
@@ -147,7 +167,7 @@ def _inertia(rows, k, d, precision_bits):
                             - aiu * (att * auj - atj * aut))
                 row_i[j] = _exact_quotient(bordered, prev2)
         prev = _exact_quotient(det2, prev)
-    return size - 2 * negatives
+    return tuple(chain)
 
 
 def _coefficient_bits(rows):
@@ -369,7 +389,8 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     SigmaWBound when only its magnitude is known. The result is the
     linking term (n^2 - 1)/(6n) * beta^T A beta, plus sigma_w, plus
     the characteristic knot's signatures at all n-th roots of unity,
-    each from the starting precision_bits, in [2, 4096].
+    each from the starting precision_bits, in [2, 4096]. The knot is
+    eliminated once per order d dividing n, d > 1, not once per root.
     """
     require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):

@@ -233,6 +233,27 @@ class TestHostileRows:
         assert "error" not in rows[0] and "error" not in rows[2]
         assert rows[1]["error"].startswith("four-square search for a 21-digit integer")
 
+    @pytest.mark.parametrize("second, line", [
+        ("[[-1,1],[0,2]]", r"knot: \ud800"),
+        ("[[-1,1],[0]]", r"error (row 2, \ud800): row 1 has 1 entries, expected 2"),
+    ])
+    def test_lone_surrogate_name_text(self, tmp_path, second, line):
+        # the JSON-lines reader takes a \ud800 escape in a name; the text
+        # layout writes it back as that escape, as the JSON writer does
+        p = tmp_path / "census.jsonl"
+        p.write_text('{"name": "ok", "seifert": [[-1,1],[0,2]]}\n'
+                     f'{{"name": "\\ud800", "seifert": {second}}}\n')
+        out = run_cli("scan", str(p), "--format", "text")
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "knot: ok"
+        assert line in lines
+
+    def test_lone_surrogate_name_analyze_text(self):
+        out = run_cli("analyze", "--matrix", SIX_ONE, "--name", "a\udcff", "--format", "text")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("knot: a\\udcff\n")
+
     def test_bad_grid_token_truncated(self, capsys):
         assert main(["analyze", "--matrix", f"-1 1\n0 {'x' * 5000}"]) == 1
         err = capsys.readouterr().err

@@ -94,6 +94,18 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError):
             parse_matrix("")
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff12"])
+    def test_grid_refuses_non_ascii_digits(self, digit):
+        # ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT TWO: int() reads
+        # both, the brace and JSON forms refuse both
+        with pytest.raises(MatrixParseError, match=f"line 2, entry 2: not an integer: '{digit}'"):
+            parse_matrix(f"-1 1\n0 {digit}")
+        with pytest.raises(MatrixParseError, match="unexpected character"):
+            parse_matrix(f"{{{{-1,1}},{{0,{digit}}}}}")
+        with pytest.raises(MatrixParseError):
+            parse_matrix(f"[[-1,1],[0,{digit}]]")
+        assert parse_matrix("-1 1\n0 2") == twist_knot(2)
+
     @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c", "\x0b"])
     def test_grid_rows_end_only_at_line_feed(self, sep):
         # str.splitlines() would break here; str.split() reads it as a space

@@ -1,5 +1,6 @@
 """Tristram-Levine signatures, the xi invariant, ribbon verdicts."""
 
+import functools
 import math
 import os
 import subprocess
@@ -115,10 +116,14 @@ class TestTristramLevine:
 
     def test_indeterminate_at_alexander_root(self):
         # the trefoil's Alexander polynomial vanishes at primitive sixth
-        # roots of unity, so the form degenerates there
+        # roots of unity, so the form degenerates there; (5, 6) refuses
+        # from the chain that (1, 6) left in the cache, naming its own k
+        signatures._minor_chain.cache_clear()
         for omega in ((1, 6), (5, 6)):
-            with pytest.raises(SignatureIndeterminateError):
+            with pytest.raises(SignatureIndeterminateError, match=rf"exp\(2 pi i {omega[0]}/6\)"):
                 tristram_levine(TREFOIL, omega)
+        info = signatures._minor_chain.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         assert tristram_levine(TREFOIL, (2, 6)) == tristram_levine(TREFOIL, (1, 3))
 
     def test_two_step_pivot(self):
@@ -136,6 +141,28 @@ class TestTristramLevine:
             want = tristram_levine(v, (1, 3))
             assert tristram_levine(v, (3, 9)) == want
             assert tristram_levine(v, (5, 15)) == want
+
+    def test_cached_chain_matches_fresh_elimination(self, corpus):
+        # one elimination per (matrix, order of w) serves every k; the
+        # answers must not depend on whether the chain was cached
+        genus6 = functools.reduce(connected_sum, map(twist_knot, (3, -5, 1, 6, -2, 4)))
+        omegas = [(k, n) for n in range(3, 16, 2) for k in range(1, n)]
+        knots = corpus[:20] + (genus6,)
+        signatures._minor_chain.cache_clear()
+        swept = [_or_none(tristram_levine, v, omega) for v in knots for omega in omegas]
+        fresh = []
+        for v in knots:
+            for omega in omegas:
+                signatures._minor_chain.cache_clear()
+                fresh.append(_or_none(tristram_levine, v, omega))
+        assert fresh == swept
+
+    def test_one_chain_per_order(self, corpus):
+        # at n = 15, k = 1..14 reach the orders 15, 5 and 3
+        signatures._minor_chain.cache_clear()
+        for k in range(1, 15):
+            _or_none(tristram_levine, corpus[0], (k, 15))
+        assert signatures._minor_chain.cache_info().misses == 3
 
     def test_conjugate_root(self, corpus):
         for v in corpus[:20]:
