@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import selftest as selftest_mod
-from .errors import EnumerationCapError, require_printable
+from .errors import EnumerationCapError, integer, require_printable
 from .obstruction import (
     DEFAULT_ENUM_CAP,
     _enum_cap,
@@ -47,10 +47,7 @@ def _resolve_enum_cap(flag_value):
         return _enum_cap(flag_value)
     raw = os.environ.get(ENV_ENUM_CAP)
     if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_ENUM_CAP} must be an integer, got {raw!r}")
+        cap = integer(raw, ENV_ENUM_CAP)
         if cap < 1:
             raise ValueError(f"{ENV_ENUM_CAP} must be >= 1, got {cap}")
         return cap
@@ -62,10 +59,7 @@ def _parse_m_range(text):
     first, sep, last = text.partition(":")
     if not sep:
         raise ValueError(f"twist range must look like A:B, got {text!r}")
-    try:
-        return int(first), int(last)
-    except ValueError:
-        raise ValueError(f"twist range endpoints must be integers, got {text!r}")
+    return integer(first, "--m-range start"), integer(last, "--m-range end")
 
 
 def cmd_analyze(args):
@@ -147,7 +141,7 @@ def _add_common(sub, matrix=False):
     if matrix:
         sub.add_argument("--matrix", required=True,
                          help="Seifert matrix, brace form like {{-1,1},{0,2}}")
-    sub.add_argument("--enum-cap", type=int, default=None, metavar="N",
+    sub.add_argument("--enum-cap", type=integer, default=None, metavar="N",
                      help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, "
                           f"or {ENV_ENUM_CAP})")
     sub.add_argument("--format", choices=("json", "text"), default="json",
@@ -164,17 +158,17 @@ def build_parser():
     p = subs.add_parser("analyze", help="full report for one knot")
     _add_common(p, matrix=True)
     p.add_argument("--name", default="knot", help="knot name for the report")
-    p.add_argument("--n", type=int, action="append", metavar="N",
+    p.add_argument("--n", type=integer, action="append", metavar="N",
                    help="dihedral order, repeatable; default: all odd divisors")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, metavar="N",
+    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
                    help=f"largest n considered in auto mode (default {DEFAULT_N_MAX})")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("scan", help="batch reports for a census file")
     p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=integer, default=1, metavar="N",
                    help="concurrent rows, at most the core count (output stays in input order)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, metavar="N",
+    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
                    help=f"largest n considered (default {DEFAULT_N_MAX})")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
@@ -187,7 +181,7 @@ def build_parser():
 
     p = subs.add_parser("charknots", help="characteristic knot classes")
     _add_common(p, matrix=True)
-    p.add_argument("--n", type=int, required=True, metavar="N",
+    p.add_argument("--n", type=integer, required=True, metavar="N",
                    help="dihedral order (odd, > 1)")
     p.set_defaults(func=cmd_charknots)
 

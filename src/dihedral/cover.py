@@ -14,8 +14,10 @@ annihilates the group. A ResidueQZ is built only for values handed out.
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .exact import IntMatrix, ResidueQZ, _check_int, snf
+from .errors import _check_int
+from .exact import IntMatrix, ResidueQZ, snf
 from .seifert import SeifertMatrix, _smith_form, symmetrize
 
 __all__ = [
@@ -66,8 +68,9 @@ class TorsionGroup:
     of cyclic orders, all odd and > 1; generators[i] is an integer
     vector in Z^m whose class has order exactly d_i. Construction
     reduces A to Smith form P A Q = D and checks the factors are those of
-    D, that d_i annihilates the Smith coordinates T[:, i] = P g_i mod d,
-    and that the columns of T generate Z^r / diag(d); the orders follow.
+    D, which makes them a divisor chain of entries > 1, that d_i
+    annihilates the Smith coordinates T[:, i] = P g_i mod d, and that
+    the columns of T generate Z^r / diag(d); the orders follow.
     """
 
     __slots__ = ("_factors", "_gens", "_ambient", "_smith", "_solve")
@@ -78,20 +81,12 @@ class TorsionGroup:
         if ambient.rows != ambient.cols:
             raise ValueError("ambient presentation matrix must be square")
         factors = tuple(invariant_factors)
-        gens = tuple(tuple(g) for g in generators)
+        gens = tuple(_vector(g, ambient.rows, f"generator {i}") for i, g in enumerate(generators))
         if len(factors) != len(gens):
             raise ValueError(f"{len(factors)} factors but {len(gens)} generators")
-        for d in factors:
-            if not isinstance(d, int) or isinstance(d, bool) or d <= 1:
-                raise ValueError(f"invariant factor {d!r} must be an integer > 1")
-            if d % 2 == 0:
+        for i, d in enumerate(factors):
+            if _check_int(d, f"invariant factor {i}") % 2 == 0:
                 raise ValueError(f"invariant factor {d} is even; the group must have odd order")
-        for prev, nxt in zip(factors, factors[1:]):
-            if nxt % prev != 0:
-                raise ValueError(f"invariant factor {prev} does not divide {nxt}")
-        for i, g in enumerate(gens):
-            if len(g) != ambient.rows:
-                raise ValueError(f"generator {i} has length {len(g)}, expected {ambient.rows}")
 
         smith = _Smith(snf(ambient))
         if factors != smith.factors:
@@ -152,10 +147,7 @@ class TorsionGroup:
         [T | diag(d)] t = P w is solved through its Smith data. The answer
         is double-checked: P (w - sum c_i g_i) must lie in D Z^m.
         """
-        v = tuple(vec)
-        m = self._ambient.rows
-        if len(v) != m:
-            raise ValueError(f"vector has length {len(v)}, expected {m}")
+        v = _vector(vec, self._ambient.rows)
         u = self._smith.coords(v)
         if self._solve is not None:
             res = self._solve
@@ -185,12 +177,13 @@ class TorsionGroup:
 class LinkingForm:
     """The linking form on a TorsionGroup, tabulated on its generators.
 
-    matrix[i][j] is lk(g_i, g_j) as a residue mod 1, computed once from
-    the group's Smith form as sum_t (Q^T g_i)_t (P g_j)_t / d_t. On the
-    Smith basis P g_j = e_j, so the table is G_ij / (d_i d_j) with
-    G = Q^T A Q. Construction checks symmetry,
-    annihilation (d_i * entry integral), and odd denominators on that
-    result, then keeps the integers e * matrix[i][j] mod e for `pair`.
+    The table holds e * lk(g_i, g_j) mod e, for the group exponent e,
+    computed once from the group's Smith form as
+    sum_t (Q^T g_i)_t (P g_j)_t / d_t. On the Smith basis P g_j = e_j,
+    so lk is G_ij / (d_i d_j) with G = Q^T A Q. Construction checks on
+    that integer table its symmetry, annihilation (d_i * entry = 0 mod e)
+    and an odd e, so every denominator is odd; matrix[i][j] is the
+    entry as a residue mod 1, built once from it.
     """
 
     group: TorsionGroup
@@ -201,18 +194,18 @@ class LinkingForm:
         if not isinstance(self.group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
         smith, e, gens = self.group._smith, self.exponent, self.group.generators
+        if e % 2 == 0:
+            raise ValueError(f"group exponent {e} is even; the linking form needs odd order")
         rights = [smith.coords(g) for g in gens]
         table = tuple(tuple(smith.pair(left, right) for right in rights)
                       for left in map(smith.dual, gens))
-        matrix = tuple(tuple(ResidueQZ.of(x, e) for x in row) for row in table)
-        for i, (d, row) in enumerate(zip(self.group.invariant_factors, matrix)):
-            for j, entry in enumerate(row):
-                if entry != matrix[j][i]:
+        for i, (d, row) in enumerate(zip(self.group.invariant_factors, table)):
+            for j, x in enumerate(row):
+                if x != table[j][i]:
                     raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
-                if (d * entry.value).denominator != 1:
+                if d * x % e:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
-                if entry.denominator % 2 == 0:
-                    raise ValueError(f"entry ({i},{j}) has even denominator")
+        matrix = tuple(tuple(ResidueQZ(Fraction(x, e)) for x in row) for row in table)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_table", table)
 
@@ -281,11 +274,19 @@ def evaluate_linking(a, u, v):
         raise TypeError("evaluate_linking expects an IntMatrix")
     if a.rows != a.cols:
         raise ValueError("presentation matrix must be square")
-    uu, vv = tuple(u), tuple(v)
-    if len(uu) != a.rows or len(vv) != a.rows:
-        raise ValueError("vector length does not match the matrix")
+    uu, vv = _vector(u, a.rows), _vector(v, a.rows)
     smith = _Smith(snf(a))
     return ResidueQZ.of(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
+
+
+def _vector(vec, m, what="vector"):
+    """An ambient vector from outside as a tuple of m ints (not bools)."""
+    v = tuple(vec)
+    if len(v) != m:
+        raise ValueError(f"{what} has length {len(v)}, expected {m}")
+    for i, x in enumerate(v):
+        _check_int(x, f"{what} entry {i}")
+    return v
 
 
 def _element(group, c):

@@ -2,7 +2,9 @@
 
 Each failure mode callers are expected to distinguish gets its own
 class; everything derives from ValueError, RuntimeError, or
-ArithmeticError so generic handling still works.
+ArithmeticError so generic handling still works. The checks of values
+from outside live here too: the one integer check, the one reader of
+integer text, the dihedral order and the printable size.
 """
 
 import sys
@@ -16,7 +18,7 @@ __all__ = [
     "CriterionInapplicableError",
     "NonSquareFreeError",
     "StabilizationError",
-    "require_odd",
+    "integer",
     "require_dihedral_order",
     "oversized_digits",
     "require_printable",
@@ -56,18 +58,33 @@ class StabilizationError(ValueError):
     """A class cannot be zero-framed: its form value is not 0 mod n^2."""
 
 
-def require_odd(n):
-    """Reject even moduli up front; every n-dependent operation calls this."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"modulus must be an integer, got {n!r}")
-    if n % 2 == 0:
-        raise EvenModulusError(f"modulus must be odd, got {n}")
-    return n
+def _check_int(x, where):
+    """The one check of an integer value: an int, not a bool (an int
+    subclass, and almost surely a bug here). TypeError names where.
+    A plain int passes on the first test, which hot callers rely on."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+        raise TypeError(f"{where} is not an integer: {x!r}")
+    return x
+
+
+def integer(text, what="value"):
+    """The one reader of integer text from outside: an optional sign and
+    ASCII digits, nothing else (int() alone also takes spaces,
+    underscores and non-ASCII digits). ValueError names what."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as e:  # more digits than the interpreter converts
+        raise ValueError(f"{what}: {e}") from None
 
 
 def require_dihedral_order(n):
-    """Reject anything but an odd dihedral order n > 1."""
-    require_odd(n)
+    """Reject anything but an odd dihedral order n > 1, even moduli with
+    EvenModulusError; every n-dependent operation calls this."""
+    if _check_int(n, "modulus") % 2 == 0:
+        raise EvenModulusError(f"modulus must be odd, got {n}")
     if n <= 1:
         raise ValueError(f"dihedral order must be > 1, got {n}")
     return n

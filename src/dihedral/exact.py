@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import oversized_digits
+from .errors import _check_int, oversized_digits
 
 __all__ = [
     "IntMatrix",
@@ -20,13 +20,6 @@ __all__ = [
     "det",
     "four_squares",
 ]
-
-
-def _check_int(x, where):
-    # bool is an int subclass; matrices of True/False are almost surely a bug
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"{where} is not an integer: {x!r}")
-    return x
 
 
 class IntMatrix:
@@ -224,22 +217,20 @@ class SNFResult:
     """Smith normal form data: P @ A @ Q == D with P, Q unimodular.
 
     D is diagonal with nonnegative entries, each dividing the next
-    nonzero one; invariant_factors lists the diagonal entries > 1.
+    nonzero one; invariant_factors, the diagonal entries > 1, is read
+    off D.
     """
 
     P: IntMatrix
     Q: IntMatrix
     D: IntMatrix
-    invariant_factors: tuple
 
     def __post_init__(self):
-        diag = []
         for i in range(self.D.rows):
             for j in range(self.D.cols):
                 if i != j and self.D[i, j] != 0:
                     raise ValueError(f"D is not diagonal at ({i},{j})")
-            if i < self.D.cols:
-                diag.append(self.D[i, i])
+        diag = self.diagonal()
         for i, x in enumerate(diag):
             if x < 0:
                 raise ValueError(f"D has a negative entry at ({i},{i})")
@@ -248,11 +239,13 @@ class SNFResult:
                 raise ValueError("zero diagonal entries must come last")
             if prev != 0 and nxt % prev != 0:
                 raise ValueError(f"diagonal entry {prev} does not divide {nxt}")
-        if self.invariant_factors != tuple(x for x in diag if x > 1):
-            raise ValueError("invariant_factors do not match the diagonal")
 
     def diagonal(self):
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+
+    @property
+    def invariant_factors(self):
+        return tuple(x for x in self.diagonal() if x > 1)
 
 
 def snf(a):
@@ -344,8 +337,7 @@ def snf(a):
         raise ArithmeticError("Smith normal form failed its factorization check")
     if abs(det(pm)) != 1 or abs(det(qm)) != 1:
         raise ArithmeticError("Smith normal form transforms are not unimodular")
-    diag = tuple(dm[i, i] for i in range(min(m, n)))
-    return SNFResult(P=pm, Q=qm, D=dm, invariant_factors=tuple(x for x in diag if x > 1))
+    return SNFResult(P=pm, Q=qm, D=dm)
 
 
 # The four-square search walks candidates in the order of its answer, so

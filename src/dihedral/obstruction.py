@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from operator import add, attrgetter
 
 from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
-from .errors import CriterionInapplicableError, EnumerationCapError, require_dihedral_order
-from .exact import ResidueQZ, _check_int
+from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int,
+                     require_dihedral_order)
+from .exact import ResidueQZ
 from .seifert import SeifertMatrix, _characteristic_value, _smith_form, symmetrize
 
 __all__ = [
@@ -114,18 +115,18 @@ class Character:
 @dataclass(frozen=True)
 class ExtensionVerdict:
     """Whether a character extends over a pushed-in spanning surface,
-    with the scope tags the verdict carries. A failed verdict also
-    rules out non-orientable surfaces and arbitrary oriented ambient
-    4-manifolds; when 3 | n it obstructs every dihedral order at once."""
+    which it does exactly when its self-linking vanishes, with the scope
+    tags the verdict carries. A failed verdict also rules out
+    non-orientable surfaces and arbitrary oriented ambient 4-manifolds;
+    when 3 | n it obstructs every dihedral order at once."""
 
-    extends: bool
     self_linking: ResidueQZ
     scope_note: tuple
     surjective: bool = True
 
-    def __post_init__(self):
-        if self.extends != self.self_linking.is_zero:
-            raise ValueError("verdict contradicts the self-linking value")
+    @property
+    def extends(self):
+        return self.self_linking.is_zero
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def verdict(form, c, n=None):
 
 def _verdict(sl, n, surjective=True):
     """The verdict on a character of order n, or a bare element, of self-linking sl."""
-    return ExtensionVerdict(sl.is_zero, sl, _scope_tags(sl.is_zero, n), surjective)
+    return ExtensionVerdict(sl, _scope_tags(sl.is_zero, n), surjective)
 
 
 def is_characteristic_class(v, coords, n):

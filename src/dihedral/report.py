@@ -27,8 +27,9 @@ from operator import attrgetter
 
 from . import __version__
 from .cover import double_cover_homology, linking_form
-from .errors import EnumerationCapError, MatrixParseError, require_dihedral_order, require_printable
-from .exact import ResidueQZ, _check_int
+from .errors import (EnumerationCapError, MatrixParseError, _check_int, integer,
+                     require_dihedral_order, require_printable)
+from .exact import ResidueQZ
 from .obstruction import DEFAULT_ENUM_CAP, _enum_cap, _extension_walk, seifert_criterion
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
@@ -291,10 +292,7 @@ def parse_matrix(text):
             row = []
             for col, tok in enumerate(line.split(), start=1):
                 try:
-                    # int() reads any Unicode digit; the other forms take ASCII only
-                    if not tok.isascii():
-                        raise ValueError
-                    row.append(int(tok, 10))
+                    row.append(integer(tok))
                 except ValueError:
                     raise MatrixParseError(f"line {ln}, entry {col}: {_bad_token(tok)}") from None
             data.append(row)
@@ -302,10 +300,11 @@ def parse_matrix(text):
 
 
 def _json_int(tok):
-    """int(tok), or the literal itself when it has more digits than int()
-    converts, for _validated_rows to report by row and column."""
+    """The integer of a JSON literal, or the literal itself when it has more
+    digits than int() converts, for _validated_rows to report by row and
+    column."""
     try:
-        return int(tok)
+        return integer(tok)
     except ValueError:
         return tok
 
@@ -418,6 +417,7 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
         record = KnotRecord("knot", record)
     if not isinstance(record, KnotRecord):
         raise TypeError("analyze expects a KnotRecord or a SeifertMatrix")
+    _check_int(n_max, "n_max")
     _enum_cap(enum_cap)
     v = record.matrix
     # every other integer a report prints is bounded by the determinant
@@ -551,12 +551,13 @@ def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """Analyze a census file (CSV with a name,seifert header, or JSON
     lines with name and seifert fields), yielding one Report or
     RowError per row in input order. A bad row never stops the scan.
-    jobs must be an int >= 1 and enum_cap None or an int >= 1 (TypeError
-    or ValueError before any row is read). More than one job runs rows on
+    jobs must be an int >= 1, n_max an int and enum_cap None or an
+    int >= 1 (TypeError or ValueError before any row is read). More than one job runs rows on
     a thread pool, loaded only then, with at most os.cpu_count() workers.
     """
     if _check_int(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_int(n_max, "n_max")
     _enum_cap(enum_cap)
     # a byte that is not UTF-8 becomes a lone surrogate, and its row a RowError
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -590,9 +591,7 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
     the ribbon verdict. Both extension routes come from the one walk at
     n = 3, with its checks.
     """
-    if not isinstance(m_first, int) or not isinstance(m_last, int):
-        raise TypeError("twist range endpoints must be integers")
-    if m_first > m_last:
+    if _check_int(m_first, "twist range start") > _check_int(m_last, "twist range end"):
         raise ValueError(f"empty twist range: {m_first} > {m_last}")
     _enum_cap(enum_cap)
     from .seifert import twist_knot

@@ -9,8 +9,9 @@ tuples of integer coordinates in the basis implicit in V.
 import math
 from dataclasses import dataclass, field
 
-from .errors import SeifertMatrixError, StabilizationError, oversized_digits, require_odd
-from .exact import IntMatrix, _check_int, det, four_squares, snf
+from .errors import (SeifertMatrixError, StabilizationError, _check_int, oversized_digits,
+                     require_dihedral_order)
+from .exact import IntMatrix, det, four_squares, snf
 
 __all__ = [
     "SeifertMatrix",
@@ -138,9 +139,7 @@ def twist_knot(m):
 
     m = -1 is the trefoil, m = 2 is the knot 6_1.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"twist parameter must be an integer, got {m!r}")
-    return SeifertMatrix([[-1, 1], [0, m]])
+    return SeifertMatrix([[-1, 1], [0, _check_int(m, "twist parameter")]])
 
 
 def connected_sum(v1, v2):
@@ -183,9 +182,7 @@ def stabilize_zero_framed(v, beta, n):
     form value is negative the blocks are mirrored, which is recorded
     in flipped_sign. A zero form value returns the input unchanged.
     """
-    require_odd(n)
-    if n <= 1:
-        raise ValueError(f"stabilization needs n > 1, got {n}")
+    require_dihedral_order(n)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("stabilize_zero_framed expects a SeifertMatrix")
     beta = tuple(beta)

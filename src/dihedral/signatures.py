@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonSquareFreeError, SignatureIndeterminateError, require_dihedral_order
+from .errors import (NonSquareFreeError, SignatureIndeterminateError, _check_int,
+                     require_dihedral_order)
 from .seifert import SeifertMatrix, _characteristic_value, twist_knot
 
 __all__ = [
@@ -66,13 +67,11 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
     k, n = omega
-    if not isinstance(k, int) or not isinstance(n, int) or isinstance(k, bool) or isinstance(n, bool):
-        raise TypeError(f"omega must be a pair of integers, got {omega!r}")
+    _check_int(k, "omega exponent k")
+    _check_int(n, "omega order n")
     if not 0 < k < n:
         raise ValueError(f"omega exponent must satisfy 0 < k < n, got k={k}, n={n}")
-    if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
-        raise TypeError(f"precision_bits must be an integer, got {precision_bits!r}")
-    if not 2 <= precision_bits <= _MAX_PRECISION_BITS:
+    if not 2 <= _check_int(precision_bits, "precision_bits") <= _MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in [2, {_MAX_PRECISION_BITS}], "
                          f"got {precision_bits}")
     if v.size == 0:
@@ -337,9 +336,7 @@ class SigmaWBound:
     magnitude: int
 
     def __post_init__(self):
-        if not isinstance(self.magnitude, int) or isinstance(self.magnitude, bool):
-            raise TypeError(f"magnitude must be an integer, got {self.magnitude!r}")
-        if self.magnitude < 0:
+        if _check_int(self.magnitude, "magnitude") < 0:
             raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
 
     @property
@@ -351,10 +348,9 @@ class SigmaWBound:
 class XiValue:
     """The xi invariant, kept as the two candidates its sign ambiguity
     allows: value = linking_term + sigma_w + signature_sum with sigma_w
-    anywhere in sigma_w_range. Exact rationals throughout."""
+    anywhere in sigma_w_range; value_low and value_high are the sums at
+    its ends. Exact rationals throughout."""
 
-    value_low: Fraction
-    value_high: Fraction
     linking_term: Fraction
     sigma_w_range: tuple
     signature_sum: int
@@ -363,21 +359,25 @@ class XiValue:
         lo, hi = self.sigma_w_range
         if lo > hi:
             raise ValueError(f"sigma range {self.sigma_w_range} is reversed")
-        if self.value_low != self.linking_term + lo + self.signature_sum:
-            raise ValueError("value_low does not equal the sum of its components")
-        if self.value_high != self.linking_term + hi + self.signature_sum:
-            raise ValueError("value_high does not equal the sum of its components")
+
+    @property
+    def value_low(self):
+        return self.linking_term + self.sigma_w_range[0] + self.signature_sum
+
+    @property
+    def value_high(self):
+        return self.linking_term + self.sigma_w_range[1] + self.signature_sum
 
     @property
     def candidates(self):
         """The possible values; one entry when sigma(W) is known exactly."""
-        if self.value_low == self.value_high:
+        if self.is_exact:
             return (self.value_low,)
         return (self.value_low, self.value_high)
 
     @property
     def is_exact(self):
-        return self.value_low == self.value_high
+        return self.sigma_w_range[0] == self.sigma_w_range[1]
 
 
 def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BITS):
@@ -401,27 +401,18 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
         raise ValueError(f"class {list(coords)} is not characteristic and primitive mod {n}")
     if not isinstance(beta_knot, SeifertMatrix):
         raise TypeError("the characteristic knot must come as a SeifertMatrix")
+    if isinstance(sigma_w, SigmaWBound):
+        sigma_w_range = sigma_w.range
+    else:
+        sigma_w_range = (_check_int(sigma_w, "sigma_w"),) * 2
 
     linking_term = Fraction((n * n - 1) * value, 6 * n)
 
     # sigma(k, n) = sigma(n - k, n), and n is odd: sum k <= (n - 1)/2, doubled
     sig_sum = 2 * sum(tristram_levine(beta_knot, (k, n), precision_bits=precision_bits)
                       for k in range(1, (n + 1) // 2))
-
-    if isinstance(sigma_w, SigmaWBound):
-        lo, hi = sigma_w.range
-    elif isinstance(sigma_w, int) and not isinstance(sigma_w, bool):
-        lo = hi = sigma_w
-    else:
-        raise TypeError(f"sigma_w must be an int or a SigmaWBound, got {sigma_w!r}")
-
-    return XiValue(
-        value_low=linking_term + lo + sig_sum,
-        value_high=linking_term + hi + sig_sum,
-        linking_term=linking_term,
-        sigma_w_range=(lo, hi),
-        signature_sum=sig_sum,
-    )
+    return XiValue(linking_term=linking_term, sigma_w_range=sigma_w_range,
+                   signature_sum=sig_sum)
 
 
 def twist_xi3(m):
@@ -432,9 +423,7 @@ def twist_xi3(m):
     the correction piece has rank-one homology so sigma(W) = +-1, and
     the class is (-1, 1).
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"twist parameter must be an integer, got {m!r}")
-    if m % 3 != 2:
+    if _check_int(m, "twist parameter") % 3 != 2:
         raise ValueError(f"twist parameter {m} has no order-3 dihedral quotient")
     v = twist_knot(m)
     return xi_n(v, (-1, 1), SeifertMatrix(()), 3, SigmaWBound(1))
@@ -460,9 +449,7 @@ def ribbon_test(xi, rank_h1_cover, n):
             d += 2
     if not isinstance(xi, XiValue):
         raise TypeError("ribbon_test expects an XiValue")
-    if not isinstance(rank_h1_cover, int) or isinstance(rank_h1_cover, bool):
-        raise TypeError(f"rank must be an integer, got {rank_h1_cover!r}")
-    if rank_h1_cover < 0:
+    if _check_int(rank_h1_cover, "rank") < 0:
         raise ValueError(f"rank must be nonnegative, got {rank_h1_cover}")
     bound = Fraction(2 * rank_h1_cover + (n - 1), 2)
     if all(abs(c) > bound for c in xi.candidates):

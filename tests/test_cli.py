@@ -285,6 +285,11 @@ class TestTwist:
         assert main(["twist", "--m-range=5:1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_range_refuses_digit_separator(self, capsys):
+        assert main(["twist", "--m-range", "1_0:12"]) == 1
+        err = capsys.readouterr().err
+        assert "--m-range start must be an integer, got '1_0'" in err
+
 
 class TestCharknots:
     def test_listing(self, capsys):
@@ -325,6 +330,28 @@ class TestEnumCapResolution:
         monkeypatch.setenv("DIHEDRAL_ENUM_CAP", "many")
         assert main(["analyze", "--matrix", TREFOIL]) == 1
         assert "DIHEDRAL_ENUM_CAP" in capsys.readouterr().err
+
+    def test_env_refuses_digit_separator(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIHEDRAL_ENUM_CAP", "1_0")
+        assert main(["analyze", "--matrix", TREFOIL]) == 1
+        assert "DIHEDRAL_ENUM_CAP must be an integer, got '1_0'" in capsys.readouterr().err
+
+    def test_env_names_itself_when_too_long_to_convert(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIHEDRAL_ENUM_CAP", "9" * 5000)
+        assert main(["analyze", "--matrix", TREFOIL]) == 1
+        assert "error: DIHEDRAL_ENUM_CAP: Exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, token", [("--n", "1_5"), ("--n", "\uff19"),
+                                             ("--n-max", " 9"), ("--enum-cap", "0_1")])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, flag, token):
+        # argparse refuses with its usage error, exit 2, naming the flag
+        # and the token
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--matrix", TREFOIL, flag, token])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid integer value: {token!r}" in err
+        assert "_integer" not in err and "function" not in err
 
     def test_nonpositive_cap(self, capsys):
         assert main(["analyze", "--matrix", TREFOIL, "--enum-cap", "0"]) == 1

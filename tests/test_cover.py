@@ -78,6 +78,26 @@ class TestTorsionGroup:
         with pytest.raises(ValueError):
             TorsionGroup((2,), ((1, 0),), symmetrize(twist_knot(-1)))
 
+    @pytest.mark.parametrize("factors", [(15, 3), (1, 3, 15), (3, 5)])
+    def test_factors_must_be_those_of_the_presentation(self, factors):
+        # the comparison with the Smith factors also refuses a factor 1
+        # and a chain out of divisor order
+        gens = ((0,) * 4,) * len(factors)
+        with pytest.raises(ValueError, match="differ from those of the presentation"):
+            TorsionGroup(factors, gens, symmetrize(NINE_37))
+
+    def test_vectors_from_outside_are_integers(self):
+        a = symmetrize(twist_knot(-1))
+        gen = double_cover_homology(twist_knot(-1)).generators[0]
+        with pytest.raises(TypeError, match="generator 0 entry 0 is not an integer"):
+            TorsionGroup((3,), ((True, 0),), a)
+        with pytest.raises(TypeError, match="invariant factor 0 is not an integer"):
+            TorsionGroup((3.0,), (gen,), a)
+        with pytest.raises(TypeError, match="vector entry 1 is not an integer"):
+            double_cover_homology(twist_knot(-1)).coords_of((0, 1.0))
+        with pytest.raises(TypeError, match="vector entry 0 is not an integer"):
+            evaluate_linking(a, (False, 1), gen)
+
     def test_element_reduction(self):
         # any integer combination of the generators comes back in range
         group = double_cover_homology(NINE_37)

@@ -175,9 +175,13 @@ class TestSmithForm:
     def test_result_validates(self):
         good = snf(IntMatrix([[2]]))
         with pytest.raises(ValueError):
-            SNFResult(good.P, good.Q, good.D, (5,))
-        with pytest.raises(ValueError):
-            SNFResult(good.P, good.Q, IntMatrix([[0, 1], [0, 0]]), ())
+            SNFResult(good.P, good.Q, IntMatrix([[0, 1], [0, 0]]))
+
+    def test_invariant_factors_read_off_d(self):
+        ident = IntMatrix.identity(3)
+        res = SNFResult(ident, ident, IntMatrix([[1, 0, 0], [0, 3, 0], [0, 0, 15]]))
+        assert res.invariant_factors == (3, 15)
+        assert SNFResult(ident, ident, IntMatrix.identity(3)).invariant_factors == ()
 
 
 class TestResidue:

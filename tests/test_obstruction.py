@@ -20,6 +20,7 @@ from dihedral import (
     CriterionInapplicableError,
     EnumerationCapError,
     EvenModulusError,
+    ExtensionVerdict,
     QuotientClass,
     ResidueQZ,
     SeifertMatrix,
@@ -301,6 +302,10 @@ class TestVerdict:
         vd = verdict(form, chars[0])
         assert vd.extends
         assert vd.scope_note == ("orientable-B4",)
+
+    def test_extends_read_off_self_linking(self):
+        assert ExtensionVerdict(ResidueQZ.of(0), ("orientable-B4",)).extends
+        assert not ExtensionVerdict(ResidueQZ.of(Fraction(1, 3)), ()).extends
 
     def test_trivial_element_flagged(self):
         group = double_cover_homology(twist_knot(-1))

@@ -94,10 +94,10 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError):
             parse_matrix("")
 
-    @pytest.mark.parametrize("digit", ["\u0663", "\uff12"])
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff12", "1_0"])
     def test_grid_refuses_non_ascii_digits(self, digit):
-        # ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT TWO: int() reads
-        # both, the brace and JSON forms refuse both
+        # ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT TWO and a digit group
+        # separator: int() reads all three, the brace and JSON forms refuse them
         with pytest.raises(MatrixParseError, match=f"line 2, entry 2: not an integer: '{digit}'"):
             parse_matrix(f"-1 1\n0 {digit}")
         with pytest.raises(MatrixParseError, match="unexpected character"):
@@ -149,6 +149,13 @@ class TestAnalyze:
 
         with pytest.raises(EvenModulusError):
             analyze(twist_knot(-1), [2])
+
+    def test_n_max_must_be_an_integer(self, tmp_path):
+        with pytest.raises(TypeError, match="n_max is not an integer: 3.0"):
+            analyze(twist_knot(-1), n_max=3.0)
+        # scan refuses before it opens the file
+        with pytest.raises(TypeError, match="n_max is not an integer: True"):
+            next(scan(tmp_path / "missing.csv", n_max=True))
 
     def test_n_max_bounds_auto_selection(self):
         v = twist_knot(2)  # determinant 9
@@ -480,6 +487,12 @@ class TestTwistFamily:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             twist_family(3, 2)
+
+    def test_bool_endpoints_rejected(self):
+        with pytest.raises(TypeError, match="twist range start is not an integer: True"):
+            twist_family(True, 2)
+        with pytest.raises(TypeError, match="twist range end is not an integer: False"):
+            twist_family(-1, False)
 
 
 class TestTextRendering:

@@ -197,6 +197,10 @@ class TestStabilization:
         with pytest.raises(EvenModulusError):
             stabilize_zero_framed(twist_knot(2), (-1, 1), 4)
 
+    def test_rejects_order_one(self):
+        with pytest.raises(ValueError, match="dihedral order must be > 1, got 1"):
+            stabilize_zero_framed(twist_knot(2), (-1, 1), 1)
+
 
 # The four entry points that take a surface class from outside; each runs
 # the one characteristic test of dihedral.seifert on it.

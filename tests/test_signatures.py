@@ -19,6 +19,7 @@ from dihedral import (
     SeifertMatrix,
     SigmaWBound,
     SignatureIndeterminateError,
+    XiValue,
     characteristic_knot_classes,
     connected_sum,
     ribbon_test,
@@ -374,6 +375,21 @@ class TestXi:
     def test_rejects_non_characteristic(self):
         with pytest.raises(ValueError):
             xi_n(twist_knot(2), (1, 1), SeifertMatrix([]), 3, 0)
+
+    def test_values_read_off_parts(self):
+        val = XiValue(linking_term=Fraction(8, 9), sigma_w_range=(-3, 1), signature_sum=4)
+        assert (val.value_low, val.value_high) == (Fraction(17, 9), Fraction(53, 9))
+        assert val.candidates == (val.value_low, val.value_high)
+        assert not val.is_exact
+        exact = XiValue(Fraction(1, 3), (2, 2), -2)
+        assert exact.is_exact and exact.candidates == (Fraction(1, 3),)
+        with pytest.raises(ValueError, match="reversed"):
+            XiValue(Fraction(0), (1, -1), 0)
+
+    def test_sigma_w_type_checked(self):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(TypeError, match="sigma_w is not an integer"):
+                xi_n(twist_knot(2), (-1, 1), SeifertMatrix([]), 3, bad)
 
 
 class TestRibbon:
