@@ -29,7 +29,7 @@ from .report import (
     SCHEMA,
     KnotRecord,
     _escaped,
-    _to_json,
+    _write_json,
     analyze,
     parse_matrix,
     render_report_text,
@@ -62,12 +62,19 @@ def _parse_m_range(text):
     return integer(first, "--m-range start"), integer(last, "--m-range end")
 
 
+def _print_json(x):
+    """Write the JSON document of x to stdout in parts, then the newline
+    print would end it with."""
+    _write_json(x, sys.stdout.write)
+    sys.stdout.write("\n")
+
+
 def cmd_analyze(args):
     cap = _resolve_enum_cap(args.enum_cap)
     record = KnotRecord(args.name, parse_matrix(args.matrix))
     report = analyze(record, args.n or None, n_max=args.n_max, enum_cap=cap)
     if args.format == "json":
-        print(report.to_json())
+        _print_json(report)
     else:
         print(render_report_text(report))
     return 0
@@ -79,7 +86,7 @@ def cmd_scan(args):
     cap = _resolve_enum_cap(args.enum_cap)
     rows = list(scan(args.path, jobs=args.jobs, n_max=args.n_max, enum_cap=cap))
     if args.format == "json":
-        print(_to_json(rows))
+        _print_json(rows)
     else:
         chunks = []
         for r in rows:
@@ -96,7 +103,7 @@ def cmd_twist(args):
     first, last = _parse_m_range(args.m_range)
     rows = twist_family(first, last, enum_cap=cap)
     if args.format == "json":
-        print(_to_json({"schema": SCHEMA, "rows": rows}))
+        _print_json({"schema": SCHEMA, "rows": rows})
     else:
         print(render_twist_text(rows))
     return 0
@@ -119,7 +126,7 @@ def cmd_charknots(args):
     except EnumerationCapError as e:
         note = f"not enumerated: {e}"
     if args.format == "json":
-        print(_to_json({"schema": SCHEMA, "n": args.n, "classes": classes, "note": note}))
+        _print_json({"schema": SCHEMA, "n": args.n, "classes": classes, "note": note})
     else:
         if note is not None:
             print(note)

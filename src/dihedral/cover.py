@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import _check_int
 from .exact import IntMatrix, ResidueQZ, snf
@@ -50,11 +51,11 @@ class _Smith:
 
     def coords(self, v):
         """(P v)_t at each torsion position t, unreduced."""
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._p)
+        return tuple(sum(map(mul, row, v)) for row in self._p)
 
     def dual(self, u):
         """(Q^T u)_t at each torsion position t."""
-        return tuple(sum(a * b for a, b in zip(col, u)) for col in self._q)
+        return tuple(sum(map(mul, col, u)) for col in self._q)
 
     def pair(self, left, right):
         """e * lk(u, v) mod e, from left = dual(u) and right = coords(v)."""
@@ -222,7 +223,7 @@ class LinkingForm:
         total = 0
         for xi, row in zip(x, self._table):
             if xi:
-                total += xi * sum(yj * lij for yj, lij in zip(y, row))
+                total += xi * sum(map(mul, y, row))
         return total % self.exponent
 
     def __repr__(self):

@@ -9,6 +9,7 @@ test, and four-square decompositions. Nothing in this module ever rounds.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import _check_int, oversized_digits
 
@@ -114,7 +115,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         cols = [other.column(j) for j in range(other.cols)]
-        return _derived(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
+        return _derived(tuple(sum(map(mul, r, c)) for c in cols)
                         for r in self._rows)
 
     def apply(self, vec):
@@ -122,7 +123,7 @@ class IntMatrix:
         v = tuple(vec)
         if len(v) != self.cols:
             raise ValueError(f"vector has length {len(v)}, expected {self.cols}")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self._rows)
+        return tuple(sum(map(mul, r, v)) for r in self._rows)
 
     def to_lists(self):
         return [list(r) for r in self._rows]

@@ -21,7 +21,7 @@ through P, sends the first representative's class back to its c.
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 
 from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
 from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int,
@@ -181,7 +181,7 @@ def _walk(n, factors, enum_cap, what, v=None):
     for i, (t, end, q, aq) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, aqs)):
         g = moduli[t]
         s, c_step, pad = n // g, factors[t] // g, (0,) * (end - t - 1)
-        g_col = [sum(x * y for x, y in zip(qj, aq)) for qj in qs]
+        g_col = [sum(map(mul, qj, aq)) for qj in qs]
         steps.append((g, s, tuple((x * c_step,) + pad for x in range(g)),
                       tuple(s * x % n for x in q), tuple(s * x % nn for x in g_col),
                       s * s * g_col[i] % nn))
@@ -359,7 +359,7 @@ class CharKnotClass:
         n^2 the walk carried."""
         if self._value is None:
             beta = self.beta
-            value = sum(x * y for x, y in zip(beta, symmetrize(self.V).apply(beta)))
+            value = sum(map(mul, beta, symmetrize(self.V).apply(beta)))
             if (value - self._value_mod_n2) % (self.n * self.n):
                 raise ArithmeticError(
                     f"form value {value} of class {list(beta)} disagrees with "

@@ -6,9 +6,11 @@ determinant, the characteristic classes with their criterion results
 and stabilization summaries, and (on the twist family) the xi values
 and ribbon verdict.
 
-JSON layout: one writer, _to_json, prints every JSON document in the
+JSON layout: one writer, _write_json, writes every JSON document in the
 json.dumps(indent=2, sort_keys=True) layout, walking the report
-dataclasses by a key table per class. Integers under _NUMBER_KEYS (n,
+dataclasses by a key layout per class. It hands the text to a write
+function in parts of bounded size: the CLI writes each part to stdout,
+and _to_json joins them into one string. Integers under _NUMBER_KEYS (n,
 genus, row, counts, sizes) are plain numbers; every other integer
 (determinants, invariant factors, coordinates, form values) is a
 decimal string; rationals are {"num": "...", "den": "..."} with decimal
@@ -216,50 +218,121 @@ _ADDED = {
 }
 
 
+# Fragments _write_json gathers before it hands them to write as one part.
+_PART = 1024
+
+
 @functools.cache
-def _table(cls):
-    """(quoted key and separator, getter, numeric) per JSON key of a report
-    dataclass, in key order."""
+def _layout(cls, nl):
+    """(head, getter, numeric) per JSON key of a report dataclass whose
+    closing brace starts with nl, in key order. A head holds the brace or
+    comma, the line break and indent, and the quoted key with its colon."""
     keys = {_RENAMED.get(f.name, f.name): attrgetter(f.name) for f in fields(cls)}
     keys.update(_ADDED.get(cls, {}))
-    return tuple((encode_basestring_ascii(k) + ": ", get, k in _NUMBER_KEYS)
-                 for k, get in sorted(keys.items()))
-
-
-def _to_json(x, nl="\n", numeric=False):
-    """The text json.dumps(doc, indent=2, sort_keys=True) gives for the
-    document of x: report dataclasses, dicts, lists and tuples, strings,
-    booleans, None, Fraction and ResidueQZ (as {"num", "den"} strings), and
-    integers (numbers under _NUMBER_KEYS, decimal strings elsewhere)."""
-    t = type(x)
-    if t is int:
-        return str(x) if numeric else f'"{x}"'
-    if t is str:
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if t is bool:
-        return "true" if x else "false"
     inner = nl + "  "
-    if t is Fraction or t is ResidueQZ:
-        return f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}'
-    if t is tuple or t is list:
+    return tuple((("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", get,
+                  k in _NUMBER_KEYS)
+                 for i, (k, get) in enumerate(sorted(keys.items())))
+
+
+@functools.cache
+def _int_seq(nl, numeric):
+    """(open, separator, close) of a nonempty list of integers whose
+    closing bracket starts with nl."""
+    inner, q = nl + "  ", "" if numeric else '"'
+    return f"[{inner}{q}", f"{q},{inner}{q}", f"{q}{nl}]"
+
+
+def _write_json(x, write):
+    """Write the text json.dumps(doc, indent=2, sort_keys=True) gives for
+    the document of x, in parts: report dataclasses, dicts, lists and
+    tuples, strings, booleans, None, Fraction and ResidueQZ (as {"num",
+    "den"} strings), and integers (numbers under _NUMBER_KEYS, decimal
+    strings elsewhere). A part ends at a list item once _PART fragments
+    are waiting, so the text held at once stays bounded."""
+    out = []
+    put = out.append
+
+    def value(x, nl, numeric):
+        t = type(x)
+        if t is int:
+            put(str(x) if numeric else f'"{x}"')
+        elif t is str:
+            put(encode_basestring_ascii(x))
+        elif x is None:
+            put("null")
+        elif t is bool:
+            put("true" if x else "false")
+        elif t is Fraction or t is ResidueQZ:
+            inner = nl + "  "
+            put(f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}')
+        elif t is tuple or t is list:
+            sequence(x, nl, numeric)
+        elif t is dict:
+            if not x:
+                put("{}")
+                return
+            inner, sep = nl + "  ", "{"
+            for k, v in sorted(x.items()):
+                put(sep + inner + encode_basestring_ascii(k) + ": ")
+                value(v, inner, k in _NUMBER_KEYS)
+                sep = ","
+            put(nl + "}")
+        else:
+            record(x, nl)
+
+    def sequence(x, nl, numeric):
         if not x:
-            return "[]"
-        if all(type(v) is int for v in x):  # coordinates, factors: one join
-            q = "" if numeric else '"'
-            return f"[{inner}{q}" + f"{q},{inner}{q}".join(map(str, x)) + f"{q}{nl}]"
-        items = [_to_json(v, inner, numeric) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if t is dict:
-        if not x:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _to_json(v, inner, k in _NUMBER_KEYS)
-                 for k, v in sorted(x.items())]
-    else:
-        items = [key + _to_json(get(x), inner, num)
-                 for key, get, num in _table(t)]
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
+            put("[]")
+            return
+        types = {*map(type, x)}
+        if types == {int}:  # coordinates, factors: one join
+            head, sep, tail = _int_seq(nl, numeric)
+            put(head + sep.join(map(str, x)) + tail)
+        elif types == {str}:  # scope tags
+            inner = nl + "  "
+            put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, x)) + nl + "]")
+        else:
+            inner, sep = nl + "  ", "["
+            for v in x:
+                put(sep + inner)
+                value(v, inner, numeric)
+                sep = ","
+                if len(out) > _PART:
+                    write("".join(out))
+                    out.clear()
+            put(nl + "]")
+
+    def record(x, nl):
+        inner = nl + "  "
+        for head, get, numeric in _layout(type(x), nl):
+            v = get(x)
+            t = type(v)
+            if t is bool:
+                put(head + ("true" if v else "false"))
+            elif t is int:
+                put(f"{head}{v}" if numeric else f'{head}"{v}"')
+            elif t is str:
+                put(head + encode_basestring_ascii(v))
+            elif v is None:
+                put(head + "null")
+            elif t is tuple:
+                put(head)
+                sequence(v, inner, numeric)
+            else:
+                put(head)
+                value(v, inner, numeric)
+        put(nl + "}")
+
+    value(x, "\n", False)
+    write("".join(out))
+
+
+def _to_json(x):
+    """The JSON text of x, as _write_json writes it, in one string."""
+    parts = []
+    _write_json(x, parts.append)
+    return "".join(parts)
 
 
 def parse_matrix(text):

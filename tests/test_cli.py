@@ -358,6 +358,39 @@ class TestEnumCapResolution:
         assert "error:" in capsys.readouterr().err
 
 
+class TestClosedPipe:
+    """A reader that closes early stops the command mid-document: exit 1,
+    with no traceback or "Exception ignored" on stderr."""
+
+    def _close_after_ten_bytes(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        with subprocess.Popen([sys.executable, "-m", "dihedral", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                assert len(proc.stdout.read(10)) == 10
+                proc.stdout.close()
+                err = proc.communicate(timeout=60)[1]
+            finally:
+                proc.kill()
+        assert proc.returncode == 1
+        assert err == b""
+
+    def test_analyze(self):
+        # 9_37#9_37: 1.48 MB of JSON, far more than a pipe holds
+        nine = dihedral.parse_matrix(NINE_37)
+        summed = dihedral.render_matrix(dihedral.connected_sum(nine, nine))
+        self._close_after_ten_bytes("analyze", "--matrix", summed)
+
+    def test_scan(self, tmp_path, corpus, corpus_reports):
+        # the 15 corpus knots with the longest reports, far more than a pipe holds
+        longest = sorted(range(len(corpus)), key=lambda i: -len(corpus_reports[i].to_json()))
+        p = tmp_path / "census.csv"
+        p.write_text("name,seifert\n" + "".join(
+            f'k{i},"{dihedral.render_matrix(corpus[i])}"\n' for i in longest[:15]))
+        self._close_after_ten_bytes("scan", str(p))
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0

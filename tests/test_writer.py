@@ -3,6 +3,7 @@ of what it wrote, byte for byte, on every document the CLI prints."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.cli import main
-from dihedral.report import _to_json
+from dihedral.report import _to_json, _write_json
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -154,3 +155,55 @@ class TestIntLeaves:
     def test_matches_json_dumps(self, value, key, numeric):
         want = {key: value if numeric else decimal_strings(value)}
         assert _to_json({key: value}) == json.dumps(want, indent=2, sort_keys=True)
+
+
+class TestStringLeaves:
+    """Sequences of strings are written in one join, and only sequences
+    whose items are all ints or all strs take a join."""
+
+    @pytest.mark.parametrize("value", [
+        ("a", "b"), ("é", "lone \ud800", 'q"'), ("a", None), (("a",), "b"), ("a", 3),
+        [True, 1],
+    ])
+    @pytest.mark.parametrize("key, numeric", [("skipped_n", True), ("scope", False)])
+    def test_matches_json_dumps(self, value, key, numeric):
+        want = {key: value if numeric else decimal_strings(value)}
+        assert _to_json({key: value}) == json.dumps(want, indent=2, sort_keys=True)
+
+
+def nine37_sum_report():
+    nine = parse_matrix(NINE_37_TEXT)
+    return analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine)))
+
+
+def genus6_twist_sum_report():
+    return analyze(KnotRecord("sum", twist_sum((2, 5, 8, 11, 14, 17))), [3])
+
+
+class TestBoundedWrites:
+    """_write_json hands the document to write in parts, so the text held
+    at once stays well below the document."""
+
+    @pytest.fixture(scope="class", params=[nine37_sum_report, genus6_twist_sum_report])
+    def report(self, request):
+        return request.param()
+
+    def test_parts_make_the_document(self, report):
+        parts = []
+        _write_json(report, parts.append)
+        doc = "".join(parts)
+        assert doc == _to_json(report)
+        assert_round_trip(doc)
+        assert len(parts) > 1
+        assert max(map(len, parts)) < len(doc) / 8
+
+    def test_peak_memory_below_the_document(self, report):
+        size = len(_to_json(report))
+        _write_json(report, lambda part: None)  # fill the layout caches first
+        tracemalloc.start()
+        try:
+            _write_json(report, lambda part: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
