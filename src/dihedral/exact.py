@@ -165,6 +165,13 @@ class ResidueQZ:
         f = Fraction(q, den)
         return cls(f - math.floor(f))
 
+    @classmethod
+    def _reduced(cls, q, e):
+        """q / e mod 1 for ints q and e > 0: q % e proves the range."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "value", Fraction(q % e, e))
+        return r
+
     @property
     def is_zero(self):
         return self.value == 0
@@ -344,21 +351,25 @@ def snf(a):
 # The four-square search walks candidates in the order of its answer, so
 # its cost grows with k itself, not with the digit count: a 21-digit k
 # would run for years. The census and benchmark knots need at most 14
-# steps, and every k below 10^5 at most 557,524 (k = 94,208). A million
+# steps, and every k below 10^5 at most 8,154 (k = 92,332). A million
 # steps, about 0.3 s, is far above both; past it the search refuses.
 _FOUR_SQUARES_STEPS = 1_000_000
 
 
 def four_squares(k):
-    """Lexicographically smallest (a1, a2, a3, a4), ascending, with sum of
-    squares k, by a plain search in that order; past _FOUR_SQUARES_STEPS
+    """Lexicographically smallest ascending (a1, a2, a3, a4) with sum of
+    squares k: twice that of k / 4 while 8 | k, a1 > 0 where k = 4^a (8b + 7)
+    (Legendre), by a plain search in that order; past _FOUR_SQUARES_STEPS
     steps it raises ArithmeticError naming the digit count of k."""
     _check_int(k, "four_squares argument")
     if k < 0:
         raise ValueError(f"four_squares needs a nonnegative integer, got {k}")
+    m, scale = k, 1
+    while m and m % 8 == 0:
+        m, scale = m // 4, 2 * scale
     steps = 0
-    for a1 in range(math.isqrt(k // 4) + 1):
-        r1 = k - a1 * a1
+    for a1 in range(m % 8 == 7 or m % 32 == 28, math.isqrt(m // 4) + 1):
+        r1 = m - a1 * a1
         for a2 in range(a1, math.isqrt(r1 // 3) + 1):
             r2 = r1 - a2 * a2
             for a3 in range(a2, math.isqrt(r2 // 2) + 1):
@@ -370,5 +381,5 @@ def four_squares(k):
                 r3 = r2 - a3 * a3
                 a4 = math.isqrt(r3)
                 if a4 * a4 == r3 and a4 >= a3:
-                    return (a1, a2, a3, a4)
+                    return (scale * a1, scale * a2, scale * a3, scale * a4)
     raise ArithmeticError(f"no four-square decomposition found for {k}")

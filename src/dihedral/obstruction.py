@@ -21,7 +21,7 @@ through P, sends the first representative's class back to its c.
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import add, attrgetter, mul
+from operator import add, mul
 
 from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
 from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int,
@@ -55,6 +55,11 @@ SCOPE_ALSO_ANY_AMBIENT = "also-any-ambient-4-manifold"
 SCOPE_ALL_DIHEDRAL_IF_3_DIVIDES_N = "obstructs-all-if-3-divides-n"
 
 DEFAULT_ENUM_CAP = 1_000_000
+
+# The scope tags of a verdict, keyed by (extends, 3 divides n).
+_FAILED = (SCOPE_ORIENTABLE_B4, SCOPE_ALSO_NONORIENTABLE, SCOPE_ALSO_ANY_AMBIENT)
+_SCOPES = {(True, False): _FAILED[:1], (True, True): _FAILED[:1], (False, False): _FAILED,
+           (False, True): _FAILED + (SCOPE_ALL_DIHEDRAL_IF_3_DIVIDES_N,)}
 
 
 def _enum_cap(enum_cap):
@@ -158,8 +163,8 @@ def _walk(n, factors, enum_cap, what, v=None):
     (y_t = k_t n / g_t) is primitive mod n, in lexicographic order of k
     and so of c (c_t = k_t d_t / g_t). y is primitive, and c has order n,
     when each p^a || n has a t with p^a | g_t and p not dividing k_t.
-    Given the Seifert matrix v with these Smith factors, beta = Q y and
-    f = y^T Q^T A Q y (reduce mod n and n^2); without v, () and 0.
+    Given the Seifert matrix v with these Smith factors, beta = Q y mod n
+    and f = y^T Q^T A Q y mod n^2; without v, () and 0.
     """
     moduli = [math.gcd(d, n) for d in factors]
     _check_cap(what, math.prod(moduli), enum_cap)
@@ -187,7 +192,7 @@ def _walk(n, factors, enum_cap, what, v=None):
                       s * s * g_col[i] % nn))
     out = []
     _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, out)
-    return out
+    return [(c, tuple(map(n.__rmod__, beta)), f % nn) for c, beta, f in out]
 
 
 def _walk_from(steps, i, c, beta, gy, f, content, out):
@@ -277,15 +282,6 @@ def quotient_classes(chars, n):
     return tuple(classes)
 
 
-def _scope_tags(extends, n):
-    if extends:
-        return (SCOPE_ORIENTABLE_B4,)
-    tags = [SCOPE_ORIENTABLE_B4, SCOPE_ALSO_NONORIENTABLE, SCOPE_ALSO_ANY_AMBIENT]
-    if n % 3 == 0:
-        tags.append(SCOPE_ALL_DIHEDRAL_IF_3_DIVIDES_N)
-    return tuple(tags)
-
-
 def verdict(form, c, n=None):
     """Extension verdict for a character, or for a bare element.
 
@@ -309,12 +305,8 @@ def verdict(form, c, n=None):
         require_dihedral_order(n)
         elem = _element(form.group, c)
         surjective = _image_order(form, elem) == n
-    return _verdict(ResidueQZ.of(form.pair(elem, elem), form.exponent), n, surjective)
-
-
-def _verdict(sl, n, surjective=True):
-    """The verdict on a character of order n, or a bare element, of self-linking sl."""
-    return ExtensionVerdict(sl, _scope_tags(sl.is_zero, n), surjective)
+    sl = ResidueQZ._reduced(form.pair(elem, elem), form.exponent)
+    return ExtensionVerdict(sl, _SCOPES[sl.is_zero, n % 3 == 0], surjective)
 
 
 def is_characteristic_class(v, coords, n):
@@ -358,13 +350,8 @@ class CharKnotClass:
         first call for a walked class and checked against the value mod
         n^2 the walk carried."""
         if self._value is None:
-            beta = self.beta
-            value = sum(map(mul, beta, symmetrize(self.V).apply(beta)))
-            if (value - self._value_mod_n2) % (self.n * self.n):
-                raise ArithmeticError(
-                    f"form value {value} of class {list(beta)} disagrees with "
-                    f"{self._value_mod_n2} mod {self.n}^2 from the walk; input is corrupt")
-            object.__setattr__(self, "_value", value)
+            object.__setattr__(self, "_value",
+                               _form_value(self.V, self.beta, self._value_mod_n2, self.n))
         return self._value
 
     def form_value_mod_n2(self):
@@ -372,14 +359,20 @@ class CharKnotClass:
         return self._value_mod_n2
 
 
-def _walked_class(v, n, beta, f):
+def _form_value(v, beta, f, n):
+    """beta^T (V + V^T) beta, exact, checked against f mod n^2 from the walk."""
+    value = sum(map(mul, beta, symmetrize(v).apply(beta)))
+    if (value - f) % (n * n):
+        raise ArithmeticError(f"form value {value} of class {list(beta)} disagrees with "
+                              f"{f} mod {n}^2 from the walk; input is corrupt")
+    return value
+
+
+def _walked_class(v, n, beta, f, value=None):
     """A CharKnotClass built without its constructor from the walk's beta
-    and f; the exact form value, checked against f, only when f = 0 mod n^2."""
+    and f; an exact form value not given is formed on first use."""
     ck = object.__new__(CharKnotClass)
-    vars(ck).update(V=v, beta=tuple(x % n for x in beta), n=n,
-                    _value_mod_n2=f % (n * n), _value=None)
-    if ck._value_mod_n2 == 0:
-        ck.form_value()
+    vars(ck).update(V=v, beta=beta, n=n, _value_mod_n2=f, _value=value)
     return ck
 
 
@@ -388,15 +381,16 @@ def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     of the one walk. With P A Q = D (checked by snf) and beta = Q y,
     D y = 0 mod n makes each beta walked characteristic, and Q is
     unimodular, so beta has the content of y. The walk carries each
-    form value mod n^2 and skips CharKnotClass's validation.
+    form value mod n^2 and skips CharKnotClass's validation; a passing
+    class gets its exact value, checked, at once.
     """
     require_dihedral_order(n)
     _enum_cap(enum_cap)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)
-    return tuple(sorted((_walked_class(v, n, beta, f) for _, beta, f in leaves),
-                        key=attrgetter("beta")))
+    return tuple(_walked_class(v, n, beta, f, None if f else _form_value(v, beta, 0, n))
+                 for beta, f in sorted(leaf[1:] for leaf in leaves))
 
 
 def _check_linking(got, e, value, n):
@@ -411,25 +405,25 @@ def _check_linking(got, e, value, n):
 
 def _extension_walk(v, form, n, enum_cap):
     """Both routes at n from one walk, checked per class and per block:
-    ((members, verdict) per quotient class, with members the sorted
-    character coordinates; the characteristic classes sorted by beta).
-    form is on the Smith basis of v's cover homology. The cap names the
-    kernel mod n, which has the size of H[n].
+    ((members, e lk(c, c) mod e) per quotient class, with members the
+    sorted character coordinates and c the first; the characteristic
+    classes as (beta mod n, f mod n^2) pairs sorted by beta). form is on
+    the Smith basis of v's cover homology, of exponent e. The cap names
+    the kernel mod n, which has the size of H[n].
     """
     factors = form.group.invariant_factors
     leaves = _walk(n, factors, enum_cap, f"kernel mod {n}", v)
-    cks = [_walked_class(v, n, beta, f) for _, beta, f in leaves]
     e = form.exponent
     classes = []
     for i, members in _orbits([c for c, _, _ in leaves], factors, n):
         got = form.pair(members[0], members[0])
-        _check_linking(got, e, cks[i].form_value_mod_n2(), n)
-        classes.append((tuple(members), _verdict(ResidueQZ.of(got, e), n)))
-    if cks and char_knot_to_character(v, cks[0], form).c != leaves[0][0]:
-        raise ArithmeticError(f"class {list(cks[0].beta)} maps to another character than "
+        _check_linking(got, e, leaves[i][2], n)
+        classes.append((tuple(members), got))
+    pairs = [leaf[1:] for leaf in leaves]
+    if pairs and char_knot_to_character(v, _walked_class(v, n, *pairs[0]), form).c != leaves[0][0]:
+        raise ArithmeticError(f"class {list(pairs[0][0])} maps to another character than "
                               f"the walk's {leaves[0][0]}; routes disagree at n={n}")
-    cks.sort(key=attrgetter("beta"))
-    return classes, tuple(cks)
+    return classes, sorted(pairs)
 
 
 def char_knot_to_character(v, beta, form=None):

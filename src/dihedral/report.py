@@ -32,7 +32,7 @@ from .cover import double_cover_homology, linking_form
 from .errors import (EnumerationCapError, MatrixParseError, _check_int, integer,
                      require_dihedral_order, require_printable)
 from .exact import ResidueQZ
-from .obstruction import DEFAULT_ENUM_CAP, _enum_cap, _extension_walk, seifert_criterion
+from .obstruction import DEFAULT_ENUM_CAP, _SCOPES, _enum_cap, _extension_walk, _form_value
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
 from .signatures import ribbon_test, twist_xi3
@@ -292,6 +292,17 @@ def _write_json(x, write):
         elif types == {str}:  # scope tags
             inner = nl + "  "
             put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, x)) + nl + "]")
+        elif types == {tuple} and all(x) and {*map(type, itertools.chain(*x))} == {int}:
+            # members: one join per slice of _PART tuples, a part per slice past the first
+            head, sep, tail = _int_seq(nl + "  ", numeric)
+            between = f"{tail},{nl}  {head}"
+            for i in range(0, len(x), _PART):
+                if i:
+                    write("".join(out))
+                    out.clear()
+                put((between if i else f"[{nl}  {head}")
+                    + between.join([sep.join(map(str, m)) for m in x[i:i + _PART]]))
+            put(tail + nl + "]")
         else:
             inner, sep = nl + "  ", "["
             for v in x:
@@ -432,39 +443,38 @@ def render_matrix(v):
     return "{" + rows + "}"
 
 
-def _char_entry(v, ck):
-    # only a passing class needs its exact form value, for the squares
-    passes = seifert_criterion(v, ck)
-    if not passes:
-        summary = StabSummary("not-zero-framable", v.size, (), False, ())
-    elif (value := ck.form_value()) == 0:
-        summary = StabSummary("already-zero-framed", v.size, (), False, ck.beta)
+def _passing_entry(v, n, beta):
+    """A class with f = 0 mod n^2: only its squares need the exact form value."""
+    value = _form_value(v, beta, 0, n)
+    if value == 0:
+        summary = StabSummary("already-zero-framed", v.size, (), False, beta)
     else:
-        squares, flipped, tail = _zero_framing(value, ck.n)
-        summary = StabSummary("stabilized", v.size + len(tail), squares, flipped,
-                              ck.beta + tail)
-    return CharEntry(beta=ck.beta, form_value_mod_n2=ck.form_value_mod_n2(),
-                     passes_criterion=passes, stabilization=summary)
+        squares, flipped, tail = _zero_framing(value, n)
+        summary = StabSummary("stabilized", v.size + len(tail), squares, flipped, beta + tail)
+    return CharEntry(beta, 0, True, summary)
 
 
 def _analyze_n(v, form, n, enum_cap):
     # one walk gives both routes, checked per class and per block; it is
     # H[n] and the kernel mod n at once, so a cap stops both, by one size
     try:
-        classes, cks = _extension_walk(v, form, n, enum_cap)
+        classes, pairs = _extension_walk(v, form, n, enum_cap)
     except EnumerationCapError as e:
         ck_note = f"not enumerated: {e}"
         note = ck_note.replace(f"kernel mod {n}", f"n-torsion subgroup H[{n}]", 1)
         return NBlock(n=n, characters_enumerated=False, character_note=note,
                       quotient_class_count=None, extendable_class_count=None, classes=(),
                       char_classes_enumerated=False, char_class_note=ck_note, char_classes=())
-    entries = tuple(ClassEntry(m[0], m, vd.self_linking, vd.extends, vd.surjective, vd.scope_note)
-                    for m, vd in classes)
+    e, three = form.exponent, n % 3 == 0
+    entries = tuple(ClassEntry(m[0], m, ResidueQZ._reduced(got, e), not got, True,
+                               _SCOPES[not got, three]) for m, got in classes)
+    fails = StabSummary("not-zero-framable", v.size, (), False, ())
     return NBlock(n=n, characters_enumerated=True, character_note="",
                   quotient_class_count=len(entries),
-                  extendable_class_count=sum(e.extends for e in entries), classes=entries,
+                  extendable_class_count=sum(not got for _, got in classes), classes=entries,
                   char_classes_enumerated=True, char_class_note="",
-                  char_classes=tuple(_char_entry(v, ck) for ck in cks))
+                  char_classes=tuple(CharEntry(beta, f, False, fails) if f
+                                     else _passing_entry(v, n, beta) for beta, f in pairs))
 
 
 def _twist_parameter(v):
@@ -679,7 +689,7 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
         exists = bool(classes)
         extends = candidates = ribbon = None
         if exists:
-            extends = any(vd.extends for _, vd in classes)
+            extends = any(not got for _, got in classes)
             val = twist_xi3(m)
             candidates = val.candidates
             ribbon = ribbon_test(val, 0, 3)

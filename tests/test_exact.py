@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,13 +211,14 @@ class TestFourSquares:
             four_squares(-1)
 
     def test_step_budget(self, monkeypatch):
-        # 23 = 1 + 4 + 9 + 9 is found at the 14th step
+        # 23 = 8 * 2 + 7 skips a1 = 0, so 23 = 1 + 4 + 9 + 9 is found at
+        # the 5th step (the 14th before the skip)
         import dihedral.exact as exact_mod
 
-        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 14)
+        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 5)
         assert four_squares(23) == (1, 2, 3, 3)
-        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 13)
-        with pytest.raises(ArithmeticError, match="2-digit integer stopped after 13 steps"):
+        monkeypatch.setattr(exact_mod, "_FOUR_SQUARES_STEPS", 4)
+        with pytest.raises(ArithmeticError, match="2-digit integer stopped after 4 steps"):
             four_squares(23)
 
     def test_minimal_ascending(self):
@@ -233,3 +235,28 @@ class TestFourSquares:
                 if a * a + b * b + c * c + d * d == k
             )
             assert got == best
+
+    def test_matches_plain_search(self):
+        # halving while 8 | k and skipping a1 = 0 where Legendre's theorem
+        # rules it out keep the answer of the plain search in that order
+        def plain(k):
+            for a1 in range(math.isqrt(k // 4) + 1):
+                r1 = k - a1 * a1
+                for a2 in range(a1, math.isqrt(r1 // 3) + 1):
+                    r2 = r1 - a2 * a2
+                    for a3 in range(a2, math.isqrt(r2 // 2) + 1):
+                        a4 = math.isqrt(r2 - a3 * a3)
+                        if a4 * a4 == r2 - a3 * a3 and a4 >= a3:
+                            return (a1, a2, a3, a4)
+
+        for k in range(10**4):
+            assert four_squares(k) == plain(k), k
+
+    @pytest.mark.parametrize("k, want", [(376_832, (64, 64, 192, 576)),
+                                         (94_208, (32, 32, 96, 288))])
+    def test_powers_of_four_times_23(self, k, want):
+        # 2^14 * 23 was refused by the budget and 2^12 * 23 took 557,524 steps;
+        # both reduce to 92 = 4 * 23 = 1 + 1 + 9 + 81
+        start = time.perf_counter()
+        assert four_squares(k) == want
+        assert time.perf_counter() - start < 0.05

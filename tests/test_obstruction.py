@@ -589,6 +589,25 @@ class TestRouteChecks:
 
         monkeypatch.setattr(TorsionGroup, "coords_of", corrupted)
 
+    def test_exact_value_checked_in_report(self, monkeypatch):
+        # the report forms beta^T A beta only for a class whose f reads 0 mod
+        # n^2 and checks it there; the per-class linking check reads only
+        # representatives, so a non-representative leaf reaches that check
+        nine_sum = dihedral.connected_sum(NINE_37, NINE_37)
+        assert analyze(nine_sum, [5]).blocks[0].char_classes
+        real = obstruction._walk
+
+        def corrupted(n, factors, enum_cap, what, v=None):
+            leaves = real(n, factors, enum_cap, what, v)
+            reps = {i for i, _ in obstruction._orbits([c for c, _, _ in leaves], factors, n)}
+            i = next(i for i, (_, _, f) in enumerate(leaves) if i not in reps and f)
+            leaves[i] = leaves[i][:2] + (0,)
+            return leaves
+
+        monkeypatch.setattr(obstruction, "_walk", corrupted)
+        with pytest.raises(ArithmeticError, match=r"disagrees with 0 mod 5\^2 from the walk"):
+            analyze(nine_sum, [5])
+
     @pytest.mark.parametrize("fault, message", [
         ("corrupt_table", "routes are inconsistent"),
         ("corrupt_column", "routes are inconsistent"),

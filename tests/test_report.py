@@ -24,15 +24,18 @@ from dihedral import (
     knot_determinant,
     linking_form,
     parse_matrix,
+    quotient_classes,
     render_matrix,
     render_report_text,
     render_twist_text,
     scan,
+    seifert_criterion,
     stabilize_zero_framed,
     surjective_characters,
     twist_family,
     twist_knot,
 )
+from dihedral.report import CharEntry, ClassEntry, StabSummary
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -111,6 +114,30 @@ class TestParseMatrix:
         # str.splitlines() would break here; str.split() reads it as a space
         with pytest.raises(SeifertMatrixError, match="square"):
             parse_matrix(f"-1 1{sep}0 2")
+
+
+def public_classes(form, n):
+    """The ClassEntry records of an n-block, from quotient_classes."""
+    return tuple(ClassEntry(qc.representative.c, tuple(ch.c for ch in qc.members),
+                            qc.verdict.self_linking, qc.extends, qc.verdict.surjective,
+                            qc.verdict.scope_note)
+                 for qc in quotient_classes(surjective_characters(form.group, form, n), n))
+
+
+def public_char_classes(v, n):
+    """The CharEntry records of an n-block, from characteristic_knot_classes,
+    seifert_criterion and stabilize_zero_framed."""
+    entries = []
+    for ck in characteristic_knot_classes(v, n):
+        passes = seifert_criterion(v, ck)
+        if passes:
+            out = stabilize_zero_framed(v, ck.beta, n)
+            status = "stabilized" if out.blocks_added else "already-zero-framed"
+            stab = StabSummary(status, out.matrix.size, out.squares, out.flipped_sign, out.cls)
+        else:
+            stab = StabSummary("not-zero-framable", v.size, (), False, ())
+        entries.append(CharEntry(ck.beta, ck.form_value_mod_n2(), passes, stab))
+    return tuple(entries)
 
 
 class TestAnalyze:
@@ -208,6 +235,24 @@ class TestAnalyze:
                         out.matrix.size, out.squares, out.flipped_sign, out.cls)
                     stabilized += out.blocks_added > 0
         assert stabilized > 100
+
+    def test_report_route_equals_public_route(self, corpus, corpus_reports):
+        # analyze builds each entry straight from the walk; the public
+        # functions, each with its own records, must give the same entries
+        nine = parse_matrix(NINE_37_TEXT)
+        sums = [functools.reduce(connected_sum, map(twist_knot, ms))
+                for ms in ((2, 5, 8, -1), (2, 5, 8, 11, 14, 17))]
+        cases = (list(zip(corpus, corpus_reports))
+                 + [(connected_sum(nine, nine), analyze(connected_sum(nine, nine)))]
+                 + [(v, analyze(v, [3])) for v in sums])
+        blocks = 0
+        for v, r in cases:
+            form = linking_form(double_cover_homology(v))
+            for b in r.blocks:
+                assert b.classes == public_classes(form, b.n)
+                assert b.char_classes == public_char_classes(v, b.n)
+                blocks += 1
+        assert blocks > 200
 
     def test_nine37_sum_report_bytes_pinned(self):
         # sha256 of the 9_37#9_37 auto-mode report without its version key:

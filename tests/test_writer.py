@@ -17,7 +17,7 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.cli import main
-from dihedral.report import _to_json, _write_json
+from dihedral.report import _PART, _to_json, _write_json
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -145,11 +145,13 @@ def decimal_strings(x):
 
 
 class TestIntLeaves:
-    """Sequences of ints are written in one join; the layout must not move."""
+    """Sequences of ints, and tuples of nonempty int tuples, are written in
+    one join; the layout must not move, and other items take the general path."""
 
     @pytest.mark.parametrize("value", [
         (), [], (7,), [0], (0, -3, 12345678901234567890), ((),), ((1, 2), (), (3,)),
         [(-1,), [2, [3, 4]], ()], (1, True), (None, 2), ("a", 3),
+        ((1, 2), (3,)), ((), (1,)), ((1, True), (2,)), ((1,), [2]), ((1,), "a"),
     ])
     @pytest.mark.parametrize("key, numeric", [("skipped_n", True), ("beta", False)])
     def test_matches_json_dumps(self, value, key, numeric):
@@ -169,6 +171,27 @@ class TestStringLeaves:
     def test_matches_json_dumps(self, value, key, numeric):
         want = {key: value if numeric else decimal_strings(value)}
         assert _to_json({key: value}) == json.dumps(want, indent=2, sort_keys=True)
+
+
+class TestMemberLists:
+    """A tuple of int tuples, a class's members, is written with one join
+    per slice of _PART members; TestIntLeaves has its other item types."""
+
+    @pytest.mark.parametrize("count", [_PART - 1, _PART, _PART + 1, 2 * _PART + 1])
+    def test_slice_boundaries(self, count):
+        value = tuple((i, -i) for i in range(count))
+        want = {"members": decimal_strings(value)}
+        assert _to_json({"members": value}) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_long_member_list_in_parts(self):
+        value = tuple((i, i + 1) for i in range(50_000))
+        parts = []
+        _write_json({"members": value}, parts.append)
+        doc = "".join(parts)
+        want = {"members": decimal_strings(value)}
+        assert doc == json.dumps(want, indent=2, sort_keys=True)
+        assert len(parts) > 1
+        assert max(map(len, parts)) < len(doc) / 8
 
 
 def nine37_sum_report():
