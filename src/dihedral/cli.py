@@ -81,10 +81,8 @@ def cmd_analyze(args):
 
 
 def cmd_scan(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cap = _resolve_enum_cap(args.enum_cap)
-    rows = list(scan(args.path, jobs=args.jobs, n_max=args.n_max, enum_cap=cap))
+    rows = list(scan(args.path, n_max=args.n_max, enum_cap=cap))
     if args.format == "json":
         _print_json(rows)
     else:
@@ -173,8 +171,6 @@ def build_parser():
 
     p = subs.add_parser("scan", help="batch reports for a census file")
     p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
-    p.add_argument("--jobs", type=integer, default=1, metavar="N",
-                   help="concurrent rows, at most the core count (output stays in input order)")
     p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
                    help=f"largest n considered (default {DEFAULT_N_MAX})")
     _add_common(p)
@@ -224,7 +220,7 @@ def main(argv=None):
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (OSError, ValueError, TypeError, ArithmeticError) as e:
+    except (OSError, ValueError, TypeError, ArithmeticError, EnumerationCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

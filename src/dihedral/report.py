@@ -20,7 +20,6 @@ strings. Output is fully deterministic.
 import functools
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -31,7 +30,7 @@ from . import __version__
 from .cover import double_cover_homology, linking_form
 from .errors import (EnumerationCapError, MatrixParseError, _check_int, integer,
                      require_dihedral_order, require_printable)
-from .exact import ResidueQZ
+from .exact import ResidueQZ, _derived
 from .obstruction import DEFAULT_ENUM_CAP, _SCOPES, _enum_cap, _extension_walk, _form_value
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
 from .seifert import SeifertMatrix, _zero_framing, knot_determinant
@@ -380,12 +379,12 @@ def parse_matrix(text):
                 except ValueError:
                     raise MatrixParseError(f"line {ln}, entry {col}: {_bad_token(tok)}") from None
             data.append(row)
-    return SeifertMatrix(_validated_rows(data))
+    return SeifertMatrix(_validated_matrix(data))
 
 
 def _json_int(tok):
     """The integer of a JSON literal, or the literal itself when it has more
-    digits than int() converts, for _validated_rows to report by row and
+    digits than int() converts, for _validated_matrix to report by row and
     column."""
     try:
         return integer(tok)
@@ -412,7 +411,10 @@ def _bad_token(tok):
     return f"not an integer: {shown}"
 
 
-def _validated_rows(data):
+def _validated_matrix(data):
+    """The IntMatrix of parsed rows, each entry checked to be an int (not
+    a bool) and every row of one width; built from them without
+    IntMatrix(rows) checking them again."""
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise MatrixParseError("expected a list of rows")
     for i, row in enumerate(data):
@@ -429,7 +431,7 @@ def _validated_rows(data):
                 raise MatrixParseError(
                     f"row {i} has {len(row)} entries, expected {len(data[0])}"
                 )
-    return data
+    return _derived(data)
 
 
 def render_matrix(v):
@@ -587,7 +589,7 @@ def _census_rows(text, source):
                 if isinstance(raw, str):
                     v = parse_matrix(raw)
                 elif isinstance(raw, list):
-                    v = SeifertMatrix(_validated_rows(raw))
+                    v = SeifertMatrix(_validated_matrix(raw))
                 else:
                     raise MatrixParseError("seifert field must be a string or a list")
                 rows.append((i, name, KnotRecord(str(name), v, source=source)))
@@ -630,40 +632,25 @@ def _census_rows(text, source):
             rows.append((i, name, RowError(name, i, str(e))))
 
 
-def scan(path, *, jobs=1, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
+def scan(path, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM_CAP):
     """Analyze a census file (CSV with a name,seifert header, or JSON
     lines with name and seifert fields), yielding one Report or
     RowError per row in input order. A bad row never stops the scan.
-    jobs must be an int >= 1, n_max an int and enum_cap None or an
-    int >= 1 (TypeError or ValueError before any row is read). More than one job runs rows on
-    a thread pool, loaded only then, with at most os.cpu_count() workers.
+    n_max must be an int and enum_cap None or an int >= 1 (TypeError
+    or ValueError before any row is read).
     """
-    if _check_int(jobs, "jobs") < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_int(n_max, "n_max")
     _enum_cap(enum_cap)
     # a byte that is not UTF-8 becomes a lone surrogate, and its row a RowError
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
-    rows = _census_rows(text, source=str(path))
-
-    def run(item):
-        i, name, payload = item
-        if isinstance(payload, RowError):
-            return payload
-        try:
-            return analyze(payload, n_max=n_max, enum_cap=enum_cap)
-        except Exception as e:  # isolate the row, keep scanning
-            return RowError(name, i, str(e))
-
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, rows)
-    else:
-        yield from map(run, rows)
+    for i, name, payload in _census_rows(text, source=str(path)):
+        if not isinstance(payload, RowError):
+            try:
+                payload = analyze(payload, n_max=n_max, enum_cap=enum_cap)
+            except Exception as e:  # isolate the row, keep scanning
+                payload = RowError(name, i, str(e))
+        yield payload
 
 
 def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
@@ -682,7 +669,7 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
     out = []
     for m in range(m_first, m_last + 1):
         v = twist_knot(m)
-        d = knot_determinant(v)
+        d = require_printable(knot_determinant(v), "knot determinant")
         classes = ()
         if d % 3 == 0:  # only then can an order-3 quotient exist
             classes, _ = _extension_walk(v, linking_form(double_cover_homology(v)), 3, enum_cap)

@@ -60,26 +60,20 @@ class TestScan:
         rows = json.loads(capsys.readouterr().out)
         assert [r["name"] for r in rows] == ["trefoil", "6_1"]
 
-    def test_jobs_match_serial(self, tmp_path, capsys):
-        p = tmp_path / "census.csv"
-        p.write_text(f'name,seifert\na,"{TREFOIL}"\nb,"{SIX_ONE}"\nc,"{TREFOIL}"\n')
-        assert main(["scan", str(p)]) == 0
-        serial = capsys.readouterr().out
-        assert main(["scan", str(p), "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_missing_file(self, capsys):
         assert main(["scan", "/no/such/census.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):
+    def test_no_jobs_flag(self, tmp_path, capsys):
+        # rows run one after another; there is no worker count to set
         p = tmp_path / "census.csv"
         p.write_text(f'name,seifert\ntrefoil,"{TREFOIL}"\n')
-        assert main(["scan", str(p), "--jobs", jobs]) == 1
+        with pytest.raises(SystemExit) as e:
+            main(["scan", "--jobs", "2", str(p)])
+        assert e.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: --jobs must be >= 1" in captured.err
+        assert "unrecognized arguments: --jobs" in captured.err
 
 
 DEEP = "[" * 50_000
@@ -290,6 +284,24 @@ class TestTwist:
         err = capsys.readouterr().err
         assert "--m-range start must be an integer, got '1_0'" in err
 
+    def test_oversized_determinant(self, capsys):
+        # m = 10^L - 1 is readable, but its determinant 4m + 1 has L + 1 digits
+        limit = sys.get_int_max_str_digits()
+        m = 10 ** limit - 1
+        assert main(["twist", f"--m-range={m}:{m}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: knot determinant has {limit + 1} digits, above the "
+                                f"limit of {limit} for integer string conversion\n")
+
+    def test_determinant_at_the_digit_limit(self, capsys):
+        # m = 2 followed by L - 1 fours: 4m + 1 = 9 followed by L - 1 sevens
+        limit = sys.get_int_max_str_digits()
+        m = 2 * 10 ** (limit - 1) + (4 * 10 ** (limit - 1) - 4) // 9
+        assert main(["twist", f"--m-range={m}:{m}"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["determinant"] == "9" + "7" * (limit - 1)
+
 
 class TestCharknots:
     def test_listing(self, capsys):
@@ -309,6 +321,28 @@ class TestCharknots:
     def test_even_n(self, capsys):
         assert main(["charknots", "--matrix", TREFOIL, "--n", "4"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_cap_below_the_group_in_every_command(tmp_path):
+    # H[3] of 6_1 has 3 elements: analyze, charknots and scan note the cap,
+    # and twist, which has no note to give, fails with a one-line error
+    p = tmp_path / "census.csv"
+    p.write_text(f'name,seifert\n6_1,"{SIX_ONE}"\n')
+    cap = ("--enum-cap", "1")
+    note = "not enumerated: n-torsion subgroup H[3] has 3 elements, above the enumeration cap 1"
+    out = run_cli("analyze", "--matrix", SIX_ONE, *cap)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["quotients"][0]["character_note"] == note
+    out = run_cli("scan", str(p), *cap)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)[0]["quotients"][0]["character_note"] == note
+    out = run_cli("charknots", "--matrix", SIX_ONE, "--n", "3", *cap)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["note"] == ("not enumerated: kernel mod 3 has 3 elements, "
+                                              "above the enumeration cap 1")
+    out = run_cli("twist", "--m-range", "2:2", *cap)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: kernel mod 3 has 3 elements, above the enumeration cap 1\n"
 
 
 class TestEnumCapResolution:
@@ -400,8 +434,8 @@ class TestSelftest:
 
 
 class TestStartup:
-    # loaded only by what needs them: an installed-metadata lookup (none is
-    # made) and scan with more than one job
+    # needed by no command: the version is a constant, and scan runs its
+    # rows one after another
     NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging")
 
     def test_cli_import_loads_only_what_every_command_needs(self):

@@ -3,7 +3,7 @@
 import functools
 import hashlib
 import json
-import os
+import sys
 
 import pytest
 
@@ -35,6 +35,7 @@ from dihedral import (
     twist_family,
     twist_knot,
 )
+from dihedral.exact import IntMatrix
 from dihedral.report import CharEntry, ClassEntry, StabSummary
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
@@ -108,6 +109,23 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError):
             parse_matrix(f"[[-1,1],[0,{digit}]]")
         assert parse_matrix("-1 1\n0 2") == twist_knot(2)
+
+    def test_checked_rows_are_not_checked_again(self, corpus, monkeypatch):
+        # every form is checked entry by entry once, in the parser
+        texts = []
+        for v in corpus:
+            rows = v.matrix.to_lists()
+            grid = "\n".join(" ".join(map(str, r)) for r in rows)
+            texts.append((SeifertMatrix(IntMatrix(rows)),
+                          (render_matrix(v), json.dumps(rows), grid)))
+
+        def refuse(self, rows):
+            raise AssertionError("IntMatrix(rows) checked parsed rows again")
+
+        monkeypatch.setattr(IntMatrix, "__init__", refuse)
+        for want, forms in texts:
+            for text in forms:
+                assert parse_matrix(text) == want
 
     @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c", "\x0b"])
     def test_grid_rows_end_only_at_line_feed(self, sep):
@@ -363,55 +381,14 @@ class TestScan:
     def test_empty_file(self, tmp_path):
         assert list(scan(self._write(tmp_path, ""))) == []
 
-    def test_jobs_preserve_order(self, tmp_path):
-        rows = ["name,seifert"]
-        for m in range(-6, 7):
-            rows.append(f'm{m},"{render_matrix(twist_knot(m))}"')
-        path = self._write(tmp_path, "\n".join(rows) + "\n")
-        seq = [r.to_json() for r in scan(path, jobs=1)]
-        par = [r.to_json() for r in scan(path, jobs=4)]
-        assert seq == par
-
-    def test_jobs_bounded_by_core_count(self, tmp_path, monkeypatch):
-        # the pool is recorded, not started: no thread is made
-        seen = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # scan imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
-        path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
-        cores = os.cpu_count() or 1
-        rows = list(scan(path, jobs=cores + 1))
-        assert [r.name for r in rows] == ["trefoil"]
-        assert seen == ([cores] if cores > 1 else [])
-
     def test_missing_file(self):
         with pytest.raises(OSError):
             list(scan("/nonexistent/census.csv"))
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+    def test_no_jobs_parameter(self, tmp_path):
         path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
-        with pytest.raises(ValueError, match="jobs"):
-            list(scan(path, jobs=jobs))
-
-    @pytest.mark.parametrize("jobs", [True, 2.0, "2"], ids=["bool", "float", "str"])
-    def test_jobs_not_int_rejected(self, tmp_path, jobs):
-        path = self._write(tmp_path, 'name,seifert\ntrefoil,"{{-1,1},{0,-1}}"\n')
-        with pytest.raises(TypeError, match="jobs is not an integer"):
-            list(scan(path, jobs=jobs))
+        with pytest.raises(TypeError, match="jobs"):
+            scan(path, jobs=2)
 
     def test_quoted_grid_keeps_its_line_feeds(self, tmp_path):
         path = self._write(tmp_path, 'name,seifert\nt,"-1 1\n0 -1"\nu,"{{-1,1},\n{0,2}}"\n')
@@ -532,6 +509,12 @@ class TestTwistFamily:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             twist_family(3, 2)
+
+    def test_oversized_determinant_rejected(self):
+        # m = 10^L - 1 has L digits, and its determinant 4m + 1 has L + 1
+        m = 10 ** sys.get_int_max_str_digits() - 1
+        with pytest.raises(ValueError, match="knot determinant has"):
+            twist_family(m, m)
 
     def test_bool_endpoints_rejected(self):
         with pytest.raises(TypeError, match="twist range start is not an integer: True"):
