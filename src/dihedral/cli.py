@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 
-from . import selftest as selftest_mod
 from .errors import EnumerationCapError, integer, require_printable
 from .obstruction import (
     DEFAULT_ENUM_CAP,
@@ -139,7 +138,8 @@ def cmd_charknots(args):
 
 
 def cmd_selftest(args):
-    return selftest_mod.run()
+    from . import selftest  # only this command loads it
+    return selftest.run()
 
 
 def _add_common(sub, matrix=False):

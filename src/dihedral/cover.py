@@ -13,11 +13,10 @@ annihilates the group. A ResidueQZ is built only for values handed out.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import _check_int
+from .errors import _check_int, _Record, _setattr
 from .exact import IntMatrix, ResidueQZ, snf
 from .seifert import SeifertMatrix, _smith_form, symmetrize
 
@@ -174,8 +173,7 @@ class TorsionGroup:
         return f"TorsionGroup(factors={list(self._factors)!r})"
 
 
-@dataclass(frozen=True)
-class LinkingForm:
+class LinkingForm(_Record):
     """The linking form on a TorsionGroup, tabulated on its generators.
 
     The table holds e * lk(g_i, g_j) mod e, for the group exponent e,
@@ -187,28 +185,28 @@ class LinkingForm:
     entry as a residue mod 1, built once from it.
     """
 
-    group: TorsionGroup
-    matrix: tuple = field(init=False, compare=False)
-    _table: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "matrix", "_table")
+    _fields = ("group",)
 
-    def __post_init__(self):
-        if not isinstance(self.group, TorsionGroup):
+    def __init__(self, group):
+        _setattr(self, "group", group)
+        if not isinstance(group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
-        smith, e, gens = self.group._smith, self.exponent, self.group.generators
+        smith, e, gens = group._smith, self.exponent, group.generators
         if e % 2 == 0:
             raise ValueError(f"group exponent {e} is even; the linking form needs odd order")
         rights = [smith.coords(g) for g in gens]
         table = tuple(tuple(smith.pair(left, right) for right in rights)
                       for left in map(smith.dual, gens))
-        for i, (d, row) in enumerate(zip(self.group.invariant_factors, table)):
+        for i, (d, row) in enumerate(zip(group.invariant_factors, table)):
             for j, x in enumerate(row):
                 if x != table[j][i]:
                     raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
                 if d * x % e:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
         matrix = tuple(tuple(ResidueQZ(Fraction(x, e)) for x in row) for row in table)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_table", table)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "_table", table)
 
     @property
     def rank(self):

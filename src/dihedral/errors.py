@@ -58,6 +58,43 @@ class StabilizationError(ValueError):
     """A class cannot be zero-framed: its form value is not 0 mod n^2."""
 
 
+_setattr = object.__setattr__  # sets a record slot; a global is quicker to call
+
+
+class _Record:
+    """The base of every immutable record. A subclass names its compared
+    fields in _fields, in constructor order, and declares them (and any
+    derived attributes) as __slots__, which its own __init__ sets with
+    _setattr before its checks. Equality (same class only), hash and
+    repr read _fields; pickle and copy call the constructor."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _check_int(x, where):
     """The one check of an integer value: an int, not a bool (an int
     subclass, and almost surely a bug here). TypeError names where.

@@ -6,12 +6,12 @@ with its transformation matrices, Bareiss determinants, a primitivity
 test, and four-square decompositions. Nothing in this module ever rounds.
 """
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import _check_int, oversized_digits
+from .errors import _check_int, _Record, _setattr, oversized_digits
 
 __all__ = [
     "IntMatrix",
@@ -147,17 +147,21 @@ def _derived(rows):
     return m
 
 
-@dataclass(frozen=True, order=True)
-class ResidueQZ:
+@functools.total_ordering
+class ResidueQZ(_Record):
     """A rational residue mod 1, stored reduced into [0, 1)."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            raise TypeError(f"residue value must be a Fraction, got {self.value!r}")
-        if not 0 <= self.value < 1:
-            raise ValueError(f"residue {self.value} is outside [0, 1)")
+    def __init__(self, value):
+        _setattr(self, "value", value)
+        if not isinstance(value, Fraction):
+            raise TypeError(f"residue value must be a Fraction, got {value!r}")
+        if not 0 <= value < 1:
+            raise ValueError(f"residue {value} is outside [0, 1)")
+
+    def __lt__(self, other):
+        return self.value < other.value if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def of(cls, q, den=1):
@@ -169,7 +173,7 @@ class ResidueQZ:
     def _reduced(cls, q, e):
         """q / e mod 1 for ints q and e > 0: q % e proves the range."""
         r = object.__new__(cls)
-        object.__setattr__(r, "value", Fraction(q % e, e))
+        _setattr(r, "value", Fraction(q % e, e))
         return r
 
     @property
@@ -220,8 +224,7 @@ def det(a):
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Record):
     """Smith normal form data: P @ A @ Q == D with P, Q unimodular.
 
     D is diagonal with nonnegative entries, each dividing the next
@@ -229,14 +232,15 @@ class SNFResult:
     off D.
     """
 
-    P: IntMatrix
-    Q: IntMatrix
-    D: IntMatrix
+    __slots__ = _fields = ("P", "Q", "D")
 
-    def __post_init__(self):
-        for i in range(self.D.rows):
-            for j in range(self.D.cols):
-                if i != j and self.D[i, j] != 0:
+    def __init__(self, P, Q, D):
+        _setattr(self, "P", P)
+        _setattr(self, "Q", Q)
+        _setattr(self, "D", D)
+        for i in range(D.rows):
+            for j in range(D.cols):
+                if i != j and D[i, j] != 0:
                     raise ValueError(f"D is not diagonal at ({i},{j})")
         diag = self.diagonal()
         for i, x in enumerate(diag):

@@ -20,12 +20,11 @@ through P, sends the first representative's class back to its c.
 
 import functools
 import math
-from dataclasses import dataclass, field
 from operator import add, mul
 
 from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
-from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int,
-                     require_dihedral_order)
+from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int, _Record,
+                     _setattr, require_dihedral_order)
 from .exact import ResidueQZ
 from .seifert import SeifertMatrix, _characteristic_value, _smith_form, symmetrize
 
@@ -89,24 +88,23 @@ def _image_order(form, coords):
     return e // math.gcd(e, *(form.pair(coords, g) for g in _basis(form.rank)))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Record):
     """A character of the double-cover homology with image exactly the
     order-n subgroup of Q/Z, named by the element c (a coordinate tuple)
     representing it through the linking form."""
 
-    form: LinkingForm
-    c: tuple
-    n: int
+    __slots__ = _fields = ("form", "c", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.form, LinkingForm):
+    def __init__(self, form, c, n):
+        _setattr(self, "form", form)
+        _setattr(self, "n", n)
+        if not isinstance(form, LinkingForm):
             raise TypeError("Character expects a LinkingForm")
-        require_dihedral_order(self.n)
-        object.__setattr__(self, "c", _element(self.form.group, self.c))
-        got = _image_order(self.form, self.c)
-        if got != self.n:
-            raise ValueError(f"character image has order {got}, expected {self.n}")
+        require_dihedral_order(n)
+        _setattr(self, "c", _element(form.group, c))
+        got = _image_order(form, self.c)
+        if got != n:
+            raise ValueError(f"character image has order {got}, expected {n}")
 
     def evaluate(self, x):
         """The character on an element given by its coordinate tuple."""
@@ -117,33 +115,37 @@ class Character:
         return ResidueQZ.of(self.form.pair(self.c, self.c), self.form.exponent)
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
+class ExtensionVerdict(_Record):
     """Whether a character extends over a pushed-in spanning surface,
     which it does exactly when its self-linking vanishes, with the scope
     tags the verdict carries. A failed verdict also rules out
     non-orientable surfaces and arbitrary oriented ambient 4-manifolds;
     when 3 | n it obstructs every dihedral order at once."""
 
-    self_linking: ResidueQZ
-    scope_note: tuple
-    surjective: bool = True
+    __slots__ = _fields = ("self_linking", "scope_note", "surjective")
+
+    def __init__(self, self_linking, scope_note, surjective=True):
+        _setattr(self, "self_linking", self_linking)
+        _setattr(self, "scope_note", scope_note)
+        _setattr(self, "surjective", surjective)
 
     @property
     def extends(self):
         return self.self_linking.is_zero
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(_Record):
     """An orbit of surjective characters under the unit action, which is
     exactly one dihedral quotient up to equivalence, and the verdict of
     its representative, built by quotient_classes. Since lk(uc, uc) =
     u^2 lk(c, c) for a unit u mod n, that verdict decides every member."""
 
-    members: tuple
-    n: int
-    verdict: ExtensionVerdict
+    __slots__ = _fields = ("members", "n", "verdict")
+
+    def __init__(self, members, n, verdict):
+        _setattr(self, "members", members)
+        _setattr(self, "n", n)
+        _setattr(self, "verdict", verdict)
 
     @property
     def representative(self):
@@ -231,7 +233,9 @@ def _orbits(coords, factors, n):
 def _character(form, c, n):
     """A Character built without its constructor, for a c of order n."""
     ch = object.__new__(Character)
-    vars(ch).update(form=form, c=c, n=n)
+    _setattr(ch, "form", form)
+    _setattr(ch, "c", c)
+    _setattr(ch, "n", n)
     return ch
 
 
@@ -316,8 +320,7 @@ def is_characteristic_class(v, coords, n):
     return _characteristic_value(v, tuple(coords), n) is not None
 
 
-@dataclass(frozen=True)
-class CharKnotClass:
+class CharKnotClass(_Record):
     """A characteristic surface class mod n: (V + V^T) beta = 0 mod n,
     primitive mod n. Stored with coordinates reduced into [0, n), the
     canonical integer lift, and with its form value beta^T (V + V^T) beta
@@ -326,32 +329,29 @@ class CharKnotClass:
     and carries the value mod n^2 forward, so the exact value of a walked
     class is formed on first use of form_value()."""
 
-    V: SeifertMatrix
-    beta: tuple
-    n: int
-    _value_mod_n2: int = field(init=False, repr=False, compare=False)
-    _value: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("V", "beta", "n", "_value_mod_n2", "_value")
+    _fields = ("V", "beta", "n")
 
-    def __post_init__(self):
-        require_dihedral_order(self.n)
-        if not isinstance(self.V, SeifertMatrix):
+    def __init__(self, V, beta, n):
+        _setattr(self, "V", V)
+        _setattr(self, "n", n)
+        require_dihedral_order(n)
+        if not isinstance(V, SeifertMatrix):
             raise TypeError("CharKnotClass expects a SeifertMatrix")
-        b = tuple(_check_int(x, f"coordinate {i}") % self.n for i, x in enumerate(self.beta))
-        value = _characteristic_value(self.V, b, self.n)
+        b = tuple(_check_int(x, f"coordinate {i}") % n for i, x in enumerate(beta))
+        value = _characteristic_value(V, b, n)
         if value is None:
-            raise ValueError(
-                f"class {list(self.beta)} is not characteristic and primitive mod {self.n}")
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "_value_mod_n2", value % (self.n * self.n))
-        object.__setattr__(self, "_value", value)
+            raise ValueError(f"class {list(beta)} is not characteristic and primitive mod {n}")
+        _setattr(self, "beta", b)
+        _setattr(self, "_value_mod_n2", value % (n * n))
+        _setattr(self, "_value", value)
 
     def form_value(self):
         """beta^T (V + V^T) beta on the canonical lift, exact. Formed on
         first call for a walked class and checked against the value mod
         n^2 the walk carried."""
         if self._value is None:
-            object.__setattr__(self, "_value",
-                               _form_value(self.V, self.beta, self._value_mod_n2, self.n))
+            _setattr(self, "_value", _form_value(self.V, self.beta, self._value_mod_n2, self.n))
         return self._value
 
     def form_value_mod_n2(self):
@@ -372,7 +372,11 @@ def _walked_class(v, n, beta, f, value=None):
     """A CharKnotClass built without its constructor from the walk's beta
     and f; an exact form value not given is formed on first use."""
     ck = object.__new__(CharKnotClass)
-    vars(ck).update(V=v, beta=beta, n=n, _value_mod_n2=f, _value=value)
+    _setattr(ck, "V", v)
+    _setattr(ck, "beta", beta)
+    _setattr(ck, "n", n)
+    _setattr(ck, "_value_mod_n2", f)
+    _setattr(ck, "_value", value)
     return ck
 
 

@@ -8,7 +8,7 @@ and ribbon verdict.
 
 JSON layout: one writer, _write_json, writes every JSON document in the
 json.dumps(indent=2, sort_keys=True) layout, walking the report
-dataclasses by a key layout per class. It hands the text to a write
+records by a key layout per record class. It hands the text to a write
 function in parts of bounded size: the CLI writes each part to stdout,
 and _to_json joins them into one string. Integers under _NUMBER_KEYS (n,
 genus, row, counts, sizes) are plain numbers; every other integer
@@ -21,15 +21,14 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from . import __version__
 from .cover import double_cover_homology, linking_form
-from .errors import (EnumerationCapError, MatrixParseError, _check_int, integer,
-                     require_dihedral_order, require_printable)
+from .errors import (EnumerationCapError, MatrixParseError, _check_int, _Record, _setattr,
+                     integer, require_dihedral_order, require_printable)
 from .exact import ResidueQZ, _derived
 from .obstruction import DEFAULT_ENUM_CAP, _SCOPES, _enum_cap, _extension_walk, _form_value
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
@@ -70,97 +69,119 @@ CONVENTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(_Record):
     """A named knot given by a Seifert matrix."""
 
-    name: str
-    matrix: SeifertMatrix
-    source: str = ""
+    __slots__ = _fields = ("name", "matrix", "source")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name, matrix, source=""):
+        _setattr(self, "name", name)
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "source", source)
+        if not isinstance(name, str) or not name:
             raise ValueError("knot record needs a nonempty name")
-        if not isinstance(self.matrix, SeifertMatrix):
+        if not isinstance(matrix, SeifertMatrix):
             raise TypeError("knot record needs a SeifertMatrix")
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(_Record):
     """One dihedral quotient class in a report."""
 
-    representative: tuple
-    members: tuple
-    self_linking: ResidueQZ
-    extends: bool
-    surjective: bool
-    scope: tuple
+    __slots__ = _fields = ("representative", "members", "self_linking", "extends",
+                           "surjective", "scope")
+
+    def __init__(self, representative, members, self_linking, extends, surjective, scope):
+        _setattr(self, "representative", representative)
+        _setattr(self, "members", members)
+        _setattr(self, "self_linking", self_linking)
+        _setattr(self, "extends", extends)
+        _setattr(self, "surjective", surjective)
+        _setattr(self, "scope", scope)
 
 
-@dataclass(frozen=True)
-class StabSummary:
-    """How a characteristic class was (or was not) zero-framed."""
+class StabSummary(_Record):
+    """How a characteristic class was (or was not) zero-framed; status is
+    "already-zero-framed", "stabilized" or "not-zero-framable"."""
 
-    status: str  # "already-zero-framed" | "stabilized" | "not-zero-framable"
-    new_size: int
-    squares: tuple
-    flipped_sign: bool
-    stabilized_class: tuple
+    __slots__ = _fields = ("status", "new_size", "squares", "flipped_sign", "stabilized_class")
+
+    def __init__(self, status, new_size, squares, flipped_sign, stabilized_class):
+        _setattr(self, "status", status)
+        _setattr(self, "new_size", new_size)
+        _setattr(self, "squares", squares)
+        _setattr(self, "flipped_sign", flipped_sign)
+        _setattr(self, "stabilized_class", stabilized_class)
 
 
-@dataclass(frozen=True)
-class CharEntry:
+class CharEntry(_Record):
     """One characteristic class in a report."""
 
-    beta: tuple
-    form_value_mod_n2: int
-    passes_criterion: bool
-    stabilization: StabSummary
+    __slots__ = _fields = ("beta", "form_value_mod_n2", "passes_criterion", "stabilization")
+
+    def __init__(self, beta, form_value_mod_n2, passes_criterion, stabilization):
+        _setattr(self, "beta", beta)
+        _setattr(self, "form_value_mod_n2", form_value_mod_n2)
+        _setattr(self, "passes_criterion", passes_criterion)
+        _setattr(self, "stabilization", stabilization)
 
 
-@dataclass(frozen=True)
-class NBlock:
+class NBlock(_Record):
     """Everything the report says about one dihedral order n."""
 
-    n: int
-    characters_enumerated: bool
-    character_note: str
-    quotient_class_count: object
-    extendable_class_count: object
-    classes: tuple
-    char_classes_enumerated: bool
-    char_class_note: str
-    char_classes: tuple
+    __slots__ = _fields = ("n", "characters_enumerated", "character_note",
+                           "quotient_class_count", "extendable_class_count", "classes",
+                           "char_classes_enumerated", "char_class_note", "char_classes")
+
+    def __init__(self, n, characters_enumerated, character_note, quotient_class_count,
+                 extendable_class_count, classes, char_classes_enumerated, char_class_note,
+                 char_classes):
+        _setattr(self, "n", n)
+        _setattr(self, "characters_enumerated", characters_enumerated)
+        _setattr(self, "character_note", character_note)
+        _setattr(self, "quotient_class_count", quotient_class_count)
+        _setattr(self, "extendable_class_count", extendable_class_count)
+        _setattr(self, "classes", classes)
+        _setattr(self, "char_classes_enumerated", char_classes_enumerated)
+        _setattr(self, "char_class_note", char_class_note)
+        _setattr(self, "char_classes", char_classes)
 
 
-@dataclass(frozen=True)
-class XiBlock:
+class XiBlock(_Record):
     """xi and ribbon data, attached when the knot is a twist-family member."""
 
-    n: int
-    twist_parameter: int
-    candidates: tuple
-    linking_term: Fraction
-    signature_sum: int
-    sigma_w_range: tuple
-    rank_h1_cover: int
-    ribbon: str
+    __slots__ = _fields = ("n", "twist_parameter", "candidates", "linking_term",
+                           "signature_sum", "sigma_w_range", "rank_h1_cover", "ribbon")
+
+    def __init__(self, n, twist_parameter, candidates, linking_term, signature_sum,
+                 sigma_w_range, rank_h1_cover, ribbon):
+        _setattr(self, "n", n)
+        _setattr(self, "twist_parameter", twist_parameter)
+        _setattr(self, "candidates", candidates)
+        _setattr(self, "linking_term", linking_term)
+        _setattr(self, "signature_sum", signature_sum)
+        _setattr(self, "sigma_w_range", sigma_w_range)
+        _setattr(self, "rank_h1_cover", rank_h1_cover)
+        _setattr(self, "ribbon", ribbon)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """The full analysis of one knot."""
 
-    name: str
-    source: str
-    genus: int
-    determinant: int
-    invariant_factors: tuple
-    blocks: tuple
-    skipped_n: tuple
-    xi: object
-    version: str = __version__
-    conventions: tuple = CONVENTIONS
+    __slots__ = _fields = ("name", "source", "genus", "determinant", "invariant_factors",
+                           "blocks", "skipped_n", "xi", "version", "conventions")
+
+    def __init__(self, name, source, genus, determinant, invariant_factors, blocks, skipped_n,
+                 xi, version=__version__, conventions=CONVENTIONS):
+        _setattr(self, "name", name)
+        _setattr(self, "source", source)
+        _setattr(self, "genus", genus)
+        _setattr(self, "determinant", determinant)
+        _setattr(self, "invariant_factors", invariant_factors)
+        _setattr(self, "blocks", blocks)
+        _setattr(self, "skipped_n", skipped_n)
+        _setattr(self, "xi", xi)
+        _setattr(self, "version", version)
+        _setattr(self, "conventions", conventions)
 
     def to_dict(self):
         return json.loads(self.to_json())
@@ -169,13 +190,15 @@ class Report:
         return _to_json(self)
 
 
-@dataclass(frozen=True)
-class RowError:
+class RowError(_Record):
     """A census row that could not be processed; scanning continues."""
 
-    name: str
-    row: int
-    error: str
+    __slots__ = _fields = ("name", "row", "error")
+
+    def __init__(self, name, row, error):
+        _setattr(self, "name", name)
+        _setattr(self, "row", row)
+        _setattr(self, "error", error)
 
     def to_dict(self):
         return json.loads(self.to_json())
@@ -184,16 +207,19 @@ class RowError:
         return _to_json(self)
 
 
-@dataclass(frozen=True)
-class TwistRow:
+class TwistRow(_Record):
     """One twist-family member in a family sweep."""
 
-    m: int
-    determinant: int
-    quotient_exists: bool
-    extends: object
-    xi_candidates: object
-    ribbon: object
+    __slots__ = _fields = ("m", "determinant", "quotient_exists", "extends", "xi_candidates",
+                           "ribbon")
+
+    def __init__(self, m, determinant, quotient_exists, extends, xi_candidates, ribbon):
+        _setattr(self, "m", m)
+        _setattr(self, "determinant", determinant)
+        _setattr(self, "quotient_exists", quotient_exists)
+        _setattr(self, "extends", extends)
+        _setattr(self, "xi_candidates", xi_candidates)
+        _setattr(self, "ribbon", ribbon)
 
 
 # The JSON layout, stated once. Keys holding structurally small integers
@@ -223,10 +249,11 @@ _PART = 1024
 
 @functools.cache
 def _layout(cls, nl):
-    """(head, getter, numeric) per JSON key of a report dataclass whose
-    closing brace starts with nl, in key order. A head holds the brace or
-    comma, the line break and indent, and the quoted key with its colon."""
-    keys = {_RENAMED.get(f.name, f.name): attrgetter(f.name) for f in fields(cls)}
+    """(head, getter, numeric) per JSON key of a report record class whose
+    closing brace starts with nl, in key order: its _fields, renamed, and
+    its added keys. A head holds the brace or comma, the line break and
+    indent, and the quoted key with its colon."""
+    keys = {_RENAMED.get(f, f): attrgetter(f) for f in cls._fields}
     keys.update(_ADDED.get(cls, {}))
     inner = nl + "  "
     return tuple((("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", get,
@@ -244,13 +271,21 @@ def _int_seq(nl, numeric):
 
 def _write_json(x, write):
     """Write the text json.dumps(doc, indent=2, sort_keys=True) gives for
-    the document of x, in parts: report dataclasses, dicts, lists and
+    the document of x, in parts: report records, dicts, lists and
     tuples, strings, booleans, None, Fraction and ResidueQZ (as {"num",
     "den"} strings), and integers (numbers under _NUMBER_KEYS, decimal
     strings elsewhere). A part ends at a list item once _PART fragments
-    are waiting, so the text held at once stays bounded."""
-    out = []
+    are waiting, so the text held at once stays bounded. The text of a
+    record held in a field (a block's failing classes share one
+    StabSummary) is kept per indent unless a part ended inside it."""
+    out, memo, parts = [], {}, 0
     put = out.append
+
+    def flush():
+        nonlocal parts
+        write("".join(out))
+        out.clear()
+        parts += 1
 
     def value(x, nl, numeric):
         t = type(x)
@@ -297,8 +332,7 @@ def _write_json(x, write):
             between = f"{tail},{nl}  {head}"
             for i in range(0, len(x), _PART):
                 if i:
-                    write("".join(out))
-                    out.clear()
+                    flush()
                 put((between if i else f"[{nl}  {head}")
                     + between.join([sep.join(map(str, m)) for m in x[i:i + _PART]]))
             put(tail + nl + "]")
@@ -309,8 +343,7 @@ def _write_json(x, write):
                 value(v, inner, numeric)
                 sep = ","
                 if len(out) > _PART:
-                    write("".join(out))
-                    out.clear()
+                    flush()
             put(nl + "]")
 
     def record(x, nl):
@@ -329,9 +362,17 @@ def _write_json(x, write):
             elif t is tuple:
                 put(head)
                 sequence(v, inner, numeric)
-            else:
+            elif t is ResidueQZ or not isinstance(v, _Record):
                 put(head)
                 value(v, inner, numeric)
+            elif (id(v), inner) in memo:
+                put(head + memo[id(v), inner])
+            else:
+                put(head)
+                start, before = len(out), parts
+                record(v, inner)
+                if parts == before:
+                    memo[id(v), inner] = "".join(out[start:])
         put(nl + "}")
 
     value(x, "\n", False)

@@ -7,10 +7,9 @@ tuples of integer coordinates in the basis implicit in V.
 """
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import (SeifertMatrixError, StabilizationError, _check_int, oversized_digits,
-                     require_dihedral_order)
+from .errors import (SeifertMatrixError, StabilizationError, _check_int, _Record, _setattr,
+                     oversized_digits, require_dihedral_order)
 from .exact import IntMatrix, det, four_squares, snf
 
 __all__ = [
@@ -155,19 +154,21 @@ def connected_sum(v1, v2):
 _STAB_BLOCKS = {1: SeifertMatrix([[0, -1], [0, 0]]), -1: SeifertMatrix([[0, 1], [0, 0]])}
 
 
-@dataclass(frozen=True)
-class ZeroFramedStabilization:
+class ZeroFramedStabilization(_Record):
     """Result of stabilize_zero_framed.
 
     Iterates as the pair (matrix, cls) so it unpacks like a 2-tuple;
     the remaining fields record how the stabilization was laid out.
     """
 
-    matrix: SeifertMatrix
-    cls: tuple
-    blocks_added: int = 0
-    flipped_sign: bool = False
-    squares: tuple = field(default=())
+    __slots__ = _fields = ("matrix", "cls", "blocks_added", "flipped_sign", "squares")
+
+    def __init__(self, matrix, cls, blocks_added=0, flipped_sign=False, squares=()):
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "cls", cls)
+        _setattr(self, "blocks_added", blocks_added)
+        _setattr(self, "flipped_sign", flipped_sign)
+        _setattr(self, "squares", squares)
 
     def __iter__(self):
         return iter((self.matrix, self.cls))

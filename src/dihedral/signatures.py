@@ -23,12 +23,11 @@ test compares |xi| against a rank bound.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (NonSquareFreeError, SignatureIndeterminateError, _check_int,
-                     require_dihedral_order)
+from .errors import (NonSquareFreeError, SignatureIndeterminateError, _check_int, _Record,
+                     _setattr, require_dihedral_order)
 from .seifert import SeifertMatrix, _characteristic_value, twist_knot
 
 __all__ = [
@@ -329,36 +328,36 @@ def _atan_inv(x, p):
     return total
 
 
-@dataclass(frozen=True)
-class SigmaWBound:
+class SigmaWBound(_Record):
     """A cover-signature correction known only through |sigma(W)| <= magnitude."""
 
-    magnitude: int
+    __slots__ = _fields = ("magnitude",)
 
-    def __post_init__(self):
-        if _check_int(self.magnitude, "magnitude") < 0:
-            raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
+    def __init__(self, magnitude):
+        _setattr(self, "magnitude", magnitude)
+        if _check_int(magnitude, "magnitude") < 0:
+            raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
 
     @property
     def range(self):
         return (-self.magnitude, self.magnitude)
 
 
-@dataclass(frozen=True)
-class XiValue:
+class XiValue(_Record):
     """The xi invariant, kept as the two candidates its sign ambiguity
     allows: value = linking_term + sigma_w + signature_sum with sigma_w
     anywhere in sigma_w_range; value_low and value_high are the sums at
     its ends. Exact rationals throughout."""
 
-    linking_term: Fraction
-    sigma_w_range: tuple
-    signature_sum: int
+    __slots__ = _fields = ("linking_term", "sigma_w_range", "signature_sum")
 
-    def __post_init__(self):
-        lo, hi = self.sigma_w_range
+    def __init__(self, linking_term, sigma_w_range, signature_sum):
+        _setattr(self, "linking_term", linking_term)
+        _setattr(self, "sigma_w_range", sigma_w_range)
+        _setattr(self, "signature_sum", signature_sum)
+        lo, hi = sigma_w_range
         if lo > hi:
-            raise ValueError(f"sigma range {self.sigma_w_range} is reversed")
+            raise ValueError(f"sigma range {sigma_w_range} is reversed")
 
     @property
     def value_low(self):

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, cap resolution."""
 
+import ast
 import json
 import os
 import subprocess
@@ -434,9 +435,11 @@ class TestSelftest:
 
 
 class TestStartup:
-    # needed by no command: the version is a constant, and scan runs its
-    # rows one after another
-    NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging")
+    # needed by no command: the version is a constant, scan runs its rows
+    # one after another, records are plain slotted classes, and only the
+    # selftest command loads the self-tests
+    NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging",
+                  "dataclasses", "inspect", "dihedral.selftest")
 
     def test_cli_import_loads_only_what_every_command_needs(self):
         # measured against the modules the interpreter had before the import,
@@ -450,6 +453,21 @@ class TestStartup:
         assert "dihedral.cli" in loaded
         assert [m for m in loaded
                 if any(m == p or m.startswith(p + ".") for p in self.NOT_LOADED)] == []
+
+    def test_no_module_imports_dataclasses(self):
+        src = os.path.dirname(os.path.abspath(dihedral.__file__))
+        imported = set()
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        imported.update((name, a.name.split(".")[0]) for a in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                        imported.add((name, node.module.split(".")[0]))
+        assert ("cli.py", "argparse") in imported  # the scan sees imports
+        assert [f for f, m in imported if m == "dataclasses"] == []
 
 
 class TestParserShape:

@@ -8,7 +8,6 @@ RowError, the same one it gives in a file of its own, and every
 unmutated row still gives its Report.
 """
 
-import dataclasses
 import json
 import random
 import re
@@ -136,8 +135,12 @@ def _unnumbered(results):
     RowError's row, and the name "row N" of a row that names no knot."""
     out = []
     for r in results:
-        r = dataclasses.replace(r, name=re.sub(r"^row \d+$", "row", r.name))
-        out.append(dataclasses.replace(r, row=0) if type(r) is RowError else r)
+        name = re.sub(r"^row \d+$", "row", r.name)
+        if type(r) is RowError:
+            out.append(RowError(name, 0, r.error))
+        else:
+            out.append(Report(name, r.source, r.genus, r.determinant, r.invariant_factors,
+                              r.blocks, r.skipped_n, r.xi, r.version, r.conventions))
     return out
 
 

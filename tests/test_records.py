@@ -158,6 +158,15 @@ def test_unequal_to_a_tuple_of_its_values(cls, fields):
 
 
 @params
+def test_unequal_to_another_class_with_its_values(cls, fields):
+    a = cls(**fields)
+    others = [(c, f) for c, f in SAMPLES if c is not cls and len(f) == len(fields)]
+    for other_cls, other_fields in others:
+        other = unchecked(other_cls, dict(zip(other_fields, fields.values())))
+        assert a != other and other != a, other_cls.__name__
+
+
+@params
 def test_immutable(cls, fields):
     a = cls(**fields)
     for name, value in fields.items():

@@ -447,7 +447,7 @@ class TestScan:
 
 
 def test_report_version_is_the_package_version():
-    assert Report.version == dihedral.__version__
+    assert Report("k", "", 0, 1, (), (), (), None).version == dihedral.__version__
     assert analyze(twist_knot(-1)).version == dihedral.__version__
 
 

@@ -4,6 +4,7 @@ of what it wrote, byte for byte, on every document the CLI prints."""
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,8 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.cli import main
-from dihedral.report import _PART, _to_json, _write_json
+from dihedral.report import (_PART, CharEntry, Report, StabSummary, XiBlock, _to_json,
+                             _write_json)
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -192,6 +194,49 @@ class TestMemberLists:
         assert doc == json.dumps(want, indent=2, sort_keys=True)
         assert len(parts) > 1
         assert max(map(len, parts)) < len(doc) / 8
+
+
+def fraction_dict(q):
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+class TestSharedRecords:
+    """A record object held in several fields is written each time as
+    json.dumps would write it, whatever its depth, and also when a part
+    ends inside it, which keeps its text from being reused."""
+
+    STAB = StabSummary("stabilized", 10, (2, 1, 0, 0), True, (1, 2, 6, 6, 3, 3, 0, 0, 0, 0))
+
+    def entry_dict(self, beta):
+        stab = {"status": "stabilized", "new_size": 10, "squares": ["2", "1", "0", "0"],
+                "flipped_sign": True,
+                "stabilized_class": decimal_strings(self.STAB.stabilized_class)}
+        return {"beta": decimal_strings(beta), "form_value_mod_n2": "0",
+                "passes_criterion": True, "zero_framed_exists": True, "stabilization": stab}
+
+    def test_at_two_depths_and_in_two_list_items(self):
+        entries = [CharEntry(b, 0, True, self.STAB) for b in ((1, 2), (2, 1), (1, 1))]
+        doc = {"a": entries[0], "b": [entries[1], entries[2]],
+               "c": {"d": {"e": entries[0]}}}
+        want = {"a": self.entry_dict((1, 2)),
+                "b": [self.entry_dict((2, 1)), self.entry_dict((1, 1))],
+                "c": {"d": {"e": self.entry_dict((1, 2))}}}
+        assert _to_json(doc) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_part_ending_inside_a_shared_record(self):
+        terms = tuple(Fraction(i, 7) for i in range(2 * _PART))
+        xi = XiBlock(3, 2, terms, Fraction(1, 7), 0, (-1, 1), 0, "consistent")
+        reports = [Report(name, "", 1, 9, (9,), (), (), xi) for name in ("a", "b")]
+        parts = []
+        _write_json([reports[0], xi, reports[1]], parts.append)
+        assert len(parts) > 2
+        xi_dict = {"n": 3, "twist_parameter": "2", "candidates": list(map(fraction_dict, terms)),
+                   "linking_term": fraction_dict(Fraction(1, 7)), "signature_sum": 0,
+                   "sigma_w_range": [-1, 1], "rank_h1_cover": 0, "ribbon": "consistent"}
+        docs = [json.loads(r.to_json()) for r in reports]
+        assert [d.pop("xi") for d in docs] == [xi_dict, xi_dict]
+        want = [{**docs[0], "xi": xi_dict}, xi_dict, {**docs[1], "xi": xi_dict}]
+        assert "".join(parts) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def nine37_sum_report():
