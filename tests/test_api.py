@@ -1,5 +1,5 @@
 """The public surface: every exported name resolves, and the README's
-library example runs."""
+library example and CLI examples run as shown."""
 
 import contextlib
 import importlib
@@ -8,10 +8,12 @@ import io
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
 import dihedral
+from dihedral.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -42,6 +44,33 @@ def test_readme_library_example_runs():
     lines = out.getvalue().splitlines()
     assert len(lines) == 4
     assert sum(line.endswith("True") for line in lines) == 2
+
+
+def _readme_cli_examples():
+    """{subcommand: (argv, shown output lines)} for each README `sh` block
+    that runs dihedral and is followed by a block of its output."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    pairs = re.findall(r"```sh\n(dihedral .*?)```\n\n```\n(.*?)```", text, re.S)
+    examples = {}
+    for command, shown in pairs:
+        argv = shlex.split(command.replace("\\\n", " "))[1:]
+        examples[argv[0]] = (argv, shown.splitlines())
+    return examples
+
+
+@pytest.mark.parametrize("command", ["analyze", "twist"])
+def test_readme_cli_example_output(command):
+    # every shown line matches; a "..." line ends what is shown
+    argv, shown = _readme_cli_examples()[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    got = out.getvalue().splitlines()
+    cut = next((i for i, line in enumerate(shown) if line.strip() == "..."), None)
+    if cut is None:
+        assert got == shown
+    else:
+        assert got[:cut] == shown[:cut]
 
 
 def test_benchmark_tracer_methods_exist():

@@ -431,7 +431,7 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
-        assert "0 failed" in out
+        assert out.splitlines()[-1] == "15 checks, 15 passed, 0 failed"
 
 
 class TestStartup:

@@ -51,7 +51,7 @@ def cli_stdout(capsys, argv):
 
 
 class TestPinnedBytes:
-    """Stdout pinned before the writer replaced json.dumps."""
+    """Stdout pinned before a change to the writer or to a command's code."""
 
     def test_census_shard(self, tmp_path, capsys, corpus, monkeypatch):
         # a relative path, because each report names its source file
@@ -69,6 +69,17 @@ class TestPinnedBytes:
         out = cli_stdout(capsys, ["twist", "--m-range=-60:60"])
         got = hashlib.sha256(out.encode()).hexdigest()
         assert got == "07ef656bb35c27b71f9856dacaf104c80e3338633e9a71477f33c26de32b221a"
+
+    @pytest.mark.parametrize("n, fmt, want", [
+        ("3", "json", "fc4db09a2079702dceeece3d2dc47fc12e2e73b00e96ccb12d2bae88df9d49d0"),
+        ("5", "json", "a20c6dc733574612d05ed20177162687f6964001c6885a0ec2fe650ec05e9df0"),
+        ("3", "text", "59c2dee3b39533c576b4fbd6d8606786ef215d26170a88ee59a9df9e179bbe3a"),
+        ("5", "text", "46cba8be42c9672690bf4079f5ad429b8086fdd7e8b561bccbf7520cbfc760fe"),
+    ], ids=["3-json", "5-json", "3-text", "5-text"])
+    def test_charknots(self, capsys, n, fmt, want):
+        out = cli_stdout(capsys, ["charknots", "--matrix", NINE_37_TEXT, "--n", n,
+                                  "--format", fmt])
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestRoundTrip:
