@@ -24,14 +24,12 @@ from .seifert import (
     stabilize_zero_framed, symmetrize, twist_knot,
 )
 from .cover import (
-    LinkingForm, TorsionGroup, double_cover_homology, evaluate_linking,
-    linking_form, self_linking,
+    LinkingForm, TorsionGroup, double_cover_homology, evaluate_linking, linking_form,
 )
 from .obstruction import (
     DEFAULT_ENUM_CAP, Character, CharKnotClass, ExtensionVerdict, QuotientClass,
     char_knot_to_character, characteristic_knot_classes, cyclic_criterion,
-    is_characteristic_class, quotient_classes, seifert_criterion,
-    surjective_characters, verdict,
+    quotient_classes, surjective_characters, verdict,
 )
 from .signatures import (
     RIBBON_CONSISTENT, RIBBON_OBSTRUCTED, SigmaWBound, XiValue, ribbon_test,

@@ -9,7 +9,8 @@ Subcommands:
 
 The enumeration cap is resolved as: --enum-cap flag, then the
 DIHEDRAL_ENUM_CAP environment variable, then the built-in default.
-Exit codes: 0 on success, 1 on a fatal error, 2 on selftest failure.
+Exit codes: 0 on success, 1 on a fatal error (bad input or a bad flag
+value), 2 on a usage error from argparse or a selftest failure.
 """
 
 import argparse
@@ -17,12 +18,7 @@ import os
 import sys
 
 from .errors import EnumerationCapError, integer, require_printable
-from .obstruction import (
-    DEFAULT_ENUM_CAP,
-    _enum_cap,
-    characteristic_knot_classes,
-    seifert_criterion,
-)
+from .obstruction import DEFAULT_ENUM_CAP, _enum_cap, characteristic_knot_classes
 from .report import (
     DEFAULT_N_MAX,
     SCHEMA,
@@ -113,12 +109,11 @@ def cmd_charknots(args):
     classes = []
     try:
         for ck in characteristic_knot_classes(v, args.n, enum_cap=cap):
-            value = require_printable(ck.form_value(), "form value")
             classes.append({
                 "beta": ck.beta,
-                "form_value": value,
-                "form_value_mod_n2": value % args.n ** 2,
-                "passes_criterion": seifert_criterion(v, ck),
+                "form_value": require_printable(ck.form_value(), "form value"),
+                "form_value_mod_n2": ck.form_value_mod_n2(),
+                "passes_criterion": ck.form_value_mod_n2() == 0,
             })
     except EnumerationCapError as e:
         note = f"not enumerated: {e}"

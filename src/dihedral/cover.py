@@ -26,7 +26,6 @@ __all__ = [
     "double_cover_homology",
     "linking_form",
     "evaluate_linking",
-    "self_linking",
 ]
 
 
@@ -301,10 +300,3 @@ def _element(group, c):
             raise ValueError(f"coordinate {i} = {x} is outside [0, {d})")
     return c
 
-
-def self_linking(form, c):
-    """lk(c, c) for an element given by its coordinate tuple on the form's group."""
-    if not isinstance(form, LinkingForm):
-        raise TypeError("self_linking expects a LinkingForm")
-    c = _element(form.group, c)
-    return ResidueQZ.of(form.pair(c, c), form.exponent)

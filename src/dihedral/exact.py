@@ -2,8 +2,8 @@
 
 Small dense matrices over arbitrary-precision integers, with the
 handful of algorithms everything else is built on: Smith normal form
-with its transformation matrices, Bareiss determinants, a primitivity
-test, and four-square decompositions. Nothing in this module ever rounds.
+with its transformation matrices, Bareiss determinants, and
+four-square decompositions. Nothing in this module ever rounds.
 """
 
 import functools

@@ -41,10 +41,8 @@ __all__ = [
     "surjective_characters",
     "quotient_classes",
     "verdict",
-    "is_characteristic_class",
     "characteristic_knot_classes",
     "char_knot_to_character",
-    "seifert_criterion",
     "cyclic_criterion",
 ]
 
@@ -313,13 +311,6 @@ def verdict(form, c, n=None):
     return ExtensionVerdict(sl, _SCOPES[sl.is_zero, n % 3 == 0], surjective)
 
 
-def is_characteristic_class(v, coords, n):
-    """Whether the surface class is characteristic mod n and primitive
-    there: (V + V^T) beta = 0 mod n and gcd(entries, n) = 1."""
-    require_dihedral_order(n)
-    return _characteristic_value(v, tuple(coords), n) is not None
-
-
 class CharKnotClass(_Record):
     """A characteristic surface class mod n: (V + V^T) beta = 0 mod n,
     primitive mod n. Stored with coordinates reduced into [0, n), the
@@ -466,17 +457,6 @@ def char_knot_to_character(v, beta, form=None):
             "characteristic class produced a non-surjective character; input is corrupt"
         )
     return _character(form, c, n)
-
-
-def seifert_criterion(v, beta):
-    """Surface-side extension test: the form value of the class must be
-    divisible by n^2. Equivalent to the vanishing of the corresponding
-    character's self-linking."""
-    if not isinstance(beta, CharKnotClass):
-        raise TypeError("seifert_criterion expects a CharKnotClass")
-    if beta.V != v:
-        raise ValueError("class was built on a different Seifert matrix")
-    return beta.form_value_mod_n2() == 0
 
 
 def cyclic_criterion(group, n):

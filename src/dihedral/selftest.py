@@ -7,13 +7,7 @@ subcommand runs them all and reports pass/fail per check.
 
 from fractions import Fraction
 
-from .cover import (
-    TorsionGroup,
-    double_cover_homology,
-    evaluate_linking,
-    linking_form,
-    self_linking,
-)
+from .cover import TorsionGroup, double_cover_homology, evaluate_linking, linking_form
 from .errors import SignatureIndeterminateError
 from .exact import ResidueQZ, four_squares, snf
 from .obstruction import (
@@ -21,7 +15,6 @@ from .obstruction import (
     char_knot_to_character,
     cyclic_criterion,
     quotient_classes,
-    seifert_criterion,
     surjective_characters,
     verdict,
 )
@@ -123,7 +116,7 @@ def check_twist_laws():
         cks = characteristic_knot_classes(v, 3)
         _want(bool(cks), m % 3 == 2, f"twist m={m} quotient existence")
         if cks:
-            ext = any(seifert_criterion(v, ck) for ck in cks)
+            ext = any(ck.form_value_mod_n2() == 0 for ck in cks)
             _want(ext, m % 9 == 2, f"twist m={m} extendability")
 
 
@@ -133,7 +126,7 @@ def check_character_route():
     cks = characteristic_knot_classes(v, 3)
     _want(len(cks), 2, "trefoil characteristic class count")
     ch = char_knot_to_character(v, cks[0], form)
-    _want(self_linking(form, ch.c), _residue(1, 3), "trefoil character self-linking")
+    _want(ch.self_linking(), _residue(1, 3), "trefoil character self-linking")
 
 
 def check_route_bijection():
@@ -145,7 +138,7 @@ def check_route_bijection():
         classes = quotient_classes(surjective_characters(form.group, form, n), n)
         verdicts = {ch.c: qc.extends for qc in classes for ch in qc.members}
         cks = characteristic_knot_classes(v, n)
-        hit = {char_knot_to_character(v, ck, form).c: seifert_criterion(v, ck)
+        hit = {char_knot_to_character(v, ck, form).c: ck.form_value_mod_n2() == 0
                for ck in cks}
         _want((len(cks), hit), (len(verdicts), verdicts), f"9_37 classes to characters at n={n}")
     _want(tuple(b.n for b in analyze(v, [3, 5, 15]).blocks), (3, 5, 15), "9_37 checked blocks")
@@ -159,7 +152,7 @@ def check_cyclic_shortcut():
     for n in (3, 9, 27, 81):
         by_order = cyclic_criterion(group, n)
         chars = surjective_characters(group, form, n)
-        by_chars = any(self_linking(form, ch.c).is_zero for ch in chars)
+        by_chars = any(ch.self_linking().is_zero for ch in chars)
         _want(by_order, n in (3, 9), f"cyclic shortcut at n={n}")
         _want(by_chars, by_order, f"route agreement at n={n}")
 

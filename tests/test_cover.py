@@ -15,9 +15,9 @@ from dihedral import (
     evaluate_linking,
     knot_determinant,
     linking_form,
-    self_linking,
     symmetrize,
     twist_knot,
+    verdict,
 )
 
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
@@ -320,7 +320,8 @@ class TestSelfLinking:
             return math.lcm(*(d // math.gcd(d, x)
                               for x, d in zip(c, group.invariant_factors)))
 
-        vals = {c: self_linking(form, c).value for c in group.elements() if order(c) == 3}
+        vals = {c: verdict(form, c, 3).self_linking.value
+                for c in group.elements() if order(c) == 3}
         zero = {k for k, v in vals.items() if v == 0}
         assert len(vals) == 8
         assert len(zero) == 4
@@ -328,4 +329,4 @@ class TestSelfLinking:
     def test_out_of_range_coords_rejected(self):
         form = linking_form(double_cover_homology(twist_knot(-1)))
         with pytest.raises(ValueError):
-            self_linking(form, (5,))
+            verdict(form, (5,), 3)

@@ -28,12 +28,9 @@ from dihedral import (
     characteristic_knot_classes,
     cyclic_criterion,
     double_cover_homology,
-    is_characteristic_class,
     knot_determinant,
     linking_form,
     quotient_classes,
-    seifert_criterion,
-    self_linking,
     surjective_characters,
     symmetrize,
     twist_knot,
@@ -183,14 +180,13 @@ def _residue_row(form, ch):
 
 
 def _element_takers():
-    """The four entry points that take an element of H from outside, on
+    """The three entry points that take an element of H from outside, on
     9_37 at n = 3; each runs the one element check of dihedral.cover."""
     form = linking_form(double_cover_homology(NINE_37))
     ch = surjective_characters(form.group, form, 3)[0]
     return {
         "Character": lambda c: Character(form, c, 3),
         "Character.evaluate": ch.evaluate,
-        "self_linking": lambda c: self_linking(form, c),
         "verdict": lambda c: verdict(form, c, n=3),
     }
 
@@ -350,10 +346,11 @@ class TestCharacteristicClasses:
 
     def test_membership_cases(self):
         v = twist_knot(-1)
-        assert is_characteristic_class(v, (1, 2), 3)
-        assert is_characteristic_class(v, (-1, 1), 3)
-        assert not is_characteristic_class(v, (1, 1), 3)
-        assert not is_characteristic_class(v, (0, 0), 3)
+        assert CharKnotClass(v, (1, 2), 3).beta == (1, 2)
+        assert CharKnotClass(v, (-1, 1), 3).beta == (2, 1)
+        for beta in ((1, 1), (0, 0)):
+            with pytest.raises(ValueError, match="not characteristic and primitive mod 3"):
+                CharKnotClass(v, beta, 3)
 
     def test_enumeration_matches_brute_force(self, corpus):
         for v in corpus[:20]:
@@ -437,7 +434,7 @@ class TestCharacteristicClasses:
             cks = characteristic_knot_classes(v, n)
             assert len(cks) == classes
             assert len(calls) == setup + passing
-            assert sum(seifert_criterion(v, ck) for ck in cks) == passing
+            assert sum(ck.form_value_mod_n2() == 0 for ck in cks) == passing
             assert len(calls) == setup + passing  # the criterion reads the carried value
 
     def test_walk_matches_product_oracle(self, corpus):
@@ -450,11 +447,10 @@ class TestCharacteristicClasses:
             for ck in cks:
                 assert ck.form_value_mod_n2() == want[ck.beta] % (n * n)
                 assert ck.form_value() == want[ck.beta]
-                assert seifert_criterion(v, ck) == (want[ck.beta] % (n * n) == 0)
 
     def test_form_value_checked_against_walk(self):
         ck = next(ck for ck in characteristic_knot_classes(NINE_37, 5)
-                  if not seifert_criterion(NINE_37, ck))
+                  if ck.form_value_mod_n2())
         object.__setattr__(ck, "_value_mod_n2", ck.form_value_mod_n2() + 1)
         with pytest.raises(ArithmeticError, match="disagrees"):
             ck.form_value()
@@ -544,7 +540,7 @@ class TestCharacterBridge:
             assert seen == len(classes)
             index = {ch.c: i for i, qc in enumerate(classes) for ch in qc.members}
             hit = {index[char_knot_to_character(v, ck, form).c]
-                   for ck in characteristic_knot_classes(v, n) if seifert_criterion(v, ck)}
+                   for ck in characteristic_knot_classes(v, n) if ck.form_value_mod_n2() == 0}
             assert hit == {i for i, qc in enumerate(classes) if qc.extends}
 
 
@@ -626,8 +622,7 @@ class TestCriteria:
             v = twist_knot(m)
             if knot_determinant(v) % 3:
                 continue
-            passes = [seifert_criterion(v, ck)
-                      for ck in characteristic_knot_classes(v, 3)]
+            passes = [ck.form_value_mod_n2() == 0 for ck in characteristic_knot_classes(v, 3)]
             assert all(p == (m % 9 == 2) for p in passes)
 
     def test_cyclic_shortcut(self):

@@ -29,7 +29,6 @@ from dihedral import (
     render_report_text,
     render_twist_text,
     scan,
-    seifert_criterion,
     stabilize_zero_framed,
     surjective_characters,
     twist_family,
@@ -144,10 +143,10 @@ def public_classes(form, n):
 
 def public_char_classes(v, n):
     """The CharEntry records of an n-block, from characteristic_knot_classes,
-    seifert_criterion and stabilize_zero_framed."""
+    the form value mod n^2 and stabilize_zero_framed."""
     entries = []
     for ck in characteristic_knot_classes(v, n):
-        passes = seifert_criterion(v, ck)
+        passes = ck.form_value_mod_n2() == 0
         if passes:
             out = stabilize_zero_framed(v, ck.beta, n)
             status = "stabilized" if out.blocks_added else "already-zero-framed"

@@ -8,7 +8,6 @@ from dihedral import (
     SeifertMatrixError,
     StabilizationError,
     connected_sum,
-    is_characteristic_class,
     knot_determinant,
     stabilize_zero_framed,
     symmetrize,
@@ -154,7 +153,7 @@ class TestStabilization:
         return sum(x * y for x, y in zip(coords, a.apply(tuple(coords))))
 
     def test_new_value_is_zero(self, corpus):
-        from dihedral import characteristic_knot_classes, seifert_criterion
+        from dihedral import characteristic_knot_classes
 
         checked = 0
         for v in corpus:
@@ -163,7 +162,7 @@ class TestStabilization:
                 if d % n:
                     continue
                 for ck in characteristic_knot_classes(v, n):
-                    if not seifert_criterion(v, ck) or ck.form_value() == 0:
+                    if ck.form_value_mod_n2() != 0 or ck.form_value() == 0:
                         continue
                     out = stabilize_zero_framed(v, ck.beta, n)
                     assert self._form_value(out.matrix, out.cls) == 0
@@ -202,11 +201,10 @@ class TestStabilization:
             stabilize_zero_framed(twist_knot(2), (-1, 1), 1)
 
 
-# The four entry points that take a surface class from outside; each runs
+# The three entry points that take a surface class from outside; each runs
 # the one characteristic test of dihedral.seifert on it.
 CLASS_TAKERS = {
     "CharKnotClass": CharKnotClass,
-    "is_characteristic_class": is_characteristic_class,
     "stabilize_zero_framed": stabilize_zero_framed,
     "xi_n": lambda v, beta, n: xi_n(v, beta, SeifertMatrix([]), n, 0),
 }
@@ -229,8 +227,5 @@ class TestClassBoundary:
     @pytest.mark.parametrize("beta", [(1, 1), (3, -3), (0, 0)],
                              ids=["not-characteristic", "not-primitive", "zero"])
     def test_rejects_non_characteristic(self, taker, beta):
-        if taker == "is_characteristic_class":
-            assert not is_characteristic_class(twist_knot(2), beta, 3)
-        else:
-            with pytest.raises(ValueError, match="not characteristic"):
-                CLASS_TAKERS[taker](twist_knot(2), beta, 3)
+        with pytest.raises(ValueError, match="not characteristic"):
+            CLASS_TAKERS[taker](twist_knot(2), beta, 3)

@@ -13,6 +13,7 @@ import pytest
 import dihedral
 from dihedral import signatures
 from dihedral import (
+    CharKnotClass,
     NonSquareFreeError,
     RIBBON_CONSISTENT,
     RIBBON_OBSTRUCTED,
@@ -345,9 +346,7 @@ class TestXi:
         # a trefoil characteristic knot contributes its two signatures
         v = connected_sum(TREFOIL, TREFOIL)
         beta = (1, 2, 0, 0)
-        from dihedral import is_characteristic_class
-
-        assert is_characteristic_class(v, beta, 3)
+        assert CharKnotClass(v, beta, 3).beta == beta
         val = xi_n(v, beta, TREFOIL, 3, SigmaWBound(0))
         want = tristram_levine(TREFOIL, (1, 3)) + tristram_levine(TREFOIL, (2, 3))
         assert val.signature_sum == want
