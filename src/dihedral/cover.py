@@ -60,7 +60,7 @@ class _Smith:
         return sum(x * y * s for x, y, s in zip(left, right, self._scale)) % self.exponent
 
 
-class TorsionGroup:
+class TorsionGroup(_Record):
     """The torsion group Z^m / A Z^m with a chosen generating set.
 
     invariant_factors is the increasing divisor chain (d_1 | d_2 | ...)
@@ -69,12 +69,15 @@ class TorsionGroup:
     reduces A to Smith form P A Q = D and checks the factors are those of
     D, which makes them a divisor chain of entries > 1, that d_i
     annihilates the Smith coordinates T[:, i] = P g_i mod d, and that
-    the columns of T generate Z^r / diag(d); the orders follow.
+    the columns of T generate Z^r / diag(d); the orders follow. _solve
+    is the snf of [T | diag(d)] for an explicit basis, and None on the
+    Smith basis, where T is the identity.
     """
 
-    __slots__ = ("_factors", "_gens", "_ambient", "_smith", "_solve")
+    __slots__ = ("invariant_factors", "generators", "ambient", "_smith", "_solve")
+    _fields = ("invariant_factors", "generators", "ambient")
 
-    def __init__(self, invariant_factors, generators, ambient):
+    def __init__(self, invariant_factors, generators, ambient):  # checks its fields, so not shared
         if not isinstance(ambient, IntMatrix):
             raise TypeError("ambient must be an IntMatrix")
         if ambient.rows != ambient.cols:
@@ -99,45 +102,25 @@ class TorsionGroup:
                                for i, d in enumerate(factors)]))
         if any(x != 1 for x in solve.diagonal()):
             raise ValueError("generators do not generate the quotient group")
-        self._set(factors, gens, ambient, smith, solve)
-
-    def _set(self, factors, gens, ambient, smith, solve):
-        # solve is the snf of [T | diag(d)] for an explicit basis, and None
-        # on the Smith basis, where T is the identity
-        self._factors = factors
-        self._gens = gens
-        self._ambient = ambient
-        self._smith = smith
-        self._solve = solve
-
-    @property
-    def invariant_factors(self):
-        return self._factors
-
-    @property
-    def generators(self):
-        return self._gens
-
-    @property
-    def ambient(self):
-        return self._ambient
+        for put, value in zip(self._put, (factors, gens, ambient, smith, solve)):
+            put(self, value)
 
     @property
     def rank(self):
-        return len(self._factors)
+        return len(self.invariant_factors)
 
     @property
     def order(self):
-        return math.prod(self._factors)
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self):
         """The largest invariant factor; 1 for the trivial group."""
-        return self._factors[-1] if self._factors else 1
+        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def elements(self):
         """All elements as coordinate tuples, in lexicographic order."""
-        return itertools.product(*(range(d) for d in self._factors))
+        return itertools.product(*(range(d) for d in self.invariant_factors))
 
     def coords_of(self, vec):
         """Coordinates of the class of an ambient integer vector.
@@ -146,30 +129,19 @@ class TorsionGroup:
         [T | diag(d)] t = P w is solved through its Smith data. The answer
         is double-checked: P (w - sum c_i g_i) must lie in D Z^m.
         """
-        v = _vector(vec, self._ambient.rows)
+        v = _vector(vec, self.ambient.rows)
         u = self._smith.coords(v)
         if self._solve is not None:
             res = self._solve
             u = res.Q.apply(res.P.apply(u) + (0,) * self.rank)
-        coords = tuple(x % d for x, d in zip(u, self._factors))
-        diff = [x - sum(c * g[i] for c, g in zip(coords, self._gens)) for i, x in enumerate(v)]
-        if any(x % d for x, d in zip(self._smith.coords(diff), self._factors)):
+        coords = tuple(x % d for x, d in zip(u, self.invariant_factors))
+        diff = [x - sum(c * g[i] for c, g in zip(coords, self.generators)) for i, x in enumerate(v)]
+        if any(x % d for x, d in zip(self._smith.coords(diff), self.invariant_factors)):
             raise ArithmeticError("coordinate solve failed its self-check")
         return coords
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorsionGroup)
-            and self._factors == other._factors
-            and self._gens == other._gens
-            and self._ambient == other._ambient
-        )
-
-    def __hash__(self):
-        return hash((self._factors, self._gens, self._ambient))
-
     def __repr__(self):
-        return f"TorsionGroup(factors={list(self._factors)!r})"
+        return f"TorsionGroup(factors={list(self.invariant_factors)!r})"
 
 
 class LinkingForm(_Record):
@@ -187,7 +159,7 @@ class LinkingForm(_Record):
     __slots__ = ("group", "matrix", "_table")
     _fields = ("group",)
 
-    def __init__(self, group):
+    def __init__(self, group):  # checks its fields, so not shared
         _setattr(self, "group", group)
         if not isinstance(group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
@@ -254,9 +226,7 @@ def double_cover_homology(v):
             if res.P.apply(g) != tuple(int(i == k) for i in range(a.rows)):
                 raise ArithmeticError(f"P does not send generator {len(gens)} to e_{k}")
             gens.append(g)
-    group = object.__new__(TorsionGroup)
-    group._set(res.invariant_factors, tuple(gens), a, _Smith(res), None)
-    return group
+    return TorsionGroup._make(res.invariant_factors, tuple(gens), a, _Smith(res), None)
 
 
 def linking_form(group):

@@ -63,12 +63,50 @@ _setattr = object.__setattr__  # sets a record slot; a global is quicker to call
 
 class _Record:
     """The base of every immutable record. A subclass names its compared
-    fields in _fields, in constructor order, and declares them (and any
-    derived attributes) as __slots__, which its own __init__ sets with
-    _setattr before its checks. Equality (same class only), hash and
-    repr read _fields; pickle and copy call the constructor."""
+    fields in _fields, in constructor order, and declares them first in
+    its own __slots__, then any derived attributes. Its _put holds the
+    __set__ of each slot, in __slots__ order, which writes past the
+    guarded __setattr__. The shared __init__ takes the fields by
+    position or keyword, a missing trailing one from _defaults; _make
+    builds a record from all its slot values without the class's own
+    __init__. Equality (same class only), hash and repr read _fields;
+    pickle and copy call the constructor."""
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._put = tuple(vars(cls)[s].__set__ for s in vars(cls).get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for put, value in zip(self._put, args):
+            put(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call not all positional; TypeError names a wrong field."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes the fields {fields}, got {len(args)} values")
+        try:  # pop each field given, so that a keyword left over is a wrong one
+            values = [*args, *[kwargs.pop(f) if f in kwargs else cls._defaults[f]
+                               for f in fields[len(args):]]]
+        except KeyError as e:
+            raise TypeError(f"{name}() is missing field {e.args[0]!r}") from None
+        if kwargs:
+            f = next(iter(kwargs))
+            raise TypeError(f"{name}() got field {f!r} twice" if f in fields
+                            else f"{name}() got an unknown field {f!r}")
+        return values
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        for put, value in zip(cls._put, values):
+            put(self, value)
+        return self
 
     def _values(self):
         return tuple([getattr(self, f) for f in self._fields])

@@ -153,7 +153,7 @@ class ResidueQZ(_Record):
 
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value):
+    def __init__(self, value):  # checks its fields, so not shared
         _setattr(self, "value", value)
         if not isinstance(value, Fraction):
             raise TypeError(f"residue value must be a Fraction, got {value!r}")
@@ -234,7 +234,7 @@ class SNFResult(_Record):
 
     __slots__ = _fields = ("P", "Q", "D")
 
-    def __init__(self, P, Q, D):
+    def __init__(self, P, Q, D):  # checks its fields, so not shared
         _setattr(self, "P", P)
         _setattr(self, "Q", Q)
         _setattr(self, "D", D)

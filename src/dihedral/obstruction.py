@@ -93,7 +93,7 @@ class Character(_Record):
 
     __slots__ = _fields = ("form", "c", "n")
 
-    def __init__(self, form, c, n):
+    def __init__(self, form, c, n):  # checks its fields, so not shared
         _setattr(self, "form", form)
         _setattr(self, "n", n)
         if not isinstance(form, LinkingForm):
@@ -122,10 +122,7 @@ class ExtensionVerdict(_Record):
 
     __slots__ = _fields = ("self_linking", "scope_note", "surjective")
 
-    def __init__(self, self_linking, scope_note, surjective=True):
-        _setattr(self, "self_linking", self_linking)
-        _setattr(self, "scope_note", scope_note)
-        _setattr(self, "surjective", surjective)
+    _defaults = {"surjective": True}
 
     @property
     def extends(self):
@@ -139,11 +136,6 @@ class QuotientClass(_Record):
     u^2 lk(c, c) for a unit u mod n, that verdict decides every member."""
 
     __slots__ = _fields = ("members", "n", "verdict")
-
-    def __init__(self, members, n, verdict):
-        _setattr(self, "members", members)
-        _setattr(self, "n", n)
-        _setattr(self, "verdict", verdict)
 
     @property
     def representative(self):
@@ -228,15 +220,6 @@ def _orbits(coords, factors, n):
             yield i, sorted(orbit)
 
 
-def _character(form, c, n):
-    """A Character built without its constructor, for a c of order n."""
-    ch = object.__new__(Character)
-    _setattr(ch, "form", form)
-    _setattr(ch, "c", c)
-    _setattr(ch, "n", n)
-    return ch
-
-
 def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All characters with image exactly the order-n subgroup of Q/Z,
     in lexicographic coordinate order: the c of the one walk, without
@@ -252,7 +235,7 @@ def surjective_characters(group, form, n, *, enum_cap=DEFAULT_ENUM_CAP):
     if form.group != group:
         raise ValueError("linking form does not belong to the given group")
     leaves = _walk(n, group.invariant_factors, enum_cap, f"n-torsion subgroup H[{n}]")
-    return tuple(_character(form, c, n) for c, _, _ in leaves)
+    return tuple(Character._make(form, c, n) for c, _, _ in leaves)
 
 
 def quotient_classes(chars, n):
@@ -323,7 +306,7 @@ class CharKnotClass(_Record):
     __slots__ = ("V", "beta", "n", "_value_mod_n2", "_value")
     _fields = ("V", "beta", "n")
 
-    def __init__(self, V, beta, n):
+    def __init__(self, V, beta, n):  # checks its fields, so not shared
         _setattr(self, "V", V)
         _setattr(self, "n", n)
         require_dihedral_order(n)
@@ -359,18 +342,6 @@ def _form_value(v, beta, f, n):
     return value
 
 
-def _walked_class(v, n, beta, f, value=None):
-    """A CharKnotClass built without its constructor from the walk's beta
-    and f; an exact form value not given is formed on first use."""
-    ck = object.__new__(CharKnotClass)
-    _setattr(ck, "V", v)
-    _setattr(ck, "beta", beta)
-    _setattr(ck, "n", n)
-    _setattr(ck, "_value_mod_n2", f)
-    _setattr(ck, "_value", value)
-    return ck
-
-
 def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     """All characteristic classes mod n, sorted by coordinates: the beta
     of the one walk. With P A Q = D (checked by snf) and beta = Q y,
@@ -384,7 +355,7 @@ def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)
-    return tuple(_walked_class(v, n, beta, f, None if f else _form_value(v, beta, 0, n))
+    return tuple(CharKnotClass._make(v, beta, n, f, None if f else _form_value(v, beta, 0, n))
                  for beta, f in sorted(leaf[1:] for leaf in leaves))
 
 
@@ -415,7 +386,8 @@ def _extension_walk(v, form, n, enum_cap):
         _check_linking(got, e, leaves[i][2], n)
         classes.append((tuple(members), got))
     pairs = [leaf[1:] for leaf in leaves]
-    if pairs and char_knot_to_character(v, _walked_class(v, n, *pairs[0]), form).c != leaves[0][0]:
+    first = pairs and CharKnotClass._make(v, pairs[0][0], n, pairs[0][1], None)
+    if first and char_knot_to_character(v, first, form).c != leaves[0][0]:
         raise ArithmeticError(f"class {list(pairs[0][0])} maps to another character than "
                               f"the walk's {leaves[0][0]}; routes disagree at n={n}")
     return classes, sorted(pairs)
@@ -456,7 +428,7 @@ def char_knot_to_character(v, beta, form=None):
         raise ArithmeticError(
             "characteristic class produced a non-surjective character; input is corrupt"
         )
-    return _character(form, c, n)
+    return Character._make(form, c, n)
 
 
 def cyclic_criterion(group, n):

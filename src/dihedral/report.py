@@ -20,6 +20,7 @@ strings. Output is fully deterministic.
 import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -74,7 +75,7 @@ class KnotRecord(_Record):
 
     __slots__ = _fields = ("name", "matrix", "source")
 
-    def __init__(self, name, matrix, source=""):
+    def __init__(self, name, matrix, source=""):  # checks its fields, so not shared
         _setattr(self, "name", name)
         _setattr(self, "matrix", matrix)
         _setattr(self, "source", source)
@@ -90,6 +91,7 @@ class ClassEntry(_Record):
     __slots__ = _fields = ("representative", "members", "self_linking", "extends",
                            "surjective", "scope")
 
+    # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, representative, members, self_linking, extends, surjective, scope):
         _setattr(self, "representative", representative)
         _setattr(self, "members", members)
@@ -105,6 +107,7 @@ class StabSummary(_Record):
 
     __slots__ = _fields = ("status", "new_size", "squares", "flipped_sign", "stabilized_class")
 
+    # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, status, new_size, squares, flipped_sign, stabilized_class):
         _setattr(self, "status", status)
         _setattr(self, "new_size", new_size)
@@ -118,6 +121,7 @@ class CharEntry(_Record):
 
     __slots__ = _fields = ("beta", "form_value_mod_n2", "passes_criterion", "stabilization")
 
+    # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, beta, form_value_mod_n2, passes_criterion, stabilization):
         _setattr(self, "beta", beta)
         _setattr(self, "form_value_mod_n2", form_value_mod_n2)
@@ -132,36 +136,12 @@ class NBlock(_Record):
                            "quotient_class_count", "extendable_class_count", "classes",
                            "char_classes_enumerated", "char_class_note", "char_classes")
 
-    def __init__(self, n, characters_enumerated, character_note, quotient_class_count,
-                 extendable_class_count, classes, char_classes_enumerated, char_class_note,
-                 char_classes):
-        _setattr(self, "n", n)
-        _setattr(self, "characters_enumerated", characters_enumerated)
-        _setattr(self, "character_note", character_note)
-        _setattr(self, "quotient_class_count", quotient_class_count)
-        _setattr(self, "extendable_class_count", extendable_class_count)
-        _setattr(self, "classes", classes)
-        _setattr(self, "char_classes_enumerated", char_classes_enumerated)
-        _setattr(self, "char_class_note", char_class_note)
-        _setattr(self, "char_classes", char_classes)
-
 
 class XiBlock(_Record):
     """xi and ribbon data, attached when the knot is a twist-family member."""
 
     __slots__ = _fields = ("n", "twist_parameter", "candidates", "linking_term",
                            "signature_sum", "sigma_w_range", "rank_h1_cover", "ribbon")
-
-    def __init__(self, n, twist_parameter, candidates, linking_term, signature_sum,
-                 sigma_w_range, rank_h1_cover, ribbon):
-        _setattr(self, "n", n)
-        _setattr(self, "twist_parameter", twist_parameter)
-        _setattr(self, "candidates", candidates)
-        _setattr(self, "linking_term", linking_term)
-        _setattr(self, "signature_sum", signature_sum)
-        _setattr(self, "sigma_w_range", sigma_w_range)
-        _setattr(self, "rank_h1_cover", rank_h1_cover)
-        _setattr(self, "ribbon", ribbon)
 
 
 class Report(_Record):
@@ -170,18 +150,7 @@ class Report(_Record):
     __slots__ = _fields = ("name", "source", "genus", "determinant", "invariant_factors",
                            "blocks", "skipped_n", "xi", "version", "conventions")
 
-    def __init__(self, name, source, genus, determinant, invariant_factors, blocks, skipped_n,
-                 xi, version=__version__, conventions=CONVENTIONS):
-        _setattr(self, "name", name)
-        _setattr(self, "source", source)
-        _setattr(self, "genus", genus)
-        _setattr(self, "determinant", determinant)
-        _setattr(self, "invariant_factors", invariant_factors)
-        _setattr(self, "blocks", blocks)
-        _setattr(self, "skipped_n", skipped_n)
-        _setattr(self, "xi", xi)
-        _setattr(self, "version", version)
-        _setattr(self, "conventions", conventions)
+    _defaults = {"version": __version__, "conventions": CONVENTIONS}
 
     def to_dict(self):
         return json.loads(self.to_json())
@@ -195,16 +164,10 @@ class RowError(_Record):
 
     __slots__ = _fields = ("name", "row", "error")
 
-    def __init__(self, name, row, error):
-        _setattr(self, "name", name)
-        _setattr(self, "row", row)
-        _setattr(self, "error", error)
-
-    def to_dict(self):
-        return json.loads(self.to_json())
-
-    def to_json(self):
-        return _to_json(self)
+    # in the class body, so that bench/spans.py can wrap each one in vars(RowError)
+    __init__ = _Record.__init__
+    to_dict = Report.to_dict
+    to_json = Report.to_json
 
 
 class TwistRow(_Record):
@@ -212,14 +175,6 @@ class TwistRow(_Record):
 
     __slots__ = _fields = ("m", "determinant", "quotient_exists", "extends", "xi_candidates",
                            "ribbon")
-
-    def __init__(self, m, determinant, quotient_exists, extends, xi_candidates, ribbon):
-        _setattr(self, "m", m)
-        _setattr(self, "determinant", determinant)
-        _setattr(self, "quotient_exists", quotient_exists)
-        _setattr(self, "extends", extends)
-        _setattr(self, "xi_candidates", xi_candidates)
-        _setattr(self, "ribbon", ribbon)
 
 
 # The JSON layout, stated once. Keys holding structurally small integers
@@ -534,10 +489,10 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     """Full report for one knot.
 
     Without n_values, every odd n with 1 < n <= n_max dividing the
-    determinant gets a block; no n above the determinant divides it, so
-    none is tried. With an explicit list, even entries are rejected
-    outright and odd entries not dividing the determinant are recorded
-    under skipped_n.
+    determinant d gets a block. Each is k or d // k for an odd divisor
+    k <= min(n_max, sqrt(d)) of d, so the search stops there. With an
+    explicit list, even entries are rejected outright and odd entries
+    not dividing the determinant are recorded under skipped_n.
     """
     if isinstance(record, SeifertMatrix):
         record = KnotRecord("knot", record)
@@ -553,7 +508,8 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
 
     skipped = ()
     if n_values is None:
-        ns = [n for n in range(3, min(n_max, d) + 1, 2) if d % n == 0]
+        low = [k for k in range(1, min(n_max, math.isqrt(d)) + 1, 2) if d % k == 0]
+        ns = sorted({m for k in low for m in (k, d // k) if 3 <= m <= n_max})
     else:
         wanted = sorted({require_dihedral_order(n) for n in n_values})
         ns = [n for n in wanted if d % n == 0]

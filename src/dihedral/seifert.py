@@ -8,7 +8,7 @@ tuples of integer coordinates in the basis implicit in V.
 
 import math
 
-from .errors import (SeifertMatrixError, StabilizationError, _check_int, _Record, _setattr,
+from .errors import (SeifertMatrixError, StabilizationError, _check_int, _Record,
                      oversized_digits, require_dihedral_order)
 from .exact import IntMatrix, det, four_squares, snf
 
@@ -163,12 +163,7 @@ class ZeroFramedStabilization(_Record):
 
     __slots__ = _fields = ("matrix", "cls", "blocks_added", "flipped_sign", "squares")
 
-    def __init__(self, matrix, cls, blocks_added=0, flipped_sign=False, squares=()):
-        _setattr(self, "matrix", matrix)
-        _setattr(self, "cls", cls)
-        _setattr(self, "blocks_added", blocks_added)
-        _setattr(self, "flipped_sign", flipped_sign)
-        _setattr(self, "squares", squares)
+    _defaults = {"blocks_added": 0, "flipped_sign": False, "squares": ()}
 
     def __iter__(self):
         return iter((self.matrix, self.cls))

@@ -333,7 +333,7 @@ class SigmaWBound(_Record):
 
     __slots__ = _fields = ("magnitude",)
 
-    def __init__(self, magnitude):
+    def __init__(self, magnitude):  # checks its fields, so not shared
         _setattr(self, "magnitude", magnitude)
         if _check_int(magnitude, "magnitude") < 0:
             raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
@@ -351,6 +351,7 @@ class XiValue(_Record):
 
     __slots__ = _fields = ("linking_term", "sigma_w_range", "signature_sum")
 
+    # checks its fields, so not shared
     def __init__(self, linking_term, sigma_w_range, signature_sum):
         _setattr(self, "linking_term", linking_term)
         _setattr(self, "sigma_w_range", sigma_w_range)

@@ -52,6 +52,18 @@ class TestAnalyze:
         assert default.returncode == huge.returncode == 0
         assert huge.stdout == default.stdout
 
+    def test_n_max_search_stops_at_square_root(self):
+        # d = 400000000013 = 36943 * 10827491: the divisors above sqrt(d) come
+        # from those below it, so a huge --n-max costs no loop up to d
+        big = "{{-1,1},{0,100000000003}}"
+        auto = run_cli("analyze", "--matrix", big, "--n-max", "1000000000000000", timeout=10)
+        picked = run_cli("analyze", "--matrix", big, "--n", "36943", "--n", "10827491",
+                         "--n", "400000000013", timeout=10)
+        assert auto.returncode == picked.returncode == 0
+        assert auto.stdout == picked.stdout
+        assert [b["n"] for b in json.loads(auto.stdout)["quotients"]] == [
+            36943, 10827491, 400000000013]
+
 
 class TestScan:
     def test_csv(self, tmp_path, capsys):
@@ -87,13 +99,13 @@ BIG_DET = f"{{{{-1,1,0,0}},{{0,{SEVENS},0,0}},{{0,0,-1,1}},{{0,0,0,{SEVENS}}}}}"
 FOUR_SQUARES = "{{-1,1},{0,900000000000000000065}}"
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=30):
     """`python -m dihedral argv` in a subprocess, so a search that never
     ends fails the test at its timeout instead of stalling the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
     return subprocess.run([sys.executable, "-m", "dihedral", *argv],
                           env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestHostileRows:
@@ -468,6 +480,28 @@ class TestStartup:
                         imported.add((name, node.module.split(".")[0]))
         assert ("cli.py", "argparse") in imported  # the scan sees imports
         assert [f for f, m in imported if m == "dataclasses"] == []
+
+    def test_no_module_leaves_an_import_unused(self):
+        # no linter runs in CI, so deletions can leave imports behind
+        src = os.path.dirname(os.path.abspath(dihedral.__file__))
+        unused, seen = [], 0
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py") or name == "__init__.py":
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            lines, tree = text.splitlines(), ast.parse(text, name)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for a in node.names:
+                        bound = a.asname or a.name.split(".")[0]
+                        seen += 1
+                        if bound not in read and "# noqa: F401" not in lines[a.lineno - 1]:
+                            unused.append(f"{name}:{a.lineno} {bound}")
+        assert seen > 50  # the scan sees imports
+        assert unused == []
 
 
 class TestParserShape:

@@ -22,6 +22,7 @@ from dihedral import (
     RowError,
     SigmaWBound,
     SNFResult,
+    TorsionGroup,
     TwistRow,
     XiValue,
     ZeroFramedStabilization,
@@ -30,6 +31,7 @@ from dihedral import (
     stabilize_zero_framed,
     twist_knot,
 )
+from dihedral.errors import _Record
 from dihedral.report import CharEntry, ClassEntry, NBlock, StabSummary, XiBlock
 
 V = twist_knot(2)  # determinant 9, H = Z9
@@ -65,6 +67,8 @@ SAMPLES = [
                     xi_candidates=(Fraction(1, 2),), ribbon="c")),
     (ResidueQZ, dict(value=Fraction(1, 3))),
     (SNFResult, dict(P=IntMatrix([[1]]), Q=IntMatrix([[1]]), D=IntMatrix([[3]]))),
+    (TorsionGroup, dict(invariant_factors=(9,), generators=GROUP.generators,
+                        ambient=GROUP.ambient)),
     (LinkingForm, dict(group=GROUP)),
     (Character, dict(form=FORM, c=(3,), n=3)),
     (ExtensionVerdict, dict(self_linking=THIRD, scope_note=("orientable-B4",), surjective=False)),
@@ -105,6 +109,7 @@ REPRS = {
               "xi_candidates=(Fraction(1, 2),), ribbon='c')",
     ResidueQZ: _THIRD,
     SNFResult: "SNFResult(P=IntMatrix([[1]]), Q=IntMatrix([[1]]), D=IntMatrix([[3]]))",
+    TorsionGroup: "TorsionGroup(factors=[9])",
     LinkingForm: _FORM,
     Character: f"Character(form={_FORM}, c=(3,), n=3)",
     ExtensionVerdict: f"ExtensionVerdict(self_linking={_THIRD}, "
@@ -131,7 +136,7 @@ def unchecked(cls, fields):
 
 
 def test_every_record_class_sampled():
-    assert len(SAMPLES) == len({cls for cls, _ in SAMPLES}) == len(REPRS) == 19
+    assert len(SAMPLES) == len({cls for cls, _ in SAMPLES}) == len(REPRS) == 20
 
 
 @params
@@ -238,3 +243,78 @@ def test_stabilization_unpacks_as_a_pair():
 
 def test_quotient_class_length():
     assert len(QuotientClass((CH3, CH6), 3, VERDICT)) == 2
+
+
+# the classes whose only constructor is the shared _Record.__init__
+SHARED = [(cls, fields) for cls, fields in SAMPLES if cls.__init__ is _Record.__init__]
+
+
+def test_shared_constructor_classes():
+    assert sorted(cls.__name__ for cls, _ in SHARED) == [
+        "ExtensionVerdict", "NBlock", "QuotientClass", "Report", "RowError", "TwistRow",
+        "XiBlock", "ZeroFramedStabilization"]
+    # bench/spans.py wraps these three in the class's own namespace
+    assert {"__init__", "to_dict", "to_json"} <= set(vars(RowError))
+
+
+shared = pytest.mark.parametrize("cls, fields", SHARED, ids=[c.__name__ for c, _ in SHARED])
+
+
+@shared
+def test_shared_constructor_missing_field(cls, fields):
+    for name in fields:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError, match=f"{cls.__name__}.*missing field '{name}'"):
+                cls(**{f: v for f, v in fields.items() if f != name})
+    required = [f for f in fields if f not in cls._defaults]
+    with pytest.raises(TypeError, match=f"missing field '{required[-1]}'"):
+        cls(*list(fields.values())[:len(required) - 1])
+
+
+@shared
+def test_shared_constructor_extra_positional(cls, fields):
+    values = list(fields.values())
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*'{next(iter(fields))}'.*"
+                                        f"got {len(values) + 1} values"):
+        cls(*values, None)
+
+
+@shared
+def test_shared_constructor_field_given_twice(cls, fields):
+    first, *_ = fields
+    values = list(fields.values())
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*field '{first}' twice"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"field '{first}' twice"):
+        cls(values[0], **fields)
+
+
+@shared
+def test_shared_constructor_unknown_keyword(cls, fields):
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*unknown field 'colour'"):
+        cls(*fields.values(), colour=1)
+    with pytest.raises(TypeError, match="unknown field 'colour'"):
+        cls(colour=1, **fields)
+
+
+@shared
+def test_make_skips_the_constructor(cls, fields):
+    a = cls._make(*fields.values())
+    assert a == cls(**fields) and repr(a) == REPRS[cls]
+
+
+def record_classes(base=_Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from record_classes(cls)
+
+
+def test_every_record_class_declares_its_slots():
+    classes = list(record_classes())
+    assert {cls for cls, _ in SAMPLES} <= set(classes)
+    for cls in classes:
+        # a subclass without its own __slots__ would bind no slot at all
+        assert cls.__slots__[:len(cls._fields)] == cls._fields, cls.__name__
+        assert len(cls._put) == len(cls.__slots__), cls.__name__
+        trailing = cls._fields[len(cls._fields) - len(cls._defaults):]
+        assert set(cls._defaults) == set(trailing), cls.__name__
