@@ -8,7 +8,13 @@ and ribbon verdict.
 
 JSON layout: one writer, _write_json, writes every JSON document in the
 json.dumps(indent=2, sort_keys=True) layout, walking the report
-records by a key layout per record class. It hands the text to a write
+records by a key layout per record class. A long list of per-class
+records (ClassEntry, CharEntry) is written in slices of _SLICE records:
+each key's column is formatted at once and fills a template of the
+record class's text, one per (class, indent); a slice holding a value
+the columns do not take (None among other values, an oversized members
+list) goes record by record. Leaves are formatted by one table of
+functions, _leaves, on both paths. The writer hands the text to a write
 function in parts of bounded size: the CLI writes each part to stdout,
 and _to_json joins them into one string. Integers under _NUMBER_KEYS (n,
 genus, row, counts, sizes) are plain numbers; every other integer
@@ -59,6 +65,8 @@ __all__ = [
 
 SCHEMA = "dihedral-report/1"
 DEFAULT_N_MAX = 99
+# The largest trial divisor of the determinant auto mode tries (about 0.3 s)
+_DIVISOR_SEARCH = 10**7
 
 CONVENTIONS = (
     "linking values are u^T (V + V^T)^{-1} v reduced into [0,1)",
@@ -200,19 +208,48 @@ _ADDED = {
 
 # Fragments _write_json gathers before it hands them to write as one part.
 _PART = 1024
+# Records per slice of a list written from its class's template, and the
+# shortest such list written in slices (a shorter one goes record by record).
+_SLICE = 64
+_SHORT = 8
+# The record classes whose lists are written in slices: the per-class
+# records, whose fields hold leaves or one record of this set, never a
+# list of records. TwistRow is left out: in a sweep, members without an
+# order-3 quotient put None among the values of three of its columns.
+_SLICED = frozenset({ClassEntry, StabSummary, CharEntry})
+_INT = frozenset({int})
+
+
+class _Decimals(dict):
+    """The decimal text of an int, in quotes or not. The text of an int
+    in [-1024, 1024), where most fields' ints lie, is kept once made: a
+    lookup takes about a fifth of the time of str()."""
+
+    def __init__(self, quote):
+        self.quote = quote
+
+    def __missing__(self, i):
+        text = f"{self.quote}{i}{self.quote}"
+        if -1024 <= i < 1024:
+            self[i] = text
+        return text
+
+
+_DECIMALS = {True: _Decimals(""), False: _Decimals('"')}
 
 
 @functools.cache
 def _layout(cls, nl):
-    """(head, getter, numeric) per JSON key of a report record class whose
-    closing brace starts with nl, in key order: its _fields, renamed, and
-    its added keys. A head holds the brace or comma, the line break and
-    indent, and the quoted key with its colon."""
+    """(head, getter, numeric, leaves) per JSON key of a report record
+    class whose closing brace starts with nl, in key order: its _fields,
+    renamed, and its added keys. A head holds the brace or comma, the line
+    break and indent, and the quoted key with its colon; leaves are the
+    key's _leaves."""
     keys = {_RENAMED.get(f, f): attrgetter(f) for f in cls._fields}
     keys.update(_ADDED.get(cls, {}))
     inner = nl + "  "
     return tuple((("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", get,
-                  k in _NUMBER_KEYS)
+                  k in _NUMBER_KEYS, _leaves(inner, k in _NUMBER_KEYS))
                  for i, (k, get) in enumerate(sorted(keys.items())))
 
 
@@ -224,15 +261,122 @@ def _int_seq(nl, numeric):
     return f"[{inner}{q}", f"{q},{inner}{q}", f"{q}{nl}]"
 
 
+@functools.cache
+def _template(cls, nl):
+    """str.format of the text of a record of cls whose closing brace
+    starts with nl, given the text of each key's value in key order."""
+    text = "".join(head + "\0" for head, *_ in _layout(cls, nl)) + nl + "}"
+    return text.replace("{", "{{").replace("}", "}}").replace("\0", "{}").format
+
+
+@functools.cache
+def _leaves(nl, numeric):
+    """The text of a leaf whose closing bracket starts with nl, by kind:
+    the types bool, int, str, None, Fraction and ResidueQZ, and the _kind
+    of a sequence written in one join, "ints", "strs" or "members" (None
+    past _PART members, which _write_json writes in parts). The record
+    path takes one value through these and the slice path a column, so
+    each kind is written in one place; numeric writes ints as numbers."""
+    inner, digits = nl + "  ", _DECIMALS[True].__getitem__
+    head, sep, tail = _int_seq(nl, numeric)
+    comma = "," + inner
+    rows = _member_rows(inner, numeric)
+
+    def rational(x):
+        return f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}'
+
+    def ints(x):
+        return head + sep.join(map(digits, x)) + tail if x else "[]"
+
+    def strs(x):
+        return "[" + inner + comma.join(map(encode_basestring_ascii, x)) + nl + "]" if x else "[]"
+
+    def members(x):
+        if len(x) > _PART:
+            return None
+        return "[" + inner + rows(x) + nl + "]" if x else "[]"
+
+    return {bool: {True: "true", False: "false"}.__getitem__,
+            int: _DECIMALS[numeric].__getitem__, str: encode_basestring_ascii,
+            type(None): {None: "null"}.__getitem__, Fraction: rational, ResidueQZ: rational,
+            "ints": ints, "strs": strs, "members": members}
+
+
+@functools.cache
+def _member_rows(nl, numeric):
+    """The function giving the items of a list of nonempty int tuples,
+    whose closing brackets start with nl, in one join."""
+    digits, (head, sep, tail) = _DECIMALS[True].__getitem__, _int_seq(nl, numeric)
+    between = f"{tail},{nl}{head}"
+    return lambda x: head + between.join([sep.join(map(digits, m)) for m in x]) + tail
+
+
+def _kind(items):
+    """The _leaves kind of a sequence of these items written in one join:
+    "ints", "strs" or "members" (nonempty int tuples); else None."""
+    types = {*map(type, items)}
+    if types <= _INT:
+        return "ints"
+    if types == {str}:
+        return "strs"
+    if (types == {tuple} and all(items)
+            and {*map(type, itertools.chain.from_iterable(items))} == _INT):
+        return "members"
+    return None
+
+
+def _rows(recs, nl):
+    """The text of each record of recs, all of one class in _SLICED, whose
+    closing braces start with nl: each key's column is taken in one map,
+    its type set checked once and formatted by one leaf function, and the
+    columns fill the class's _template. A column of records is formatted
+    once per distinct object. None when a column holds what only the
+    record path writes: mixed kinds (None among values), records of a
+    class outside _SLICED, other sequences, or over _PART members."""
+    cls = type(recs[0])
+    if cls not in _SLICED or {*map(type, recs)} != {cls}:
+        return None
+    cols = []
+    for _, get, _, leaves in _layout(cls, nl):
+        col = [*map(get, recs)]
+        kinds = {*map(type, col)}
+        if len(kinds) != 1:
+            return None
+        t, = kinds
+        if t is tuple:
+            items = [*itertools.chain.from_iterable(col)]
+            kind = _kind(items)
+            if kind is None or kind == "members" and len(items) > _PART:
+                return None
+            f = leaves[kind]
+        elif t in leaves:
+            f = leaves[t]
+        else:
+            distinct = dict(zip(map(id, col), col))
+            texts = _rows([*distinct.values()], nl + "  ")
+            if texts is None:
+                return None
+            f, col = dict(zip(distinct, texts)).__getitem__, map(id, col)
+        cols.append(map(f, col))
+    return [*map(_template(cls, nl), *cols)]
+
+
 def _write_json(x, write):
     """Write the text json.dumps(doc, indent=2, sort_keys=True) gives for
     the document of x, in parts: report records, dicts, lists and
     tuples, strings, booleans, None, Fraction and ResidueQZ (as {"num",
     "den"} strings), and integers (numbers under _NUMBER_KEYS, decimal
-    strings elsewhere). A part ends at a list item once _PART fragments
-    are waiting, so the text held at once stays bounded. The text of a
-    record held in a field (a block's failing classes share one
-    StabSummary) is kept per indent unless a part ended inside it."""
+    strings elsewhere). Leaves go through _leaves, one value at a time on
+    the record path and a column at a time on the slice path.
+
+    A list of at least _SHORT records of a class in _SLICED is written in
+    slices of _SLICE records, each slice's text made by _rows from its
+    class's template, and a part ends after each full slice; a slice
+    _rows declines goes record by record. Elsewhere a part ends at a list
+    item once _PART fragments are waiting, so the text held at once stays
+    bounded. The text of a record held in a field (a block's failing
+    classes share one StabSummary) is kept per indent unless a part
+    ended inside it."""
     out, memo, parts = [], {}, 0
     put = out.append
 
@@ -242,21 +386,13 @@ def _write_json(x, write):
         out.clear()
         parts += 1
 
-    def value(x, nl, numeric):
+    def value(x, nl, numeric, leaves):  # leaves is _leaves(nl, numeric)
         t = type(x)
-        if t is int:
-            put(str(x) if numeric else f'"{x}"')
-        elif t is str:
-            put(encode_basestring_ascii(x))
-        elif x is None:
-            put("null")
-        elif t is bool:
-            put("true" if x else "false")
-        elif t is Fraction or t is ResidueQZ:
-            inner = nl + "  "
-            put(f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}')
+        f = leaves.get(t)
+        if f is not None:
+            put(f(x))
         elif t is tuple or t is list:
-            sequence(x, nl, numeric)
+            sequence(x, nl, numeric, leaves)
         elif t is dict:
             if not x:
                 put("{}")
@@ -264,62 +400,62 @@ def _write_json(x, write):
             inner, sep = nl + "  ", "{"
             for k, v in sorted(x.items()):
                 put(sep + inner + encode_basestring_ascii(k) + ": ")
-                value(v, inner, k in _NUMBER_KEYS)
+                value(v, inner, k in _NUMBER_KEYS, _leaves(inner, k in _NUMBER_KEYS))
                 sep = ","
             put(nl + "}")
         else:
             record(x, nl)
 
-    def sequence(x, nl, numeric):
-        if not x:
-            put("[]")
+    def sequence(x, nl, numeric, leaves):
+        kind = _kind(x)
+        text = leaves[kind](x) if kind else None
+        if text is not None:  # one join
+            put(text)
             return
-        types = {*map(type, x)}
-        if types == {int}:  # coordinates, factors: one join
-            head, sep, tail = _int_seq(nl, numeric)
-            put(head + sep.join(map(str, x)) + tail)
-        elif types == {str}:  # scope tags
-            inner = nl + "  "
-            put("[" + inner + ("," + inner).join(map(encode_basestring_ascii, x)) + nl + "]")
-        elif types == {tuple} and all(x) and {*map(type, itertools.chain(*x))} == {int}:
-            # members: one join per slice of _PART tuples, a part per slice past the first
-            head, sep, tail = _int_seq(nl + "  ", numeric)
-            between = f"{tail},{nl}  {head}"
+        inner = nl + "  "
+        if kind == "members":
+            # past _PART: one join per slice of _PART members, a part per slice past the first
             for i in range(0, len(x), _PART):
                 if i:
                     flush()
-                put((between if i else f"[{nl}  {head}")
-                    + between.join([sep.join(map(str, m)) for m in x[i:i + _PART]]))
-            put(tail + nl + "]")
-        else:
-            inner, sep = nl + "  ", "["
-            for v in x:
-                put(sep + inner)
-                value(v, inner, numeric)
-                sep = ","
-                if len(out) > _PART:
+                put(("," if i else "[") + inner + _member_rows(inner, numeric)(x[i:i + _PART]))
+        elif len(x) >= _SHORT and type(x[0]) in _SLICED:
+            for i in range(0, len(x), _SLICE):
+                chunk = x[i:i + _SLICE]
+                texts = _rows(chunk, inner)
+                if texts is None:
+                    items(chunk, "," if i else "[", inner, numeric)
+                    continue
+                put(("," if i else "[") + inner + f",{inner}".join(texts))
+                if len(chunk) == _SLICE:
                     flush()
-            put(nl + "]")
+        else:
+            items(x, "[", inner, numeric)
+        put(nl + "]")
+
+    def items(x, sep, nl, numeric):  # list items one by one, the first after sep
+        leaves = _leaves(nl, numeric)
+        for v in x:
+            put(sep + nl)
+            value(v, nl, numeric, leaves)
+            sep = ","
+            if len(out) > _PART:
+                flush()
 
     def record(x, nl):
         inner = nl + "  "
-        for head, get, numeric in _layout(type(x), nl):
+        for head, get, numeric, leaves in _layout(type(x), nl):
             v = get(x)
             t = type(v)
-            if t is bool:
-                put(head + ("true" if v else "false"))
-            elif t is int:
-                put(f"{head}{v}" if numeric else f'{head}"{v}"')
-            elif t is str:
-                put(head + encode_basestring_ascii(v))
-            elif v is None:
-                put(head + "null")
+            f = leaves.get(t)
+            if f is not None:
+                put(head + f(v))
             elif t is tuple:
                 put(head)
-                sequence(v, inner, numeric)
-            elif t is ResidueQZ or not isinstance(v, _Record):
+                sequence(v, inner, numeric, leaves)
+            elif not isinstance(v, _Record):
                 put(head)
-                value(v, inner, numeric)
+                value(v, inner, numeric, leaves)
             elif (id(v), inner) in memo:
                 put(head + memo[id(v), inner])
             else:
@@ -330,7 +466,7 @@ def _write_json(x, write):
                     memo[id(v), inner] = "".join(out[start:])
         put(nl + "}")
 
-    value(x, "\n", False)
+    value(x, "\n", False, _leaves("\n", False))
     write("".join(out))
 
 
@@ -441,13 +577,18 @@ def render_matrix(v):
     return "{" + rows + "}"
 
 
-def _passing_entry(v, n, beta):
-    """A class with f = 0 mod n^2: only its squares need the exact form value."""
+def _passing_entry(v, n, beta, framings):
+    """A class with f = 0 mod n^2: only its squares need the exact form
+    value. framings holds the block's _zero_framing per exact value: a
+    block's passing classes share a few values, and each distinct one is
+    framed, and its stabilized value checked, once."""
     value = _form_value(v, beta, 0, n)
     if value == 0:
         summary = StabSummary("already-zero-framed", v.size, (), False, beta)
     else:
-        squares, flipped, tail = _zero_framing(value, n)
+        if value not in framings:
+            framings[value] = _zero_framing(value, n)
+        squares, flipped, tail = framings[value]
         summary = StabSummary("stabilized", v.size + len(tail), squares, flipped, beta + tail)
     return CharEntry(beta, 0, True, summary)
 
@@ -460,19 +601,14 @@ def _analyze_n(v, form, n, enum_cap):
     except EnumerationCapError as e:
         ck_note = f"not enumerated: {e}"
         note = ck_note.replace(f"kernel mod {n}", f"n-torsion subgroup H[{n}]", 1)
-        return NBlock(n=n, characters_enumerated=False, character_note=note,
-                      quotient_class_count=None, extendable_class_count=None, classes=(),
-                      char_classes_enumerated=False, char_class_note=ck_note, char_classes=())
+        return NBlock(n, False, note, None, None, (), False, ck_note, ())
     e, three = form.exponent, n % 3 == 0
     entries = tuple(ClassEntry(m[0], m, ResidueQZ._reduced(got, e), not got, True,
                                _SCOPES[not got, three]) for m, got in classes)
-    fails = StabSummary("not-zero-framable", v.size, (), False, ())
-    return NBlock(n=n, characters_enumerated=True, character_note="",
-                  quotient_class_count=len(entries),
-                  extendable_class_count=sum(not got for _, got in classes), classes=entries,
-                  char_classes_enumerated=True, char_class_note="",
-                  char_classes=tuple(CharEntry(beta, f, False, fails) if f
-                                     else _passing_entry(v, n, beta) for beta, f in pairs))
+    fails, framings = StabSummary("not-zero-framable", v.size, (), False, ()), {}
+    return NBlock(n, True, "", len(entries), sum(not got for _, got in classes), entries,
+                  True, "", tuple(CharEntry(beta, f, False, fails) if f
+                                  else _passing_entry(v, n, beta, framings) for beta, f in pairs))
 
 
 def _twist_parameter(v):
@@ -490,9 +626,11 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
 
     Without n_values, every odd n with 1 < n <= n_max dividing the
     determinant d gets a block. Each is k or d // k for an odd divisor
-    k <= min(n_max, sqrt(d)) of d, so the search stops there. With an
-    explicit list, even entries are rejected outright and odd entries
-    not dividing the determinant are recorded under skipped_n.
+    k <= min(n_max, sqrt(d)) of d, so the search stops there; past
+    _DIVISOR_SEARCH it is refused with ValueError, which names the
+    explicit list as the way out. With an explicit list, even entries
+    are rejected outright and odd entries not dividing the determinant
+    are recorded under skipped_n.
     """
     if isinstance(record, SeifertMatrix):
         record = KnotRecord("knot", record)
@@ -508,7 +646,12 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
 
     skipped = ()
     if n_values is None:
-        low = [k for k in range(1, min(n_max, math.isqrt(d)) + 1, 2) if d % k == 0]
+        limit = min(n_max, math.isqrt(d))
+        if limit > _DIVISOR_SEARCH:
+            raise ValueError(f"finding the orders n dividing the determinant {d} needs trial "
+                             f"division up to {limit}, past the bound of {_DIVISOR_SEARCH}; "
+                             "give the orders with --n (n_values), or a smaller --n-max")
+        low = [k for k in range(1, limit + 1, 2) if d % k == 0]
         ns = sorted({m for k in low for m in (k, d // k) if 3 <= m <= n_max})
     else:
         wanted = sorted({require_dihedral_order(n) for n in n_values})
@@ -521,27 +664,12 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     m = _twist_parameter(v)
     if m is not None and m % 3 == 2:
         val = twist_xi3(m)
-        xi = XiBlock(
-            n=3,
-            twist_parameter=m,
-            candidates=val.candidates,
-            linking_term=val.linking_term,
-            signature_sum=val.signature_sum,
-            sigma_w_range=val.sigma_w_range,
-            rank_h1_cover=0,
-            ribbon=ribbon_test(val, 0, 3),
-        )
-
-    return Report(
-        name=record.name,
-        source=record.source,
-        genus=v.genus,
-        determinant=d,
-        invariant_factors=group.invariant_factors,
-        blocks=blocks,
-        skipped_n=skipped,
-        xi=xi,
-    )
+        xi = XiBlock(3, m, val.candidates, val.linking_term, val.signature_sum,
+                     val.sigma_w_range, 0, ribbon_test(val, 0, 3))
+    # every field by position, the two defaults too: the shared constructor binds
+    # a call by keyword, or one with fields left out, at about twice the cost
+    return Report(record.name, record.source, v.genus, d, group.invariant_factors, blocks,
+                  skipped, xi, __version__, CONVENTIONS)
 
 
 def _utf8(s, what):

@@ -64,6 +64,18 @@ class TestAnalyze:
         assert [b["n"] for b in json.loads(auto.stdout)["quotients"]] == [
             36943, 10827491, 400000000013]
 
+    def test_n_max_search_past_its_bound_refused(self):
+        # d = 4 * 10^29 + 1: trial division up to sqrt(d), about 6e14, would never end
+        big = "{{-1,1},{0,100000000000000000000000000000}}"
+        auto = run_cli("analyze", "--matrix", big, "--n-max", "10" * 10, timeout=10)
+        assert auto.returncode == 1
+        assert auto.stdout == ""
+        assert len(auto.stderr.splitlines()) == 1
+        assert auto.stderr.startswith("error: ") and "--n" in auto.stderr
+        picked = run_cli("analyze", "--matrix", big, "--n", "3", timeout=10)
+        assert picked.returncode == 0
+        assert json.loads(picked.stdout)["skipped_n"] == [3]
+
 
 class TestScan:
     def test_csv(self, tmp_path, capsys):

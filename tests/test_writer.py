@@ -18,8 +18,9 @@ from dihedral import (
     twist_knot,
 )
 from dihedral.cli import main
-from dihedral.report import (_PART, CharEntry, Report, StabSummary, XiBlock, _to_json,
-                             _write_json)
+from dihedral.exact import ResidueQZ
+from dihedral.report import (_NUMBER_KEYS, _PART, _SLICE, CharEntry, ClassEntry, Report,
+                             StabSummary, TwistRow, XiBlock, _rows, _to_json, _write_json)
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -248,6 +249,147 @@ class TestSharedRecords:
         assert [d.pop("xi") for d in docs] == [xi_dict, xi_dict]
         want = [{**docs[0], "xi": xi_dict}, xi_dict, {**docs[1], "xi": xi_dict}]
         assert "".join(parts) == json.dumps(want, indent=2, sort_keys=True)
+
+
+def plain(x, numeric=False):
+    """x as the JSON layout states it, built without the writer: records
+    as dicts of their fields (a CharEntry also under zero_framed_exists),
+    ints as numbers only under a number key, rationals as num/den strings."""
+    if type(x) is int:
+        return x if numeric else str(x)
+    if isinstance(x, (Fraction, ResidueQZ)):
+        return fraction_dict(x)
+    if isinstance(x, (tuple, list)):
+        return [plain(v, numeric) for v in x]
+    if isinstance(x, dict):
+        return {k: plain(v, k in _NUMBER_KEYS) for k, v in x.items()}
+    if isinstance(x, (CharEntry, ClassEntry, StabSummary, TwistRow)):
+        doc = {f: plain(getattr(x, f), f in _NUMBER_KEYS) for f in x._fields}
+        if isinstance(x, CharEntry):
+            doc["zero_framed_exists"] = x.passes_criterion
+        return doc
+    return x
+
+
+def assert_like_json_dumps(x):
+    assert _to_json(x) == json.dumps(plain(x), indent=2, sort_keys=True)
+
+
+FAILS = StabSummary("not-zero-framable", 8, (), False, ())
+
+
+def char_entries(count):
+    """Failing entries share FAILS across slices; every seventh passes with
+    a summary of its own, every eleventh is already zero-framed."""
+    out = []
+    for i in range(count):
+        beta = (i % 5, -i, 3 * i, 1)
+        if i % 11 == 10:
+            out.append(CharEntry(beta, 0, True, StabSummary("already-zero-framed", 8, (), False,
+                                                            beta)))
+        elif i % 7 == 6:
+            squares = (i % 4, 1, 0, 0)
+            out.append(CharEntry(beta, 0, True, StabSummary("stabilized", 16, squares, i % 2 == 0,
+                                                            beta + (15 * i,) * 8)))
+        else:
+            out.append(CharEntry(beta, 9 * i + 2 ** 70 * (i % 3), False, FAILS))
+    return out
+
+
+def class_entries(count, members=4):
+    return [ClassEntry((i, 1), tuple((i, j) for j in range(members)),
+                       ResidueQZ._reduced(i, 15), i % 2 == 0, True,
+                       ("orientable-B4",) if i % 2 else ("orientable-B4", "also-nonorientable"))
+            for i in range(count)]
+
+
+def twist_rows(count):
+    """A member without an order-3 quotient has None in its last three
+    fields; a TwistRow list is written record by record."""
+    out = []
+    for m in range(count):
+        if m % 3 == 2:
+            out.append(TwistRow(m, 4 * m + 1, True, m % 2 == 0,
+                                (Fraction(-1, 3 * m + 1), Fraction(1, 3)), "consistent"))
+        else:
+            out.append(TwistRow(m, 4 * m + 1, False, None, None, None))
+    return out
+
+
+class TestRecordBatches:
+    """A list of at least _SHORT per-class records of one class is written
+    _SLICE records at a time from its class's template; a slice holding
+    what only the record path writes goes record by record. Either way the
+    text is json.dumps's."""
+
+    SIZES = [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]
+
+    @pytest.mark.parametrize("count", SIZES)
+    @pytest.mark.parametrize("make", [char_entries, class_entries, twist_rows])
+    def test_slice_boundaries(self, make, count):
+        entries = make(count)
+        assert_like_json_dumps(entries)
+        assert_like_json_dumps(tuple(entries))
+        assert_like_json_dumps({"a": {"b": entries}, "n": 3})
+
+    def test_templates_fill_clean_slices(self):
+        for entries in (char_entries(_SLICE), class_entries(_SLICE)):
+            texts = _rows(entries, "\n  ")
+            assert texts is not None and len(texts) == _SLICE
+            assert [json.loads(t) for t in texts] == [plain(e) for e in entries]
+
+    @pytest.mark.parametrize("where", [0, _SLICE - 1, _SLICE, 2 * _SLICE - 1])
+    def test_none_mixed_into_a_column(self, where):
+        entries = char_entries(2 * _SLICE + 1)
+        e = entries[where]
+        entries[where] = CharEntry(e.beta, None, e.passes_criterion, e.stabilization)
+        assert _rows(entries[where // _SLICE * _SLICE:][:_SLICE], "\n  ") is None
+        assert_like_json_dumps(entries)
+        classes = class_entries(2 * _SLICE + 1)
+        c = classes[where]
+        classes[where] = ClassEntry(c.representative, c.members, None, c.extends, c.surjective,
+                                    c.scope)
+        assert_like_json_dumps(classes)
+
+    def test_none_inside_a_shared_summary(self):
+        odd = StabSummary("not-zero-framable", None, (), False, ())
+        entries = char_entries(2 * _SLICE + 1)
+        entries[_SLICE + 3] = CharEntry((1, 2, 3, 4), 5, False, odd)
+        assert_like_json_dumps(entries)
+
+    def test_empty_tuples(self):
+        classes = class_entries(_SLICE + 1)
+        classes[3] = ClassEntry((), (), ResidueQZ._reduced(0, 1), True, True, ())
+        classes[_SLICE] = ClassEntry((), ((1, 2),), ResidueQZ._reduced(2, 3), False, True, ())
+        assert_like_json_dumps(classes)
+        empty = [ClassEntry((), (), ResidueQZ._reduced(0, 1), True, False, ())] * _SLICE
+        assert_like_json_dumps(empty)
+        stabs = [StabSummary("already-zero-framed", 2, (), False, ())] * (_SLICE + 2)
+        assert_like_json_dumps(stabs)
+        assert_like_json_dumps([CharEntry((), 0, True, s) for s in stabs])
+
+    def test_one_summary_shared_across_slices(self):
+        entries = [CharEntry((i, 1), 3 * i, False, FAILS) for i in range(3 * _SLICE)]
+        parts = []
+        _write_json({"x": entries, "y": FAILS}, parts.append)
+        want = {"x": [plain(e) for e in entries], "y": plain(FAILS)}
+        assert "".join(parts) == json.dumps(want, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("members", [_PART // _SLICE + 1, _PART + 1])
+    def test_members_column_over_part(self, members):
+        # (_PART // _SLICE + 1) members each make a full slice hold over _PART
+        classes = class_entries(_SLICE + 1, members)
+        assert _rows(classes[:_SLICE], "\n  ") is None
+        assert_like_json_dumps(classes)
+
+    def test_parts_bound_across_slices(self):
+        entries = char_entries(40 * _SLICE)
+        parts = []
+        _write_json(entries, parts.append)
+        doc = "".join(parts)
+        assert doc == json.dumps(plain(entries), indent=2, sort_keys=True)
+        assert len(parts) > 8
+        assert max(map(len, parts)) < len(doc) / 8
 
 
 def nine37_sum_report():
