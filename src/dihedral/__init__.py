@@ -14,7 +14,7 @@ from types import ModuleType as _Module
 __version__ = "0.1.0"
 
 from .errors import (
-    CriterionInapplicableError, EnumerationCapError, EvenModulusError,
+    CriterionInapplicableError, DivisorSearchError, EnumerationCapError, EvenModulusError,
     MatrixParseError, NonSquareFreeError, SeifertMatrixError,
     SignatureIndeterminateError, StabilizationError,
 )

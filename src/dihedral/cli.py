@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import EnumerationCapError, integer, require_printable
+from .errors import DivisorSearchError, EnumerationCapError, integer, require_printable
 from .obstruction import DEFAULT_ENUM_CAP, _enum_cap, characteristic_knot_classes
 from .report import (
     DEFAULT_N_MAX,
@@ -67,7 +67,11 @@ def _print_json(x):
 def cmd_analyze(args):
     cap = _resolve_enum_cap(args.enum_cap)
     record = KnotRecord(args.name, parse_matrix(args.matrix))
-    report = analyze(record, args.n or None, n_max=args.n_max, enum_cap=cap)
+    try:
+        report = analyze(record, args.n or None, n_max=args.n_max, enum_cap=cap)
+    except DivisorSearchError as e:
+        advice = "give the orders with --n, or a smaller --n-max"
+        raise DivisorSearchError(e.search, advice) from None
     if args.format == "json":
         _print_json(report)
     else:

@@ -18,6 +18,7 @@ __all__ = [
     "CriterionInapplicableError",
     "NonSquareFreeError",
     "StabilizationError",
+    "DivisorSearchError",
     "integer",
     "require_dihedral_order",
     "oversized_digits",
@@ -56,6 +57,16 @@ class NonSquareFreeError(ValueError):
 
 class StabilizationError(ValueError):
     """A class cannot be zero-framed: its form value is not 0 mod n^2."""
+
+
+class DivisorSearchError(ValueError):
+    """Finding the dihedral orders n that divide a determinant would
+    trial-divide past the search bound. search says how far; the advice
+    that follows it names the way out in the caller's terms."""
+
+    def __init__(self, search, advice="give the orders n explicitly, or a smaller n_max"):
+        super().__init__(f"{search}; {advice}")
+        self.search = search
 
 
 _setattr = object.__setattr__  # sets a record slot; a global is quicker to call

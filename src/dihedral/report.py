@@ -9,12 +9,13 @@ and ribbon verdict.
 JSON layout: one writer, _write_json, writes every JSON document in the
 json.dumps(indent=2, sort_keys=True) layout, walking the report
 records by a key layout per record class. A long list of per-class
-records (ClassEntry, CharEntry) is written in slices of _SLICE records:
-each key's column is formatted at once and fills a template of the
-record class's text, one per (class, indent); a slice holding a value
-the columns do not take (None among other values, an oversized members
-list) goes record by record. Leaves are formatted by one table of
-functions, _leaves, on both paths. The writer hands the text to a write
+records (ClassEntry, CharEntry) or twist sweep rows is written in
+slices of _SLICE records: each key's column is formatted at once and
+fills a template of the record class's text, one per (class, indent);
+a slice holding a value the columns do not take (a record among other
+values, an oversized members list) goes record by record, as does a
+list shorter than its class's _SHORT. Leaves are formatted by one
+table of functions, _leaves, on both paths. The writer hands the text to a write
 function in parts of bounded size: the CLI writes each part to stdout,
 and _to_json joins them into one string. Integers under _NUMBER_KEYS (n,
 genus, row, counts, sizes) are plain numbers; every other integer
@@ -34,8 +35,8 @@ from operator import attrgetter
 
 from . import __version__
 from .cover import double_cover_homology, linking_form
-from .errors import (EnumerationCapError, MatrixParseError, _check_int, _Record, _setattr,
-                     integer, require_dihedral_order, require_printable)
+from .errors import (DivisorSearchError, EnumerationCapError, MatrixParseError, _check_int,
+                     _Record, _setattr, integer, require_dihedral_order, require_printable)
 from .exact import ResidueQZ, _derived
 from .obstruction import DEFAULT_ENUM_CAP, _SCOPES, _enum_cap, _extension_walk, _form_value
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
@@ -208,22 +209,26 @@ _ADDED = {
 
 # Fragments _write_json gathers before it hands them to write as one part.
 _PART = 1024
-# Records per slice of a list written from its class's template, and the
-# shortest such list written in slices (a shorter one goes record by record).
+# Records per slice of a list written from its class's template.
 _SLICE = 64
-_SHORT = 8
-# The record classes whose lists are written in slices: the per-class
-# records, whose fields hold leaves or one record of this set, never a
-# list of records. TwistRow is left out: in a sweep, members without an
-# order-3 quotient put None among the values of three of its columns.
-_SLICED = frozenset({ClassEntry, StabSummary, CharEntry})
+# The record classes written from templates: the per-class records and the
+# twist sweep's rows, whose fields hold leaves, sequences of leaves or one
+# record of this set, never a list of records. _SHORT holds the shortest
+# list of a class written in slices: the slice path pays a fixed cost per
+# column, and at these lengths it starts to write faster than the record
+# path (ClassEntry's members make its records dear on both). A shorter
+# list, or one of StabSummary (a CharEntry column), goes record by record.
+_SHORT = {ClassEntry: 5, CharEntry: 16, TwistRow: 16}
+_SLICED = frozenset({*_SHORT, StabSummary})
 _INT = frozenset({int})
+_SCALARS = frozenset({bool, int, str, type(None), Fraction, ResidueQZ})
 
 
 class _Decimals(dict):
     """The decimal text of an int, in quotes or not. The text of an int
-    in [-1024, 1024), where most fields' ints lie, is kept once made: a
-    lookup takes about a fifth of the time of str()."""
+    in [-1024, 1024) is kept once made: a lookup takes about a fifth of
+    the time of str(), and over 96% of the ints a report or census
+    document holds lie there (all but one of 9_37#9_37's 34,125)."""
 
     def __init__(self, quote):
         self.quote = quote
@@ -273,10 +278,11 @@ def _template(cls, nl):
 def _leaves(nl, numeric):
     """The text of a leaf whose closing bracket starts with nl, by kind:
     the types bool, int, str, None, Fraction and ResidueQZ, and the _kind
-    of a sequence written in one join, "ints", "strs" or "members" (None
-    past _PART members, which _write_json writes in parts). The record
-    path takes one value through these and the slice path a column, so
-    each kind is written in one place; numeric writes ints as numbers."""
+    of a sequence written in one join, "ints", "strs", "members" or
+    "scalars" (these two None past _PART items, which _write_json writes
+    in parts). The record path takes one value through these and the
+    slice path a column, so each kind is written in one place; numeric
+    writes ints as numbers."""
     inner, digits = nl + "  ", _DECIMALS[True].__getitem__
     head, sep, tail = _int_seq(nl, numeric)
     comma = "," + inner
@@ -296,10 +302,16 @@ def _leaves(nl, numeric):
             return None
         return "[" + inner + rows(x) + nl + "]" if x else "[]"
 
+    def scalars(x):
+        if len(x) > _PART:
+            return None
+        item = _leaves(inner, numeric)
+        return "[" + inner + comma.join([item[type(v)](v) for v in x]) + nl + "]" if x else "[]"
+
     return {bool: {True: "true", False: "false"}.__getitem__,
             int: _DECIMALS[numeric].__getitem__, str: encode_basestring_ascii,
             type(None): {None: "null"}.__getitem__, Fraction: rational, ResidueQZ: rational,
-            "ints": ints, "strs": strs, "members": members}
+            "ints": ints, "strs": strs, "members": members, "scalars": scalars}
 
 
 @functools.cache
@@ -313,7 +325,8 @@ def _member_rows(nl, numeric):
 
 def _kind(items):
     """The _leaves kind of a sequence of these items written in one join:
-    "ints", "strs" or "members" (nonempty int tuples); else None."""
+    "ints", "strs", "members" (nonempty int tuples) or "scalars" (other
+    leaves); else None."""
     types = {*map(type, items)}
     if types <= _INT:
         return "ints"
@@ -322,42 +335,53 @@ def _kind(items):
     if (types == {tuple} and all(items)
             and {*map(type, itertools.chain.from_iterable(items))} == _INT):
         return "members"
+    if types <= _SCALARS:
+        return "scalars"
     return None
 
 
 def _rows(recs, nl):
     """The text of each record of recs, all of one class in _SLICED, whose
     closing braces start with nl: each key's column is taken in one map,
-    its type set checked once and formatted by one leaf function, and the
-    columns fill the class's _template. A column of records is formatted
-    once per distinct object. None when a column holds what only the
-    record path writes: mixed kinds (None among values), records of a
-    class outside _SLICED, other sequences, or over _PART members."""
+    its type set checked once, and the columns fill the class's _template.
+    A column of one leaf type or of sequences of one kind is formatted by
+    one leaf function, a column mixing them (None among values) value by
+    value through the same leaves, and a column of records once per
+    distinct object. None when a column holds what only the record path
+    writes: records of a class outside _SLICED or among other values,
+    other sequences, or over _PART members or scalars."""
     cls = type(recs[0])
     if cls not in _SLICED or {*map(type, recs)} != {cls}:
         return None
     cols = []
     for _, get, _, leaves in _layout(cls, nl):
         col = [*map(get, recs)]
-        kinds = {*map(type, col)}
-        if len(kinds) != 1:
-            return None
-        t, = kinds
-        if t is tuple:
-            items = [*itertools.chain.from_iterable(col)]
-            kind = _kind(items)
-            if kind is None or kind == "members" and len(items) > _PART:
-                return None
-            f = leaves[kind]
-        elif t in leaves:
-            f = leaves[t]
-        else:
+        types = {*map(type, col)}
+        if types <= _SLICED:
             distinct = dict(zip(map(id, col), col))
             texts = _rows([*distinct.values()], nl + "  ")
             if texts is None:
                 return None
-            f, col = dict(zip(distinct, texts)).__getitem__, map(id, col)
-        cols.append(map(f, col))
+            cols.append(map(dict(zip(distinct, texts)).__getitem__, map(id, col)))
+            continue
+        kinds = {}
+        for t in types:
+            if t is tuple:
+                seqs = col if len(types) == 1 else [v for v in col if type(v) is tuple]
+                items = [*itertools.chain.from_iterable(seqs)]
+                kind = _kind(items)
+                if kind is None or len(items) > _PART and kind in ("members", "scalars"):
+                    return None
+                kinds[t] = leaves[kind]
+            elif t in leaves:
+                kinds[t] = leaves[t]
+            else:
+                return None
+        if len(kinds) == 1:
+            f, = kinds.values()
+            cols.append(map(f, col))
+        else:
+            cols.append([kinds[type(v)](v) for v in col])
     return [*map(_template(cls, nl), *cols)]
 
 
@@ -369,7 +393,7 @@ def _write_json(x, write):
     strings elsewhere). Leaves go through _leaves, one value at a time on
     the record path and a column at a time on the slice path.
 
-    A list of at least _SHORT records of a class in _SLICED is written in
+    A list of at least _SHORT[cls] records of class cls is written in
     slices of _SLICE records, each slice's text made by _rows from its
     class's template, and a part ends after each full slice; a slice
     _rows declines goes record by record. Elsewhere a part ends at a list
@@ -419,7 +443,7 @@ def _write_json(x, write):
                 if i:
                     flush()
                 put(("," if i else "[") + inner + _member_rows(inner, numeric)(x[i:i + _PART]))
-        elif len(x) >= _SHORT and type(x[0]) in _SLICED:
+        elif len(x) >= _SHORT.get(type(x[0]), math.inf):
             for i in range(0, len(x), _SLICE):
                 chunk = x[i:i + _SLICE]
                 texts = _rows(chunk, inner)
@@ -627,8 +651,8 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     Without n_values, every odd n with 1 < n <= n_max dividing the
     determinant d gets a block. Each is k or d // k for an odd divisor
     k <= min(n_max, sqrt(d)) of d, so the search stops there; past
-    _DIVISOR_SEARCH it is refused with ValueError, which names the
-    explicit list as the way out. With an explicit list, even entries
+    _DIVISOR_SEARCH it is refused with DivisorSearchError, which names
+    the explicit list as the way out. With an explicit list, even entries
     are rejected outright and odd entries not dividing the determinant
     are recorded under skipped_n.
     """
@@ -648,9 +672,9 @@ def analyze(record, n_values=None, *, n_max=DEFAULT_N_MAX, enum_cap=DEFAULT_ENUM
     if n_values is None:
         limit = min(n_max, math.isqrt(d))
         if limit > _DIVISOR_SEARCH:
-            raise ValueError(f"finding the orders n dividing the determinant {d} needs trial "
-                             f"division up to {limit}, past the bound of {_DIVISOR_SEARCH}; "
-                             "give the orders with --n (n_values), or a smaller --n-max")
+            raise DivisorSearchError(f"finding the orders n dividing the determinant {d} needs "
+                                     f"trial division up to {limit}, past the bound of "
+                                     f"{_DIVISOR_SEARCH}")
         low = [k for k in range(1, limit + 1, 2) if d % k == 0]
         ns = sorted({m for k in low for m in (k, d // k) if 3 <= m <= n_max})
     else:

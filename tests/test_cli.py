@@ -76,6 +76,17 @@ class TestAnalyze:
         assert picked.returncode == 0
         assert json.loads(picked.stdout)["skipped_n"] == [3]
 
+    def test_n_max_search_past_its_bound_in_scan(self, tmp_path):
+        # scan has no --n: the row's error names only the bound it can lower
+        p = tmp_path / "census.csv"
+        p.write_text(f'name,seifert\nbig,"{{{{-1,1}},{{0,{10 ** 29}}}}}"\ntrefoil,"{TREFOIL}"\n')
+        out = run_cli("scan", str(p), "--n-max", "10" * 10, timeout=10)
+        assert out.returncode == 0
+        big, trefoil = json.loads(out.stdout)
+        assert trefoil["name"] == "trefoil" and "error" not in trefoil
+        assert big["row"] == 2 and "past the bound of 10000000" in big["error"]
+        assert "n_max" in big["error"] and "--n" not in big["error"]
+
 
 class TestScan:
     def test_csv(self, tmp_path, capsys):

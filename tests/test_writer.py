@@ -19,7 +19,7 @@ from dihedral import (
 )
 from dihedral.cli import main
 from dihedral.exact import ResidueQZ
-from dihedral.report import (_NUMBER_KEYS, _PART, _SLICE, CharEntry, ClassEntry, Report,
+from dihedral.report import (_NUMBER_KEYS, _PART, _SHORT, _SLICE, CharEntry, ClassEntry, Report,
                              StabSummary, TwistRow, XiBlock, _rows, _to_json, _write_json)
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
@@ -305,7 +305,7 @@ def class_entries(count, members=4):
 
 def twist_rows(count):
     """A member without an order-3 quotient has None in its last three
-    fields; a TwistRow list is written record by record."""
+    fields, so those columns mix None with values."""
     out = []
     for m in range(count):
         if m % 3 == 2:
@@ -317,10 +317,10 @@ def twist_rows(count):
 
 
 class TestRecordBatches:
-    """A list of at least _SHORT per-class records of one class is written
-    _SLICE records at a time from its class's template; a slice holding
-    what only the record path writes goes record by record. Either way the
-    text is json.dumps's."""
+    """A list of at least _SHORT[cls] records of one class cls is
+    written _SLICE records at a time from its class's template; a slice
+    holding what only the record path writes goes record by record.
+    Either way the text is json.dumps's."""
 
     SIZES = [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]
 
@@ -332,24 +332,44 @@ class TestRecordBatches:
         assert_like_json_dumps(tuple(entries))
         assert_like_json_dumps({"a": {"b": entries}, "n": 3})
 
-    def test_templates_fill_clean_slices(self):
-        for entries in (char_entries(_SLICE), class_entries(_SLICE)):
+    @pytest.mark.parametrize("make", [char_entries, class_entries, twist_rows])
+    def test_lists_around_the_shortest_sliced(self, make):
+        short = _SHORT[type(make(1)[0])]
+        for count in (1, short - 1, short, short + 1):
+            assert_like_json_dumps(make(count))
+            assert_like_json_dumps({"a": [make(count)], "n": 3})
+
+    def test_templates_fill_slices(self):
+        for entries in (char_entries(_SLICE), class_entries(_SLICE), twist_rows(_SLICE)):
             texts = _rows(entries, "\n  ")
             assert texts is not None and len(texts) == _SLICE
             assert [json.loads(t) for t in texts] == [plain(e) for e in entries]
 
     @pytest.mark.parametrize("where", [0, _SLICE - 1, _SLICE, 2 * _SLICE - 1])
     def test_none_mixed_into_a_column(self, where):
+        # a column mixing None with values is written value by value
         entries = char_entries(2 * _SLICE + 1)
         e = entries[where]
         entries[where] = CharEntry(e.beta, None, e.passes_criterion, e.stabilization)
-        assert _rows(entries[where // _SLICE * _SLICE:][:_SLICE], "\n  ") is None
+        assert _rows(entries[where // _SLICE * _SLICE:][:_SLICE], "\n  ") is not None
         assert_like_json_dumps(entries)
+        rows = twist_rows(2 * _SLICE + 1)
+        rows[where] = TwistRow(where, 1, True, None, (), "consistent")
+        assert_like_json_dumps(rows)
         classes = class_entries(2 * _SLICE + 1)
         c = classes[where]
         classes[where] = ClassEntry(c.representative, c.members, None, c.extends, c.surjective,
                                     c.scope)
         assert_like_json_dumps(classes)
+
+    @pytest.mark.parametrize("where", [0, _SLICE - 1, _SLICE])
+    def test_record_column_mixed_with_none(self, where):
+        # a record among other values goes record by record
+        entries = char_entries(2 * _SLICE + 1)
+        e = entries[where]
+        entries[where] = CharEntry(e.beta, e.form_value_mod_n2, e.passes_criterion, None)
+        assert _rows(entries[where // _SLICE * _SLICE:][:_SLICE], "\n  ") is None
+        assert_like_json_dumps(entries)
 
     def test_none_inside_a_shared_summary(self):
         odd = StabSummary("not-zero-framable", None, (), False, ())
