@@ -543,3 +543,30 @@ class TestParserShape:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["determinant"] == "3"
+
+
+class TestHelpText:
+    """main prints the help and usage text of the parser of every
+    subcommand, whichever parser it builds."""
+
+    ARGV = [["--help"], ["analyze", "--help"], ["scan", "--help"], ["twist", "--help"],
+            ["charknots", "--help"], ["selftest", "--help"], ["-h", "analyze"], [], ["bogus"],
+            ["analyze"], ["twist", "--m-range"], ["scan", "x.csv", "--bogus"]]
+
+    @staticmethod
+    def outcome(run, argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_same_as_the_full_parser(self, argv, capsys, monkeypatch):
+        from dihedral.cli import _normalize_argv, build_parser
+
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.outcome(lambda a: build_parser().parse_args(_normalize_argv(a)), argv, capsys)
+        assert full[0] in (0, 2) and (full[1] or full[2])
+        assert self.outcome(main, argv, capsys) == full
