@@ -152,43 +152,57 @@ def _add_common(sub, matrix=False):
                      help="output format (default json)")
 
 
-def build_parser():
+# the subcommands, in the order the full parser lists them
+_COMMANDS = ("analyze", "scan", "twist", "charknots", "selftest")
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of the one named command only:
+    each subparser costs more than the top level, and a call runs one."""
     parser = argparse.ArgumentParser(
         prog="dihedral",
         description="Dihedral branched-cover obstructions from Seifert matrices.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # the usage line names every command either way; the full parser lists
+    # them itself, since a metavar would also rename its missing-command error
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = subs.add_parser("analyze", help="full report for one knot")
-    _add_common(p, matrix=True)
-    p.add_argument("--name", default="knot", help="knot name for the report")
-    p.add_argument("--n", type=integer, action="append", metavar="N",
-                   help="dihedral order, repeatable; default: all odd divisors")
-    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
-                   help=f"largest n considered in auto mode (default {DEFAULT_N_MAX})")
-    p.set_defaults(func=cmd_analyze)
+    if command in (None, "analyze"):
+        p = subs.add_parser("analyze", help="full report for one knot")
+        _add_common(p, matrix=True)
+        p.add_argument("--name", default="knot", help="knot name for the report")
+        p.add_argument("--n", type=integer, action="append", metavar="N",
+                       help="dihedral order, repeatable; default: all odd divisors")
+        p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
+                       help=f"largest n considered in auto mode (default {DEFAULT_N_MAX})")
+        p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("scan", help="batch reports for a census file")
-    p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
-    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
-                   help=f"largest n considered (default {DEFAULT_N_MAX})")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
+    if command in (None, "scan"):
+        p = subs.add_parser("scan", help="batch reports for a census file")
+        p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
+        p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
+                       help=f"largest n considered (default {DEFAULT_N_MAX})")
+        _add_common(p)
+        p.set_defaults(func=cmd_scan)
 
-    p = subs.add_parser("twist", help="sweep the twist-knot family")
-    p.add_argument("--m-range", required=True, metavar="A:B",
-                   help="inclusive twist parameter range, e.g. --m-range=-1:2")
-    _add_common(p)
-    p.set_defaults(func=cmd_twist)
+    if command in (None, "twist"):
+        p = subs.add_parser("twist", help="sweep the twist-knot family")
+        p.add_argument("--m-range", required=True, metavar="A:B",
+                       help="inclusive twist parameter range, e.g. --m-range=-1:2")
+        _add_common(p)
+        p.set_defaults(func=cmd_twist)
 
-    p = subs.add_parser("charknots", help="characteristic knot classes")
-    _add_common(p, matrix=True)
-    p.add_argument("--n", type=integer, required=True, metavar="N",
-                   help="dihedral order (odd, > 1)")
-    p.set_defaults(func=cmd_charknots)
+    if command in (None, "charknots"):
+        p = subs.add_parser("charknots", help="characteristic knot classes")
+        _add_common(p, matrix=True)
+        p.add_argument("--n", type=integer, required=True, metavar="N",
+                       help="dihedral order (odd, > 1)")
+        p.set_defaults(func=cmd_charknots)
 
-    p = subs.add_parser("selftest", help="run the built-in regression checks")
-    p.set_defaults(func=cmd_selftest)
+    if command in (None, "selftest"):
+        p = subs.add_parser("selftest", help="run the built-in regression checks")
+        p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -211,10 +225,13 @@ def _normalize_argv(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(argv))
+    argv = _normalize_argv(argv)
+    # a first token naming a command selects its parser; any other (help,
+    # nothing, a wrong command) gets the parser of all, to list them
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -13,7 +13,6 @@ annihilates the group. A ResidueQZ is built only for values handed out.
 
 import itertools
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import _check_int, _Record, _setattr
@@ -175,7 +174,7 @@ class LinkingForm(_Record):
                     raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
                 if d * x % e:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
-        matrix = tuple(tuple(ResidueQZ(Fraction(x, e)) for x in row) for row in table)
+        matrix = tuple(tuple(ResidueQZ._reduced(x, e) for x in row) for row in table)
         _setattr(self, "matrix", matrix)
         _setattr(self, "_table", table)
 
@@ -244,7 +243,7 @@ def evaluate_linking(a, u, v):
         raise ValueError("presentation matrix must be square")
     uu, vv = _vector(u, a.rows), _vector(v, a.rows)
     smith = _Smith(snf(a))
-    return ResidueQZ.of(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
+    return ResidueQZ._reduced(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
 
 
 def _vector(vec, m, what="vector"):

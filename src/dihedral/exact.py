@@ -8,7 +8,6 @@ four-square decompositions. Nothing in this module ever rounds.
 
 import functools
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import _check_int, _Record, _setattr, oversized_digits
@@ -149,49 +148,64 @@ def _derived(rows):
 
 @functools.total_ordering
 class ResidueQZ(_Record):
-    """A rational residue mod 1, stored reduced into [0, 1)."""
+    """A rational residue mod 1: numerator / denominator in lowest terms,
+    with 0 <= numerator < denominator, reduced once where it is made.
+    value is the Fraction of the two ints, built when first read."""
 
-    __slots__ = _fields = ("value",)
+    __slots__ = ("value", "numerator", "denominator")
+    _fields = ("value",)
 
     def __init__(self, value):  # checks its fields, so not shared
-        _setattr(self, "value", value)
+        from fractions import Fraction
         if not isinstance(value, Fraction):
             raise TypeError(f"residue value must be a Fraction, got {value!r}")
         if not 0 <= value < 1:
             raise ValueError(f"residue {value} is outside [0, 1)")
+        for put, x in zip(self._put, (value, value.numerator, value.denominator)):
+            put(self, x)
+
+    def __getattr__(self, name):  # only for a slot left unset: value, until first read
+        if name != "value":
+            raise AttributeError(f"'ResidueQZ' object has no attribute {name!r}")
+        from fractions import Fraction
+        value = Fraction(self.numerator, self.denominator)
+        _setattr(self, "value", value)
+        return value
 
     def __lt__(self, other):
-        return self.value < other.value if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator * other.denominator < other.numerator * self.denominator
 
     @classmethod
     def of(cls, q, den=1):
-        """Reduce the rational q / den into [0, 1)."""
-        f = Fraction(q, den)
-        return cls(f - math.floor(f))
+        """Reduce the rational q / den into [0, 1): q an int or a Fraction,
+        den an int (a bool or float raises TypeError, 0 ZeroDivisionError)."""
+        if not isinstance(q, int):
+            from fractions import Fraction
+            if isinstance(q, Fraction):
+                q, den = q.numerator, q.denominator * _check_int(den, "residue denominator")
+        _check_int(q, "residue numerator")
+        if _check_int(den, "residue denominator") < 0:
+            q, den = -q, -den
+        return cls._reduced(q, den)
 
     @classmethod
     def _reduced(cls, q, e):
         """q / e mod 1 for ints q and e > 0: q % e proves the range."""
+        q %= e
+        g = math.gcd(q, e)
         r = object.__new__(cls)
-        _setattr(r, "value", Fraction(q % e, e))
+        _setattr(r, "numerator", q // g)
+        _setattr(r, "denominator", e // g)
         return r
 
     @property
     def is_zero(self):
-        return self.value == 0
-
-    @property
-    def numerator(self):
-        return self.value.numerator
-
-    @property
-    def denominator(self):
-        return self.value.denominator
+        return self.numerator == 0
 
     def __str__(self):
-        if self.value == 0:
-            return "0"
-        return f"{self.value.numerator}/{self.value.denominator}"
+        return f"{self.numerator}/{self.denominator}" if self.numerator else "0"
 
 
 def det(a):

@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -221,7 +220,24 @@ _SLICE = 64
 _SHORT = {ClassEntry: 5, CharEntry: 16, TwistRow: 16}
 _SLICED = frozenset({*_SHORT, StabSummary})
 _INT = frozenset({int})
-_SCALARS = frozenset({bool, int, str, type(None), Fraction, ResidueQZ})
+_SCALARS = frozenset({bool, int, str, type(None), ResidueQZ})
+
+
+def _fraction():
+    """fractions.Fraction once anything has imported it, else None. The
+    writer takes a Fraction as it takes a ResidueQZ without importing
+    fractions itself: a Fraction exists only once something has."""
+    return getattr(sys.modules.get("fractions"), "Fraction", None)
+
+
+class _Leaves(dict):
+    """A _leaves table, which takes Fraction in on its first lookup."""
+
+    def __missing__(self, t):
+        if t is not _fraction():
+            raise KeyError(t)
+        self[t] = f = self[ResidueQZ]
+        return f
 
 
 class _Decimals(dict):
@@ -308,10 +324,10 @@ def _leaves(nl, numeric):
         item = _leaves(inner, numeric)
         return "[" + inner + comma.join([item[type(v)](v) for v in x]) + nl + "]" if x else "[]"
 
-    return {bool: {True: "true", False: "false"}.__getitem__,
-            int: _DECIMALS[numeric].__getitem__, str: encode_basestring_ascii,
-            type(None): {None: "null"}.__getitem__, Fraction: rational, ResidueQZ: rational,
-            "ints": ints, "strs": strs, "members": members, "scalars": scalars}
+    return _Leaves({bool: {True: "true", False: "false"}.__getitem__,
+                    int: _DECIMALS[numeric].__getitem__, str: encode_basestring_ascii,
+                    type(None): {None: "null"}.__getitem__, ResidueQZ: rational,
+                    "ints": ints, "strs": strs, "members": members, "scalars": scalars})
 
 
 @functools.cache
@@ -335,7 +351,7 @@ def _kind(items):
     if (types == {tuple} and all(items)
             and {*map(type, itertools.chain.from_iterable(items))} == _INT):
         return "members"
-    if types <= _SCALARS:
+    if types <= _SCALARS or types - _SCALARS == {_fraction()}:
         return "scalars"
     return None
 
@@ -373,7 +389,7 @@ def _rows(recs, nl):
                 if kind is None or len(items) > _PART and kind in ("members", "scalars"):
                     return None
                 kinds[t] = leaves[kind]
-            elif t in leaves:
+            elif t in leaves or t is _fraction():
                 kinds[t] = leaves[t]
             else:
                 return None
@@ -427,6 +443,8 @@ def _write_json(x, write):
                 value(v, inner, k in _NUMBER_KEYS, _leaves(inner, k in _NUMBER_KEYS))
                 sep = ","
             put(nl + "}")
+        elif t is _fraction():
+            put(leaves[t](x))
         else:
             record(x, nl)
 

@@ -23,7 +23,6 @@ test compares |xi| against a rank bound.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (NonSquareFreeError, SignatureIndeterminateError, _check_int, _Record,
@@ -406,6 +405,7 @@ def xi_n(v, beta, beta_knot, n, sigma_w, *, precision_bits=DEFAULT_PRECISION_BIT
     else:
         sigma_w_range = (_check_int(sigma_w, "sigma_w"),) * 2
 
+    from fractions import Fraction  # here only, so that no other command loads fractions
     linking_term = Fraction((n * n - 1) * value, 6 * n)
 
     # sigma(k, n) = sigma(n - k, n), and n is odd: sum k <= (n - 1)/2, doubled
@@ -451,7 +451,8 @@ def ribbon_test(xi, rank_h1_cover, n):
         raise TypeError("ribbon_test expects an XiValue")
     if _check_int(rank_h1_cover, "rank") < 0:
         raise ValueError(f"rank must be nonnegative, got {rank_h1_cover}")
-    bound = Fraction(2 * rank_h1_cover + (n - 1), 2)
-    if all(abs(c) > bound for c in xi.candidates):
+    # |c| > rank + (n - 1)/2, doubled, for c = p/q with q > 0
+    bound = 2 * rank_h1_cover + n - 1
+    if all(2 * abs(c.numerator) > bound * c.denominator for c in xi.candidates):
         return RIBBON_OBSTRUCTED
     return RIBBON_CONSISTENT

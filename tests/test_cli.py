@@ -474,7 +474,10 @@ class TestStartup:
     # one after another, records are plain slotted classes, and only the
     # selftest command loads the self-tests
     NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging",
-                  "dataclasses", "inspect", "dihedral.selftest")
+                  "dataclasses", "inspect", "dihedral.selftest", "fractions", "decimal",
+                  "numbers")
+    # fractions and its imports, which only xi needs
+    FRACTIONS = ("fractions", "decimal", "numbers")
 
     def test_cli_import_loads_only_what_every_command_needs(self):
         # measured against the modules the interpreter had before the import,
@@ -488,6 +491,36 @@ class TestStartup:
         assert "dihedral.cli" in loaded
         assert [m for m in loaded
                 if any(m == p or m.startswith(p + ".") for p in self.NOT_LOADED)] == []
+
+    def test_only_xi_loads_fractions(self, tmp_path):
+        # one interpreter runs the commands in turn: those on knots outside the
+        # twist family first, then the two that print xi
+        five_one = "{{-1,1,0,0},{0,-1,1,0},{0,0,-1,1},{0,0,0,-1}}"
+        census = tmp_path / "knots.csv"
+        census.write_text(f'name,seifert\n9_37,"{NINE_37}"\n5_1,"{five_one}"\n', encoding="utf-8")
+        runs = [["analyze", "--matrix", NINE_37],
+                ["analyze", "--matrix", NINE_37.replace("{", "[").replace("}", "]")],
+                ["scan", str(census)], ["charknots", "--matrix", NINE_37, "--n", "3"],
+                ["analyze", "--matrix", SIX_ONE], ["twist", "--m-range=-60:60"]]
+        code = ("import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); "
+                "before = set(sys.modules); from dihedral.cli import main\n"
+                "for argv in json.loads(sys.argv[2]):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "        assert main(argv) == 0, argv\n"
+                "    print(json.dumps([sorted(set(sys.modules) - before), out.getvalue()]))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src, json.dumps(runs)],
+                              check=True, capture_output=True, text=True, timeout=120)
+        (*plain, (member_loaded, member), (sweep_loaded, sweep)) = [
+            json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(plain) == 4
+        for loaded, _ in plain:
+            assert [m for m in loaded if m in self.FRACTIONS] == []
+        assert {"fractions", "decimal", "numbers"} <= set(member_loaded)
+        assert json.loads(member)["xi"]["candidates"] == [{"den": "1", "num": "-1"},
+                                                          {"den": "1", "num": "1"}]
+        rows = json.loads(sweep)["rows"]
+        assert len(rows) == 121 and sum(r["xi_candidates"] is not None for r in rows) == 40
 
     def test_no_module_imports_dataclasses(self):
         src = os.path.dirname(os.path.abspath(dihedral.__file__))

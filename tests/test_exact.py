@@ -1,6 +1,8 @@
 """Exact integer linear algebra."""
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -196,6 +198,49 @@ class TestResidue:
 
     def test_ordering(self):
         assert ResidueQZ.of(Fraction(1, 3)) < ResidueQZ.of(Fraction(2, 3))
+
+    def test_against_fraction(self):
+        # every p/q with 1 <= q <= 60 and -2q <= p <= 2q, against its Fraction
+        pairs = [(p, q) for q in range(1, 61) for p in range(-2 * q, 2 * q + 1)]
+        made, oracles = [], []
+        for p, q in pairs:
+            f = Fraction(p, q) - math.floor(Fraction(p, q))
+            r = ResidueQZ.of(p, q)
+            same = (r, ResidueQZ._reduced(p, q), ResidueQZ.of(-p, -q), ResidueQZ.of(Fraction(p, q)))
+            for x in same:
+                assert (x.numerator, x.denominator) == (f.numerator, f.denominator), (p, q)
+                assert type(x.numerator) is int and type(x.denominator) is int
+                assert x.is_zero is (f == 0)
+                assert str(x) == ("0" if f == 0 else f"{f.numerator}/{f.denominator}")
+                assert x == r and hash(x) == hash(r)
+            assert r == ResidueQZ(f) and hash(r) == hash(ResidueQZ(f))
+            assert type(r.value) is Fraction and r.value == f
+            for y in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+                assert type(y) is ResidueQZ and y == r and hash(y) == hash(r)
+                assert (y.numerator, y.denominator) == (r.numerator, r.denominator)
+            made.append(r)
+            oracles.append(f)
+        # each against the next, the last against the first
+        for r, f, s, g in zip(made, oracles, made[1:] + made[:1], oracles[1:] + oracles[:1]):
+            assert (r < s, r <= s, r > s, r >= s, r == s, r != s) == (
+                f < g, f <= g, f > g, f >= g, f == g, f != g)
+        assert [r.value for r in sorted(made)] == sorted(oracles)
+
+    @pytest.mark.parametrize("q, den", [(True, 3), (True, -3), (1, True), (0.5, 1), (1, 3.0),
+                                        (Fraction(1, 3), True), (Fraction(1, 3), 2.0)])
+    def test_of_takes_ints_only(self, q, den):
+        with pytest.raises(TypeError):
+            ResidueQZ.of(q, den)
+
+    def test_of_takes_a_fraction(self):
+        assert ResidueQZ.of(Fraction(7, 3)) == ResidueQZ(Fraction(1, 3))
+        assert ResidueQZ.of(Fraction(1, 3), 2) == ResidueQZ(Fraction(1, 6))
+        assert ResidueQZ.of(Fraction(1, 3), -2) == ResidueQZ(Fraction(5, 6))
+
+    @pytest.mark.parametrize("q", [1, 0, Fraction(1, 3)])
+    def test_of_zero_denominator(self, q):
+        with pytest.raises(ZeroDivisionError):
+            ResidueQZ.of(q, 0)
 
 
 class TestFourSquares:
