@@ -7,6 +7,10 @@ Subcommands:
     charknots  characteristic knot classes for one matrix and one n
     selftest   run the built-in regression checks
 
+main builds the parser of the subcommand its first argument names, and
+of all five for anything else (help, no argument, a wrong name); the
+help and usage text is the same either way.
+
 The enumeration cap is resolved as: --enum-cap flag, then the
 DIHEDRAL_ENUM_CAP environment variable, then the built-in default.
 Exit codes: 0 on success, 1 on a fatal error (bad input or a bad flag
@@ -228,8 +232,6 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(argv)
-    # a first token naming a command selects its parser; any other (help,
-    # nothing, a wrong command) gets the parser of all, to list them
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:

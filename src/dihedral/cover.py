@@ -8,7 +8,8 @@ gives the linking form lk(u, v) = sum_k (Q^T u)_k (P v)_k / D_kk mod 1.
 
 Inside the layer a linking value is an integer mod the group exponent
 e (the largest invariant factor): e * lk is integral because e
-annihilates the group. A ResidueQZ is built only for values handed out.
+annihilates the group. A ResidueQZ, that integer over e in lowest terms,
+is built only for values handed out; no Fraction is made.
 """
 
 import itertools
@@ -152,7 +153,7 @@ class LinkingForm(_Record):
     so lk is G_ij / (d_i d_j) with G = Q^T A Q. Construction checks on
     that integer table its symmetry, annihilation (d_i * entry = 0 mod e)
     and an odd e, so every denominator is odd; matrix[i][j] is the
-    entry as a residue mod 1, built once from it.
+    entry over e as a residue mod 1, built once from it.
     """
 
     __slots__ = ("group", "matrix", "_table")

@@ -3,7 +3,9 @@
 Small dense matrices over arbitrary-precision integers, with the
 handful of algorithms everything else is built on: Smith normal form
 with its transformation matrices, Bareiss determinants, and
-four-square decompositions. Nothing in this module ever rounds.
+four-square decompositions, and ResidueQZ, a residue mod 1 held as an
+integer numerator over its denominator (a Fraction only when its value
+is asked for). Nothing in this module ever rounds.
 """
 
 import functools
@@ -181,14 +183,13 @@ class ResidueQZ(_Record):
     def of(cls, q, den=1):
         """Reduce the rational q / den into [0, 1): q an int or a Fraction,
         den an int (a bool or float raises TypeError, 0 ZeroDivisionError)."""
+        _check_int(den, "residue denominator")
         if not isinstance(q, int):
             from fractions import Fraction
             if isinstance(q, Fraction):
-                q, den = q.numerator, q.denominator * _check_int(den, "residue denominator")
+                q, den = q.numerator, q.denominator * den
         _check_int(q, "residue numerator")
-        if _check_int(den, "residue denominator") < 0:
-            q, den = -q, -den
-        return cls._reduced(q, den)
+        return cls._reduced(q if den > 0 else -q, abs(den))
 
     @classmethod
     def _reduced(cls, q, e):
