@@ -174,6 +174,14 @@ class ResidueQZ(_Record):
         _setattr(self, "value", value)
         return value
 
+    def __eq__(self, other):  # lowest terms: equal values have equal ints
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
+
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

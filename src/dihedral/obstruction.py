@@ -11,22 +11,26 @@ Both routes come from one walk over k in prod Z/g_t, g_t = gcd(d_t, n)
 for the torsion entries d_t of the Smith form P A Q = D. Each k names
 the character c_t = k_t d_t / g_t and the characteristic class
 beta = Q y mod n, y_t = k_t n / g_t, carried with f = y^T Q^T A Q y mod
-n^2, which is the form value of beta and n^2 lk(c, c). Checked per
-element: D y = 0 mod n and primitivity of y (c of order n). Per unit
-orbit, that is per quotient class: the representative's verdict
-pair(c, c) against f. Per block: char_knot_to_character, which solves
-through P, sends the first representative's class back to its c.
+n^2, which is the form value of beta and n^2 lk(c, c); f is quadratic
+in the last k_t, so that coordinate is summed in closed form. Checked
+per element: D y = 0 mod n and primitivity of y (c of order n). Per
+unit orbit, that is per quotient class: the representative's verdict
+pair(c, c) against f. Per class with f = 0: its exact value, from the
+terms of A on and above the diagonal, against f. Per block:
+char_knot_to_character, which solves through P, sends the first
+representative's class back to its c.
 """
 
 import functools
 import math
-from operator import add, mul
+from itertools import repeat
+from operator import add, itemgetter, mod, mul
 
 from .cover import LinkingForm, TorsionGroup, _element, double_cover_homology, linking_form
 from .errors import (CriterionInapplicableError, EnumerationCapError, _check_int, _Record,
                      _setattr, require_dihedral_order)
 from .exact import ResidueQZ
-from .seifert import SeifertMatrix, _characteristic_value, _smith_form, symmetrize
+from .seifert import SeifertMatrix, _characteristic_value, _smith_form, _upper_terms, symmetrize
 
 __all__ = [
     "SCOPE_ORIENTABLE_B4",
@@ -156,8 +160,8 @@ def _walk(n, factors, enum_cap, what, v=None):
     and so of c (c_t = k_t d_t / g_t). y is primitive, and c has order n,
     when each p^a || n has a t with p^a | g_t and p not dividing k_t.
     Given the Seifert matrix v with these Smith factors, beta = Q y mod n
-    and f = y^T Q^T A Q y mod n^2; without v, () and 0.
-    """
+    and f = y^T Q^T A Q y mod n^2, reduced as the leaf is kept (the last
+    coordinate in closed form); without v, () and 0."""
     moduli = [math.gcd(d, n) for d in factors]
     _check_cap(what, math.prod(moduli), enum_cap)
     walked = [t for t, g in enumerate(moduli) if g > 1]
@@ -171,38 +175,40 @@ def _walk(n, factors, enum_cap, what, v=None):
         qs = [res.Q.column(at[t]) for t in walked]
         aqs = [a.apply(q) for q in qs]
     nn = n * n
-    # per walked t, where k_t steps by 1 and y_t by s: what each k_t appends
-    # to c (with the zeros up to the next walked t), the step's column of
-    # beta mod n and of G y mod n^2 (G = Q^T A Q), and s^2 G_tt mod n^2
+    # per walked t, where k_t steps by 1 and y_t by s: what each k_t adds to
+    # c (with the zeros up to the next walked t) and to beta (k_t times its
+    # column mod n), the column of G y mod n^2 (G = Q^T A Q), s^2 G_tt mod n^2
     steps = []
     for i, (t, end, q, aq) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, aqs)):
         g = moduli[t]
         s, c_step, pad = n // g, factors[t] // g, (0,) * (end - t - 1)
-        g_col = [sum(map(mul, qj, aq)) for qj in qs]
+        b_col, g_col = [s * x % n for x in q], [sum(map(mul, qj, aq)) for qj in qs]
         steps.append((g, s, tuple((x * c_step,) + pad for x in range(g)),
-                      tuple(s * x % n for x in q), tuple(s * x % nn for x in g_col),
-                      s * s * g_col[i] % nn))
-    out = []
-    _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, out)
-    return [(c, tuple(map(n.__rmod__, beta)), f % nn) for c, beta, f in out]
+                      tuple(tuple(x * b for b in b_col) for x in range(g)),
+                      tuple(s * x % nn for x in g_col), s * s * g_col[i] % nn))
+    return _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, n, [])
 
 
-def _walk_from(steps, i, c, beta, gy, f, content, out):
+def _walk_from(steps, i, c, beta, gy, f, content, n, out):
     """Walk coordinate i and those after it; the coordinates below i are
-    fixed in c, beta, G y, f and content = gcd(n, y). A step adds its
-    columns and f += 2 s (G y)_i + s^2 G_ii; one state per coordinate."""
-    g, s, tails, b_col, g_col, f_step = steps[i]
-    last = i + 1 == len(steps)
+    fixed in c, beta, G y, f and content = gcd(n, y). A step adds the
+    column of G y and f += 2 s (G y)_i + s^2 G_ii; the last coordinate is
+    closed, beta + t col and f + t 2 s (G y)_i + t^2 s^2 G_ii at k_i = t."""
+    g, s, tails, b_cols, g_col, f_step = steps[i]
+    if i + 1 < len(steps):
+        for t in range(g):
+            if t:
+                f += 2 * s * gy[i] + f_step
+                gy = tuple(map(add, gy, g_col))
+            _walk_from(steps, i + 1, c + tails[t], tuple(map(add, beta, b_cols[t])), gy, f,
+                       math.gcd(content, t * s), n, out)
+        return out
+    nn, lin = n * n, 2 * s * gy[i]
     for t in range(g):
-        if t:
-            f += 2 * s * gy[i] + f_step
-            beta = tuple(map(add, beta, b_col))
-            gy = tuple(map(add, gy, g_col))
-        ct, ci = c + tails[t], math.gcd(content, t * s)
-        if not last:
-            _walk_from(steps, i + 1, ct, beta, gy, f, ci, out)
-        elif ci == 1:
-            out.append((ct, beta, f))
+        if math.gcd(content, t * s) == 1:
+            out.append((c + tails[t], tuple(map(mod, map(add, beta, b_cols[t]), repeat(n))),
+                        (f + t * lin + t * t * f_step) % nn))
+    return out
 
 
 def _orbits(coords, factors, n):
@@ -213,7 +219,7 @@ def _orbits(coords, factors, n):
     left = set(coords)
     for i, c in enumerate(coords):
         if c in left:
-            orbit = {tuple(u * x % d for x, d in zip(c, factors)) for u in units}
+            orbit = {tuple(map(mod, map(mul, c, repeat(u)), factors)) for u in units}
             if not orbit <= left:
                 raise ValueError("character set is not closed under the unit action")
             left -= orbit
@@ -334,8 +340,12 @@ class CharKnotClass(_Record):
 
 
 def _form_value(v, beta, f, n):
-    """beta^T (V + V^T) beta, exact, checked against f mod n^2 from the walk."""
-    value = sum(map(mul, beta, symmetrize(v).apply(beta)))
+    """beta^T (V + V^T) beta, exact, row by row from the terms on and above
+    the diagonal, skipping beta_i = 0; checked against f mod n^2 from the walk."""
+    value = 0
+    for i, get, weights in _upper_terms(v):
+        if beta[i]:
+            value += beta[i] * sum(map(mul, weights, get(beta)))
     if (value - f) % (n * n):
         raise ArithmeticError(f"form value {value} of class {list(beta)} disagrees with "
                               f"{f} mod {n}^2 from the walk; input is corrupt")
@@ -348,15 +358,14 @@ def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     D y = 0 mod n makes each beta walked characteristic, and Q is
     unimodular, so beta has the content of y. The walk carries each
     form value mod n^2 and skips CharKnotClass's validation; a passing
-    class gets its exact value, checked, at once.
-    """
+    class gets its exact value, checked, at once."""
     require_dihedral_order(n)
     _enum_cap(enum_cap)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
     leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)
     return tuple(CharKnotClass._make(v, beta, n, f, None if f else _form_value(v, beta, 0, n))
-                 for beta, f in sorted(leaf[1:] for leaf in leaves))
+                 for _, beta, f in sorted(leaves, key=itemgetter(1)))
 
 
 def _check_linking(got, e, value, n):
@@ -372,11 +381,10 @@ def _check_linking(got, e, value, n):
 def _extension_walk(v, form, n, enum_cap):
     """Both routes at n from one walk, checked per class and per block:
     ((members, e lk(c, c) mod e) per quotient class, with members the
-    sorted character coordinates and c the first; the characteristic
-    classes as (beta mod n, f mod n^2) pairs sorted by beta). form is on
-    the Smith basis of v's cover homology, of exponent e. The cap names
-    the kernel mod n, which has the size of H[n].
-    """
+    sorted character coordinates and c the first; the leaves (c, beta mod
+    n, f mod n^2) sorted by beta, each beta once as Q is unimodular). form
+    is on the Smith basis of v's cover homology, of exponent e. The cap
+    names the kernel mod n, which has the size of H[n]."""
     factors = form.group.invariant_factors
     leaves = _walk(n, factors, enum_cap, f"kernel mod {n}", v)
     e = form.exponent
@@ -385,12 +393,11 @@ def _extension_walk(v, form, n, enum_cap):
         got = form.pair(members[0], members[0])
         _check_linking(got, e, leaves[i][2], n)
         classes.append((tuple(members), got))
-    pairs = [leaf[1:] for leaf in leaves]
-    first = pairs and CharKnotClass._make(v, pairs[0][0], n, pairs[0][1], None)
+    first = leaves and CharKnotClass._make(v, leaves[0][1], n, leaves[0][2], None)
     if first and char_knot_to_character(v, first, form).c != leaves[0][0]:
-        raise ArithmeticError(f"class {list(pairs[0][0])} maps to another character than "
+        raise ArithmeticError(f"class {list(first.beta)} maps to another character than "
                               f"the walk's {leaves[0][0]}; routes disagree at n={n}")
-    return classes, sorted(pairs)
+    return classes, sorted(leaves, key=itemgetter(1))
 
 
 def char_knot_to_character(v, beta, form=None):

@@ -639,7 +639,7 @@ def _analyze_n(v, form, n, enum_cap):
     # one walk gives both routes, checked per class and per block; it is
     # H[n] and the kernel mod n at once, so a cap stops both, by one size
     try:
-        classes, pairs = _extension_walk(v, form, n, enum_cap)
+        classes, leaves = _extension_walk(v, form, n, enum_cap)
     except EnumerationCapError as e:
         ck_note = f"not enumerated: {e}"
         note = ck_note.replace(f"kernel mod {n}", f"n-torsion subgroup H[{n}]", 1)
@@ -649,8 +649,8 @@ def _analyze_n(v, form, n, enum_cap):
                                _SCOPES[not got, three]) for m, got in classes)
     fails, framings = StabSummary("not-zero-framable", v.size, (), False, ()), {}
     return NBlock(n, True, "", len(entries), sum(not got for _, got in classes), entries,
-                  True, "", tuple(CharEntry(beta, f, False, fails) if f
-                                  else _passing_entry(v, n, beta, framings) for beta, f in pairs))
+                  True, "", tuple(CharEntry(beta, f, False, fails) if f else
+                                  _passing_entry(v, n, beta, framings) for _, beta, f in leaves))
 
 
 def _twist_parameter(v):

@@ -7,6 +7,7 @@ tuples of integer coordinates in the basis implicit in V.
 """
 
 import math
+from operator import itemgetter
 
 from .errors import (SeifertMatrixError, StabilizationError, _check_int, _Record,
                      oversized_digits, require_dihedral_order)
@@ -29,11 +30,11 @@ class SeifertMatrix:
     Accepts an IntMatrix or any iterable of integer rows; the empty
     matrix stands for the unknot. Validation checks squareness, even
     size, and det(V - V^T) = 1 exactly. A = V + V^T is formed here,
-    once, and handed out by symmetrize; its Smith form is computed on
-    first use and kept.
+    once, and handed out by symmetrize; its Smith form and its terms on
+    and above the diagonal are computed on first use and kept.
     """
 
-    __slots__ = ("_m", "_sym", "_smith")
+    __slots__ = ("_m", "_sym", "_smith", "_terms")
 
     def __init__(self, rows):
         m = rows if isinstance(rows, IntMatrix) else IntMatrix(rows)
@@ -49,7 +50,7 @@ class SeifertMatrix:
             raise SeifertMatrixError(f"det(V - V^T) must be 1, got {shown}")
         self._m = m
         self._sym = m + mt
-        self._smith = None
+        self._smith = self._terms = None
 
     @classmethod
     def _block_sum(cls, *parts):
@@ -62,7 +63,7 @@ class SeifertMatrix:
         s = object.__new__(cls)
         s._m = IntMatrix.block_diag(*(p._m for p in parts))
         s._sym = IntMatrix.block_diag(*(p._sym for p in parts))
-        s._smith = None
+        s._smith = s._terms = None
         return s
 
     @property
@@ -122,6 +123,18 @@ def _smith_form(v):
     if v._smith is None:
         v._smith = snf(a)
     return v._smith
+
+
+def _upper_terms(v):
+    """A = V + V^T by its nonzero terms on and above the diagonal, per row i
+    having any: (i, a getter of their columns as a tuple, weights A_ii and
+    2 A_ij). Built on first use and kept."""
+    if v._terms is None:
+        a = symmetrize(v)
+        rows = ((i, [j for j in range(i, a.cols) if a[i, j]]) for i in range(a.rows))
+        v._terms = tuple((i, itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)),
+                          tuple(a[i, j] * (1 + (j > i)) for j in c)) for i, c in rows if c)
+    return v._terms
 
 
 def knot_determinant(v):

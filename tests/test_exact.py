@@ -2,13 +2,17 @@
 
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import dihedral
 from dihedral.exact import (
     IntMatrix,
     ResidueQZ,
@@ -225,6 +229,30 @@ class TestResidue:
             assert (r < s, r <= s, r > s, r >= s, r == s, r != s) == (
                 f < g, f <= g, f > g, f >= g, f == g, f != g)
         assert [r.value for r in sorted(made)] == sorted(oracles)
+
+    def test_equal_values_hash_equal(self):
+        # over the p/q grid above: residues of one value, made from different
+        # p/q, are equal and hash alike, and those of different values differ
+        hashes, made = {}, set()
+        for q in range(1, 61):
+            for p in range(-2 * q, 2 * q + 1):
+                r = ResidueQZ.of(p, q)
+                assert hashes.setdefault(Fraction(p, q) % 1, hash(r)) == hash(r), (p, q)
+                made.add(r)
+        assert len(made) == len(hashes)
+
+    def test_compare_and_hash_without_fractions(self):
+        # == and hash read the int slots, so neither builds a Fraction
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from dihedral.exact import ResidueQZ\n"
+                "a, b, c = ResidueQZ.of(2, 6), ResidueQZ._reduced(4, 3), ResidueQZ.of(1, 2)\n"
+                "assert a == b and hash(a) == hash(b) and a != c and not a == c\n"
+                "assert len({a, b, c}) == 2 and a != 1 / 3\n"
+                "print(*[m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == []
 
     @pytest.mark.parametrize("q, den", [(True, 3), (True, -3), (1, True), (0.5, 1), (1, 3.0),
                                         (Fraction(1, 3), True), (Fraction(1, 3), 2.0)])

@@ -417,25 +417,58 @@ class TestCharacteristicClasses:
 
     def test_walk_products(self, monkeypatch):
         # the walk applies A once per walked coordinate to set up its
-        # columns, and once per passing class for the exact form value; a
-        # modulus no primitive y can reach walks nothing
+        # columns, and forms the exact form value once per passing class,
+        # from A's kept terms; a modulus no primitive y can reach walks nothing
         v = dihedral.connected_sum(NINE_37, NINE_37)
         assert knot_determinant(v) == 2025
-        calls = []
-        real = IntMatrix.apply
+        applies, values = [], []
+        real_apply, real_value = IntMatrix.apply, obstruction._form_value
 
-        def counted(self, vec):
-            calls.append(vec)
-            return real(self, vec)
+        def counted_apply(self, vec):
+            applies.append(vec)
+            return real_apply(self, vec)
 
-        monkeypatch.setattr(IntMatrix, "apply", counted)
+        def counted_value(v, beta, f, n):
+            values.append(beta)
+            return real_value(v, beta, f, n)
+
+        monkeypatch.setattr(IntMatrix, "apply", counted_apply)
+        monkeypatch.setattr(obstruction, "_form_value", counted_value)
         for n, classes, passing, setup in ((9, 0, 0, 0), (45, 0, 0, 0), (15, 1920, 256, 4)):
-            calls.clear()
+            applies.clear()
+            values.clear()
             cks = characteristic_knot_classes(v, n)
             assert len(cks) == classes
-            assert len(calls) == setup + passing
+            assert (len(applies), len(values)) == (setup, passing)
+            assert values == [ck.beta for ck in cks if ck.form_value_mod_n2() == 0]
             assert sum(ck.form_value_mod_n2() == 0 for ck in cks) == passing
-            assert len(calls) == setup + passing  # the criterion reads the carried value
+            # the criterion reads the carried value
+            assert (len(applies), len(values)) == (setup, passing)
+
+    def test_form_value_matches_dense_product(self, corpus, scrambled_genus4):
+        # the exact value from A's terms on and above the diagonal equals the
+        # dense sum of beta_i A_ij beta_j: on every class of the corpus at
+        # n = 3, 5, 7 and of the scrambled genus-4 sum at n = 3, and on seeded
+        # integer vectors with zeros and negative entries for the latter
+        def dense(v, beta):
+            a = symmetrize(v)
+            return sum(beta[i] * a[i, j] * beta[j] for i in range(v.size) for j in range(v.size))
+
+        cases = [(v, n) for v in corpus for n in (3, 5, 7) if knot_determinant(v) % n == 0]
+        cases.append((scrambled_genus4, 3))
+        seen = 0
+        for v, n in cases:
+            for ck in characteristic_knot_classes(v, n):
+                want = dense(v, ck.beta)
+                assert obstruction._form_value(v, ck.beta, ck.form_value_mod_n2(), n) == want
+                assert ck.form_value() == want
+                seen += 1
+        assert seen == 538
+        rng = random.Random(25)
+        for _ in range(200):
+            beta = tuple(rng.choice((0, 0, 1, -1, 2, -7, 40)) for _ in range(8))
+            want = dense(scrambled_genus4, beta)
+            assert obstruction._form_value(scrambled_genus4, beta, want % 9, 3) == want
 
     def test_walk_matches_product_oracle(self, corpus):
         # the product walk this one replaced, beta = Q y mod n and
@@ -566,9 +599,22 @@ class TestRouteChecks:
 
         def corrupted(steps, i, *state):
             if i == 0:  # one entry of the first step's column of G y
-                g, s, tails, b_col, g_col, f_step = steps[0]
+                g, s, tails, b_cols, g_col, f_step = steps[0]
                 g_col = (g_col[0],) + (g_col[1] + 1,) + g_col[2:]
-                steps = [(g, s, tails, b_col, g_col, f_step)] + steps[1:]
+                steps = [(g, s, tails, b_cols, g_col, f_step)] + steps[1:]
+            return real(steps, i, *state)
+
+        monkeypatch.setattr(obstruction, "_walk_from", corrupted)
+
+    @staticmethod
+    def drop_square(monkeypatch):
+        # the last coordinate's closed form without its t^2 s^2 G_ii term:
+        # in the last step, s^2 G_ii feeds only that term
+        real = obstruction._walk_from
+
+        def corrupted(steps, i, *state):
+            if i == 0:
+                steps = steps[:-1] + [steps[-1][:5] + (0,)]
             return real(steps, i, *state)
 
         monkeypatch.setattr(obstruction, "_walk_from", corrupted)
@@ -614,6 +660,16 @@ class TestRouteChecks:
         getattr(self, fault)(monkeypatch)
         with pytest.raises(ArithmeticError, match=message):
             analyze(NINE_37, [3])
+
+    def test_closed_form_square_term_checked(self, monkeypatch):
+        # the per-class route check of pair(c, c) against f catches the last
+        # coordinate's f without its square term, before the per-block map
+        nine_sum = dihedral.connected_sum(NINE_37, NINE_37)
+        assert analyze(nine_sum, [15]).blocks[0].quotient_class_count == 240
+        self.drop_square(monkeypatch)
+        with pytest.raises(ArithmeticError, match="routes are inconsistent") as info:
+            analyze(nine_sum, [15])
+        assert "char_knot_to_character" not in {entry.name for entry in info.traceback}
 
 
 class TestCriteria:

@@ -128,10 +128,14 @@ params = pytest.mark.parametrize("cls, fields", SAMPLES, ids=[c.__name__ for c, 
 
 def unchecked(cls, fields):
     """A record holding these field values, built without its constructor
-    or its checks."""
+    or its checks. A ResidueQZ compares its int slots, so they are set
+    from its value (to the value itself when that has no such parts)."""
     x = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(x, name, value)
+    if cls is ResidueQZ:
+        for part in ("numerator", "denominator"):
+            object.__setattr__(x, part, getattr(fields["value"], part, fields["value"]))
     return x
 
 

@@ -84,6 +84,19 @@ class TestPinnedBytes:
         out = out.replace(json.dumps(dihedral.__version__), '"V"')
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
+    @pytest.mark.parametrize("knot, want", [
+        ("trefoils", "90f6a24e4acb6d99a6ecb6510f0e591eb3ecbe2289599516b0b6c37a2b3e606f"),
+        ("scrambled", "95fee033485fc27d4c504002c54c7c54e955a1e2730311eb493c3cb8242fb133"),
+    ])
+    def test_walked_blocks(self, capsys, scrambled_genus4, knot, want):
+        # analyze --n 3 on the 8-trefoil sum (sparse V + V^T, 6,560
+        # characteristic classes, 8.3 MB) and on a scrambled genus-4 twist
+        # sum (dense V + V^T): every walked leaf and passing value is written
+        v = twist_sum((-1,) * 8) if knot == "trefoils" else scrambled_genus4
+        out = cli_stdout(capsys, ["analyze", "--matrix", render_matrix(v), "--n", "3"])
+        out = out.replace(json.dumps(dihedral.__version__), '"V"')
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
     @pytest.mark.parametrize("n, fmt, want", [
         ("3", "json", "fc4db09a2079702dceeece3d2dc47fc12e2e73b00e96ccb12d2bae88df9d49d0"),
         ("5", "json", "a20c6dc733574612d05ed20177162687f6964001c6885a0ec2fe650ec05e9df0"),
