@@ -43,13 +43,10 @@ ENV_ENUM_CAP = "DIHEDRAL_ENUM_CAP"
 def _resolve_enum_cap(flag_value):
     """Apply the flag > environment > default precedence."""
     if flag_value is not None:
-        return _enum_cap(flag_value)
+        return _enum_cap(flag_value, "--enum-cap")
     raw = os.environ.get(ENV_ENUM_CAP)
     if raw is not None:
-        cap = integer(raw, ENV_ENUM_CAP)
-        if cap < 1:
-            raise ValueError(f"{ENV_ENUM_CAP} must be >= 1, got {cap}")
-        return cap
+        return _enum_cap(integer(raw, ENV_ENUM_CAP), ENV_ENUM_CAP)
     return DEFAULT_ENUM_CAP
 
 

@@ -252,10 +252,11 @@ class SNFResult(_Record):
 
     D is diagonal with nonnegative entries, each dividing the next
     nonzero one; invariant_factors, the diagonal entries > 1, is read
-    off D.
+    off D. _diagonal keeps the diagonal the constructor checks.
     """
 
-    __slots__ = _fields = ("P", "Q", "D")
+    __slots__ = ("P", "Q", "D", "_diagonal")
+    _fields = ("P", "Q", "D")
 
     def __init__(self, P, Q, D):  # checks its fields, so not shared
         _setattr(self, "P", P)
@@ -265,7 +266,7 @@ class SNFResult(_Record):
             for j in range(D.cols):
                 if i != j and D[i, j] != 0:
                     raise ValueError(f"D is not diagonal at ({i},{j})")
-        diag = self.diagonal()
+        _setattr(self, "_diagonal", diag := tuple(D[i, i] for i in range(min(D.rows, D.cols))))
         for i, x in enumerate(diag):
             if x < 0:
                 raise ValueError(f"D has a negative entry at ({i},{i})")
@@ -276,7 +277,7 @@ class SNFResult(_Record):
                 raise ValueError(f"diagonal entry {prev} does not divide {nxt}")
 
     def diagonal(self):
-        return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+        return self._diagonal
 
     @property
     def invariant_factors(self):

@@ -7,30 +7,30 @@ and stabilization summaries, and (on the twist family) the xi values
 and ribbon verdict.
 
 JSON layout: one writer, _write_json, writes every JSON document in the
-json.dumps(indent=2, sort_keys=True) layout, walking the report
-records by a key layout per record class. A long list of per-class
-records (ClassEntry, CharEntry) or twist sweep rows is written in
-slices of _SLICE records: each key's column is formatted at once and
-fills a template of the record class's text, one per (class, indent);
-a slice holding a value the columns do not take (a record among other
-values, an oversized members list) goes record by record, as does a
-list shorter than its class's _SHORT. Leaves are formatted by one
-table of functions, _leaves, on both paths. The writer hands the text to a write
-function in parts of bounded size: the CLI writes each part to stdout,
-and _to_json joins them into one string. Integers under _NUMBER_KEYS (n,
-genus, row, counts, sizes) are plain numbers; every other integer
-(determinants, invariant factors, coordinates, form values) is a
-decimal string; rationals are {"num": "...", "den": "..."} with decimal
-strings. Output is fully deterministic.
+json.dumps(indent=2, sort_keys=True) layout. Each report record class
+declares its layout once, in _json: per key, the field it reads and its
+kind (bool, number, decimal, str, rational, ints, numbers, strs,
+members, rationals, a record class, or a list of one), which picks the
+function that writes it; nothing about a value is inferred but None,
+written as null in any field. A long list of per-class records or twist
+sweep rows is written in slices of _SLICE records, each key's column
+formatted at once into a template of the class's text. Dicts and lists
+outside records are written by their values' types. The writer hands
+the text to a write function in parts of bounded size. A number is a
+JSON number, a decimal a decimal string, a rational {"num": "...",
+"den": "..."} with decimal strings. Output is fully deterministic.
 """
 
 import functools
 import itertools
-import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+
+try:  # the C function json.encoder uses, without loading json's decoder
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cover import double_cover_homology, linking_form
@@ -78,6 +78,15 @@ CONVENTIONS = (
 )
 
 
+def _keys(**keys):
+    """A record class's JSON layout, stated in its body: (key, field, kind)
+    per JSON key, from key=kind where the key is the field's name, and
+    key=(field, kind) where it is not (a renamed field, or a key that is
+    no field of its own). A kind is one of _TYPES, a record class, or
+    [cls] for a sequence of records of class cls."""
+    return tuple((k, *v) if type(v) is tuple else (k, k, v) for k, v in keys.items())
+
+
 class KnotRecord(_Record):
     """A named knot given by a Seifert matrix."""
 
@@ -98,6 +107,8 @@ class ClassEntry(_Record):
 
     __slots__ = _fields = ("representative", "members", "self_linking", "extends",
                            "surjective", "scope")
+    _json = _keys(representative="ints", members="members", self_linking="rational",
+                  extends="bool", surjective="bool", scope="strs")
 
     # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, representative, members, self_linking, extends, surjective, scope):
@@ -114,6 +125,8 @@ class StabSummary(_Record):
     "already-zero-framed", "stabilized" or "not-zero-framable"."""
 
     __slots__ = _fields = ("status", "new_size", "squares", "flipped_sign", "stabilized_class")
+    _json = _keys(status="str", new_size="number", squares="ints", flipped_sign="bool",
+                  stabilized_class="ints")
 
     # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, status, new_size, squares, flipped_sign, stabilized_class):
@@ -128,6 +141,9 @@ class CharEntry(_Record):
     """One characteristic class in a report."""
 
     __slots__ = _fields = ("beta", "form_value_mod_n2", "passes_criterion", "stabilization")
+    # a class is zero-framable after stabilization exactly when it passes the criterion
+    _json = _keys(beta="ints", form_value_mod_n2="decimal", passes_criterion="bool",
+                  stabilization=StabSummary, zero_framed_exists=("passes_criterion", "bool"))
 
     # built once per class on the report path, where a per-class __init__ is quicker
     def __init__(self, beta, form_value_mod_n2, passes_criterion, stabilization):
@@ -143,6 +159,12 @@ class NBlock(_Record):
     __slots__ = _fields = ("n", "characters_enumerated", "character_note",
                            "quotient_class_count", "extendable_class_count", "classes",
                            "char_classes_enumerated", "char_class_note", "char_classes")
+    _json = _keys(n="number", characters_enumerated="bool", character_note="str",
+                  quotient_class_count="number", extendable_class_count="number",
+                  classes=[ClassEntry],
+                  characteristic_classes_enumerated=("char_classes_enumerated", "bool"),
+                  characteristic_class_note=("char_class_note", "str"),
+                  characteristic_classes=("char_classes", [CharEntry]))
 
 
 class XiBlock(_Record):
@@ -150,6 +172,9 @@ class XiBlock(_Record):
 
     __slots__ = _fields = ("n", "twist_parameter", "candidates", "linking_term",
                            "signature_sum", "sigma_w_range", "rank_h1_cover", "ribbon")
+    _json = _keys(n="number", twist_parameter="decimal", candidates="rationals",
+                  linking_term="rational", signature_sum="number", sigma_w_range="numbers",
+                  rank_h1_cover="number", ribbon="str")
 
 
 class Report(_Record):
@@ -157,10 +182,17 @@ class Report(_Record):
 
     __slots__ = _fields = ("name", "source", "genus", "determinant", "invariant_factors",
                            "blocks", "skipped_n", "xi", "version", "conventions")
+    _json = _keys(name="str", source="str", genus="number", determinant="decimal",
+                  invariant_factors="ints", quotients=("blocks", [NBlock]),
+                  skipped_n="numbers", xi=XiBlock, version="str", conventions="strs",
+                  schema=("schema", "str"))
 
     _defaults = {"version": __version__, "conventions": CONVENTIONS}
+    schema = SCHEMA
 
     def to_dict(self):
+        import json  # only what reads JSON text loads it
+
         return json.loads(self.to_json())
 
     def to_json(self):
@@ -171,7 +203,9 @@ class RowError(_Record):
     """A census row that could not be processed; scanning continues."""
 
     __slots__ = _fields = ("name", "row", "error")
+    _json = _keys(name="str", row="number", error="str", schema=("schema", "str"))
 
+    schema = SCHEMA
     # in the class body, so that bench/spans.py can wrap each one in vars(RowError)
     __init__ = _Record.__init__
     to_dict = Report.to_dict
@@ -183,61 +217,54 @@ class TwistRow(_Record):
 
     __slots__ = _fields = ("m", "determinant", "quotient_exists", "extends", "xi_candidates",
                            "ribbon")
+    _json = _keys(m="number", determinant="decimal", quotient_exists="bool", extends="bool",
+                  xi_candidates="rationals", ribbon="str")
 
 
-# The JSON layout, stated once. Keys holding structurally small integers
-# are JSON numbers; every other integer is a decimal string.
-_NUMBER_KEYS = frozenset({
-    "n", "genus", "row", "m", "new_size", "signature_sum", "rank_h1_cover", "skipped_n",
-    "sigma_w_range", "quotient_class_count", "extendable_class_count",
-})
-_RENAMED = {
-    "blocks": "quotients",
-    "char_classes": "characteristic_classes",
-    "char_classes_enumerated": "characteristic_classes_enumerated",
-    "char_class_note": "characteristic_class_note",
-}
-# Keys that are not fields. A class is zero-framable after stabilization
-# exactly when it passes the criterion.
-_ADDED = {
-    Report: {"schema": lambda r: SCHEMA},
-    RowError: {"schema": lambda r: SCHEMA},
-    CharEntry: {"zero_framed_exists": attrgetter("passes_criterion")},
-}
-
+# The types a value of each leaf kind has: "ints" are written as decimal
+# strings, "numbers" as numbers. _off_kind takes a Fraction as a rational.
+_TYPES = {"bool": frozenset({bool}), "number": frozenset({int}), "decimal": frozenset({int}),
+          "str": frozenset({str}), "rational": frozenset({ResidueQZ}),
+          **dict.fromkeys(("ints", "numbers", "strs", "members", "rationals"), frozenset({tuple}))}
+# The kinds whose leaf declines past _PART items, which go one by one
+_LONG = ("members", "rationals")
+# The record classes with a layout; a dict (the twist and charknots
+# documents) writes the integers under their number keys as numbers too
+_RECORDS = (Report, RowError, NBlock, ClassEntry, CharEntry, StabSummary, XiBlock, TwistRow)
+_NUMBER_KEYS = frozenset(key for cls in _RECORDS for key, _, kind in cls._json
+                         if kind in ("number", "numbers"))
+# The leaf kind of a value outside any record, by its type: an int under
+# a number key is a number, and a type not here a rational
+_GENERIC = {bool: "bool", int: "decimal", str: "str"}
 
 # Fragments _write_json gathers before it hands them to write as one part.
 _PART = 1024
 # Records per slice of a list written from its class's template.
 _SLICE = 64
 # The record classes written from templates: the per-class records and the
-# twist sweep's rows, whose fields hold leaves, sequences of leaves or one
-# record of this set, never a list of records. _SHORT holds the shortest
-# list of a class written in slices: the slice path pays a fixed cost per
-# column, and at these lengths it starts to write faster than the record
-# path (ClassEntry's members make its records dear on both). A shorter
+# twist sweep's rows, whose fields hold leaves or one record of this set,
+# never a list of records. _SHORT holds the shortest list of a class
+# written in slices: the slice path pays a fixed cost per column, and at
+# these lengths it starts to write faster than the record path. A shorter
 # list, or one of StabSummary (a CharEntry column), goes record by record.
-_SHORT = {ClassEntry: 5, CharEntry: 16, TwistRow: 16}
+_SHORT = {ClassEntry: 8, CharEntry: 10, TwistRow: 8}
 _SLICED = frozenset({*_SHORT, StabSummary})
-_INT = frozenset({int})
-_SCALARS = frozenset({bool, int, str, type(None), ResidueQZ})
 
 
-def _fraction():
-    """fractions.Fraction once anything has imported it, else None. The
-    writer takes a Fraction as it takes a ResidueQZ without importing
-    fractions itself: a Fraction exists only once something has."""
-    return getattr(sys.modules.get("fractions"), "Fraction", None)
-
-
-class _Leaves(dict):
-    """A _leaves table, which takes Fraction in on its first lookup."""
-
-    def __missing__(self, t):
-        if t is not _fraction():
-            raise KeyError(t)
-        self[t] = f = self[ResidueQZ]
-        return f
+def _off_kind(cls, field, kind, odd):
+    """Whether None is among odd, the types of the values of cls's field
+    that are not its kind's. TypeError naming cls and field for any other
+    type, unless the kind is rational and the type has a denominator and
+    is not an int (Fraction)."""
+    bad = odd - {type(None)}
+    if kind == "rational":
+        bad = {t for t in bad if issubclass(t, int) or not hasattr(t, "denominator")}
+    if bad:
+        want = f"a tuple of {kind[0].__name__}" if type(kind) is list else getattr(
+            kind, "__name__", kind)
+        raise TypeError(f"{cls.__qualname__}.{field} holds {min(t.__name__ for t in bad)}, "
+                        f"not {want}")
+    return type(None) in odd
 
 
 class _Decimals(dict):
@@ -256,167 +283,122 @@ class _Decimals(dict):
         return text
 
 
-_DECIMALS = {True: _Decimals(""), False: _Decimals('"')}
+_DIGITS, _QUOTED = _Decimals(""), _Decimals('"')
 
 
 @functools.cache
 def _layout(cls, nl):
-    """(head, getter, numeric, leaves) per JSON key of a report record
-    class whose closing brace starts with nl, in key order: its _fields,
-    renamed, and its added keys. A head holds the brace or comma, the line
-    break and indent, and the quoted key with its colon; leaves are the
-    key's _leaves."""
-    keys = {_RENAMED.get(f, f): attrgetter(f) for f in cls._fields}
-    keys.update(_ADDED.get(cls, {}))
+    """(head, getter, types, leaf, kind, field) per JSON key of a record
+    of cls whose closing brace starts with nl, in key order, from
+    cls._json. A head holds the brace or comma, the line break and
+    indent, and the quoted key with its colon; types are those of the
+    key's kind, and leaf is its _leaves function (None for a record)."""
     inner = nl + "  "
-    return tuple((("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", get,
-                  k in _NUMBER_KEYS, _leaves(inner, k in _NUMBER_KEYS))
-                 for i, (k, get) in enumerate(sorted(keys.items())))
-
-
-@functools.cache
-def _int_seq(nl, numeric):
-    """(open, separator, close) of a nonempty list of integers whose
-    closing bracket starts with nl."""
-    inner, q = nl + "  ", "" if numeric else '"'
-    return f"[{inner}{q}", f"{q},{inner}{q}", f"{q}{nl}]"
+    return tuple((("," if i else "{") + inner + encode_basestring_ascii(key) + ": ",
+                  attrgetter(field),
+                  _TYPES[kind] if type(kind) is str else frozenset(
+                      {tuple if type(kind) is list else kind}),
+                  _leaves(inner)[kind] if type(kind) is str else None, kind, field)
+                 for i, (key, field, kind) in enumerate(sorted(cls._json)))
 
 
 @functools.cache
 def _template(cls, nl):
-    """str.format of the text of a record of cls whose closing brace
-    starts with nl, given the text of each key's value in key order."""
+    """The text of a record of cls whose closing brace starts with nl,
+    given the tuple of the texts of its keys' values in key order (a
+    %-format: about 0.6 of the time of str.format on these records)."""
     text = "".join(head + "\0" for head, *_ in _layout(cls, nl)) + nl + "}"
-    return text.replace("{", "{{").replace("}", "}}").replace("\0", "{}").format
+    return text.replace("%", "%%").replace("\0", "%s").__mod__
 
 
 @functools.cache
-def _leaves(nl, numeric):
-    """The text of a leaf whose closing bracket starts with nl, by kind:
-    the types bool, int, str, None, Fraction and ResidueQZ, and the _kind
-    of a sequence written in one join, "ints", "strs", "members" or
-    "scalars" (these two None past _PART items, which _write_json writes
-    in parts). The record path takes one value through these and the
-    slice path a column, so each kind is written in one place; numeric
-    writes ints as numbers."""
-    inner, digits = nl + "  ", _DECIMALS[True].__getitem__
-    head, sep, tail = _int_seq(nl, numeric)
-    comma = "," + inner
-    rows = _member_rows(inner, numeric)
+def _leaves(nl):
+    """The function writing a value of each leaf kind (the keys of
+    _TYPES) whose closing bracket starts with nl. The record path takes
+    one value through these and the slice path a column, so each kind is
+    written in one place. "members" and "rationals" give None past _PART
+    items."""
+    inner, digits, comma = nl + "  ", _DIGITS.__getitem__, "," + nl + "  "
+
+    def bounds(at, q):  # open, separator, close of a nonempty list of ints ending at at
+        return f"[{at}  {q}", f"{q},{at}  {q}", f"{q}{at}]"
+
+    def ints(q):
+        head, sep, tail = bounds(nl, q)
+        return lambda x: head + sep.join(map(digits, x)) + tail if x else "[]"
 
     def rational(x):
         return f'{{{inner}"den": "{x.denominator}",{inner}"num": "{x.numerator}"{nl}}}'
 
-    def ints(x):
-        return head + sep.join(map(digits, x)) + tail if x else "[]"
-
     def strs(x):
         return "[" + inner + comma.join(map(encode_basestring_ascii, x)) + nl + "]" if x else "[]"
+
+    head, sep, tail = bounds(inner, '"')
+    between = f"{tail},{inner}{head}"
 
     def members(x):
         if len(x) > _PART:
             return None
-        return "[" + inner + rows(x) + nl + "]" if x else "[]"
+        rows = between.join([sep.join(map(digits, m)) for m in x])
+        return "[" + inner + head + rows + tail + nl + "]" if x else "[]"
 
-    def scalars(x):
+    def rationals(x):
         if len(x) > _PART:
             return None
-        item = _leaves(inner, numeric)
-        return "[" + inner + comma.join([item[type(v)](v) for v in x]) + nl + "]" if x else "[]"
+        item = _leaves(inner)["rational"]
+        return "[" + inner + comma.join(map(item, x)) + nl + "]" if x else "[]"
 
-    return _Leaves({bool: {True: "true", False: "false"}.__getitem__,
-                    int: _DECIMALS[numeric].__getitem__, str: encode_basestring_ascii,
-                    type(None): {None: "null"}.__getitem__, ResidueQZ: rational,
-                    "ints": ints, "strs": strs, "members": members, "scalars": scalars})
-
-
-@functools.cache
-def _member_rows(nl, numeric):
-    """The function giving the items of a list of nonempty int tuples,
-    whose closing brackets start with nl, in one join."""
-    digits, (head, sep, tail) = _DECIMALS[True].__getitem__, _int_seq(nl, numeric)
-    between = f"{tail},{nl}{head}"
-    return lambda x: head + between.join([sep.join(map(digits, m)) for m in x]) + tail
-
-
-def _kind(items):
-    """The _leaves kind of a sequence of these items written in one join:
-    "ints", "strs", "members" (nonempty int tuples) or "scalars" (other
-    leaves); else None."""
-    types = {*map(type, items)}
-    if types <= _INT:
-        return "ints"
-    if types == {str}:
-        return "strs"
-    if (types == {tuple} and all(items)
-            and {*map(type, itertools.chain.from_iterable(items))} == _INT):
-        return "members"
-    if types <= _SCALARS or types - _SCALARS == {_fraction()}:
-        return "scalars"
-    return None
+    return {"bool": {True: "true", False: "false"}.__getitem__, "number": digits,
+            "decimal": _QUOTED.__getitem__, "str": encode_basestring_ascii, "rational": rational,
+            "ints": ints('"'), "numbers": ints(""), "strs": strs, "members": members,
+            "rationals": rationals}
 
 
 def _rows(recs, nl):
     """The text of each record of recs, all of one class in _SLICED, whose
     closing braces start with nl: each key's column is taken in one map,
-    its type set checked once, and the columns fill the class's _template.
-    A column of one leaf type or of sequences of one kind is formatted by
-    one leaf function, a column mixing them (None among values) value by
-    value through the same leaves, and a column of records once per
-    distinct object. None when a column holds what only the record path
-    writes: records of a class outside _SLICED or among other values,
-    other sequences, or over _PART members or scalars."""
+    its type set checked against the key's kind, written by the kind's
+    leaf (a column mixing None with values value by value, a column of
+    records once per distinct object), and the columns fill the class's
+    _template. None when a column holds records among None, or over
+    _PART members or rationals: the record path writes those."""
     cls = type(recs[0])
     if cls not in _SLICED or {*map(type, recs)} != {cls}:
         return None
     cols = []
-    for _, get, _, leaves in _layout(cls, nl):
+    for _, get, types, leaf, kind, field in _layout(cls, nl):
         col = [*map(get, recs)]
-        types = {*map(type, col)}
-        if types <= _SLICED:
+        got = {*map(type, col)}
+        mixed = not got <= types and _off_kind(cls, field, kind, got - types)  # None among values
+        if mixed and leaf is None or kind in _LONG and sum(map(len, filter(None, col))) > _PART:
+            return None
+        if mixed:
+            cols.append(["null" if v is None else leaf(v) for v in col])
+        elif leaf is None:
             distinct = dict(zip(map(id, col), col))
             texts = _rows([*distinct.values()], nl + "  ")
             if texts is None:
                 return None
             cols.append(map(dict(zip(distinct, texts)).__getitem__, map(id, col)))
-            continue
-        kinds = {}
-        for t in types:
-            if t is tuple:
-                seqs = col if len(types) == 1 else [v for v in col if type(v) is tuple]
-                items = [*itertools.chain.from_iterable(seqs)]
-                kind = _kind(items)
-                if kind is None or len(items) > _PART and kind in ("members", "scalars"):
-                    return None
-                kinds[t] = leaves[kind]
-            elif t in leaves or t is _fraction():
-                kinds[t] = leaves[t]
-            else:
-                return None
-        if len(kinds) == 1:
-            f, = kinds.values()
-            cols.append(map(f, col))
         else:
-            cols.append([kinds[type(v)](v) for v in col])
-    return [*map(_template(cls, nl), *cols)]
+            cols.append(map(leaf, col))
+    return [*map(_template(cls, nl), zip(*cols))]
 
 
 def _write_json(x, write):
     """Write the text json.dumps(doc, indent=2, sort_keys=True) gives for
-    the document of x, in parts: report records, dicts, lists and
-    tuples, strings, booleans, None, Fraction and ResidueQZ (as {"num",
-    "den"} strings), and integers (numbers under _NUMBER_KEYS, decimal
-    strings elsewhere). Leaves go through _leaves, one value at a time on
-    the record path and a column at a time on the slice path.
+    the document of x, in parts. A record's fields are written by the
+    leaves of their declared kinds, None as null; dicts, lists and tuples
+    outside records, and their items, by their types: an int is a number
+    under _NUMBER_KEYS, and a type outside _GENERIC a rational.
 
     A list of at least _SHORT[cls] records of class cls is written in
-    slices of _SLICE records, each slice's text made by _rows from its
-    class's template, and a part ends after each full slice; a slice
-    _rows declines goes record by record. Elsewhere a part ends at a list
-    item once _PART fragments are waiting, so the text held at once stays
-    bounded. The text of a record held in a field (a block's failing
-    classes share one StabSummary) is kept per indent unless a part
-    ended inside it."""
+    slices of _SLICE records by _rows, a part ending after each full
+    slice; a slice _rows declines goes record by record. Elsewhere a part
+    ends at a list item once _PART fragments are waiting, so the text
+    held at once stays bounded. The text of a record held in a field (a
+    block's failing classes share one StabSummary) is kept per indent
+    unless a part ended inside it."""
     out, memo, parts = [], {}, 0
     put = out.append
 
@@ -426,42 +408,29 @@ def _write_json(x, write):
         out.clear()
         parts += 1
 
-    def value(x, nl, numeric, leaves):  # leaves is _leaves(nl, numeric)
+    def value(x, nl, numeric):  # a value outside any record's fields
         t = type(x)
-        f = leaves.get(t)
-        if f is not None:
-            put(f(x))
-        elif t is tuple or t is list:
-            sequence(x, nl, numeric, leaves)
+        if t in _RECORDS:
+            record(x, nl)
+        elif x is None:
+            put("null")
         elif t is dict:
-            if not x:
-                put("{}")
-                return
             inner, sep = nl + "  ", "{"
             for k, v in sorted(x.items()):
                 put(sep + inner + encode_basestring_ascii(k) + ": ")
-                value(v, inner, k in _NUMBER_KEYS, _leaves(inner, k in _NUMBER_KEYS))
+                value(v, inner, k in _NUMBER_KEYS)
                 sep = ","
-            put(nl + "}")
-        elif t is _fraction():
-            put(leaves[t](x))
+            put(nl + "}" if x else "{}")
+        elif (t is tuple or t is list) and x:
+            sequence(x, nl, numeric)
+        elif t is tuple or t is list:
+            put("[]")
         else:
-            record(x, nl)
+            put(_leaves(nl)["number" if numeric and t is int else _GENERIC.get(t, "rational")](x))
 
-    def sequence(x, nl, numeric, leaves):
-        kind = _kind(x)
-        text = leaves[kind](x) if kind else None
-        if text is not None:  # one join
-            put(text)
-            return
+    def sequence(x, nl, numeric):  # a nonempty list
         inner = nl + "  "
-        if kind == "members":
-            # past _PART: one join per slice of _PART members, a part per slice past the first
-            for i in range(0, len(x), _PART):
-                if i:
-                    flush()
-                put(("," if i else "[") + inner + _member_rows(inner, numeric)(x[i:i + _PART]))
-        elif len(x) >= _SHORT.get(type(x[0]), math.inf):
+        if len(x) >= _SHORT.get(type(x[0]), math.inf):
             for i in range(0, len(x), _SLICE):
                 chunk = x[i:i + _SLICE]
                 texts = _rows(chunk, inner)
@@ -476,28 +445,24 @@ def _write_json(x, write):
         put(nl + "]")
 
     def items(x, sep, nl, numeric):  # list items one by one, the first after sep
-        leaves = _leaves(nl, numeric)
         for v in x:
             put(sep + nl)
-            value(v, nl, numeric, leaves)
+            value(v, nl, numeric)
             sep = ","
             if len(out) > _PART:
                 flush()
 
     def record(x, nl):
         inner = nl + "  "
-        for head, get, numeric, leaves in _layout(type(x), nl):
+        for head, get, types, leaf, kind, field in _layout(type(x), nl):
             v = get(x)
-            t = type(v)
-            f = leaves.get(t)
-            if f is not None:
-                put(head + f(v))
-            elif t is tuple:
+            if type(v) not in types and _off_kind(type(x), field, kind, {type(v)}):
+                put(head + "null")
+            elif leaf is not None and (text := leaf(v)) is not None:
+                put(head + text)
+            elif leaf is not None or type(kind) is list:  # a long sequence, or records
                 put(head)
-                sequence(v, inner, numeric, leaves)
-            elif not isinstance(v, _Record):
-                put(head)
-                value(v, inner, numeric, leaves)
+                value(v, inner, False)
             elif (id(v), inner) in memo:
                 put(head + memo[id(v), inner])
             else:
@@ -508,7 +473,7 @@ def _write_json(x, write):
                     memo[id(v), inner] = "".join(out[start:])
         put(nl + "}")
 
-    value(x, "\n", False, _leaves("\n", False))
+    value(x, "\n", False)
     write("".join(out))
 
 
@@ -535,12 +500,12 @@ def parse_matrix(text):
         for pos, ch in enumerate(s):
             if ch not in allowed:
                 raise MatrixParseError(f"unexpected character {ch!r} at position {pos}")
-        s = s.replace("{", "[").replace("}", "]")
+        data = _brace_rows(s)
+        if data is not None:
+            return SeifertMatrix(_validated_matrix(data))
+        s = s.replace("{", "[").replace("}", "]")  # malformed: the JSON decoder says where
     if s.startswith("["):
-        try:
-            data = _json_loads(s)
-        except json.JSONDecodeError as e:
-            raise MatrixParseError(f"malformed matrix at position {e.pos}: {e.msg}") from None
+        data = _json_loads(s, lambda e: f"malformed matrix at position {e.pos}: {e.msg}")
     else:
         data = []
         for ln, line in enumerate(s.split("\n"), start=1):
@@ -556,6 +521,31 @@ def parse_matrix(text):
     return SeifertMatrix(_validated_matrix(data))
 
 
+# Brace matrix text with every mark that can end an integer made a comma
+_ENDS = str.maketrans(dict.fromkeys("{} \t\r\n-", ","))
+
+
+def _brace_rows(s):
+    """The rows of brace text that has the shape of a JSON list of lists
+    of JSON integers once its braces are brackets, read without the JSON
+    decoder; else None. s holds only braces, commas, signs, digits and
+    whitespace, starting with a brace."""
+    *rows, rest = s[1:-1].split("}")
+    marked = s.translate(_ENDS)
+    if s[-1] != "}" or rest.strip() or any(f",0{d}" in marked for d in "0123456789"):
+        return None  # a JSON integer has no leading zero
+    data = []
+    try:
+        for i, row in enumerate(rows):
+            lead, brace, entries = row.partition("{")
+            if not brace or lead.strip() != ("," if i else ""):
+                return None
+            data.append([int(t) for t in entries.split(",")] if entries.strip() else [])
+    except ValueError:  # not one integer, or more digits than int() converts
+        return None
+    return data
+
+
 def _json_int(tok):
     """The integer of a JSON literal, or the literal itself when it has more
     digits than int() converts, for _validated_matrix to report by row and
@@ -566,11 +556,16 @@ def _json_int(tok):
         return tok
 
 
-def _json_loads(s):
-    """json.loads for matrix and census text; nesting too deep for the
-    decoder becomes a MatrixParseError."""
+def _json_loads(s, malformed):
+    """json.loads for matrix and census text. A decoding error e becomes a
+    MatrixParseError saying malformed(e), and nesting too deep for the
+    decoder one of its own."""
+    import json  # only what reads JSON text loads it
+
     try:
         return json.loads(s, parse_int=_json_int)
+    except json.JSONDecodeError as e:
+        raise MatrixParseError(malformed(e)) from None
     except RecursionError:
         raise MatrixParseError("nested too deeply: a matrix is a list of rows of integers") from None
 
@@ -746,7 +741,7 @@ def _census_rows(text, source):
                 continue
             name = f"row {i}"
             try:
-                obj = _json_loads(_utf8(line, "census line"))
+                obj = _json_loads(_utf8(line, "census line"), lambda e: f"malformed JSON: {e.msg}")
                 if not isinstance(obj, dict):
                     raise MatrixParseError("census line is not a JSON object")
                 name = obj.get("name") or name
@@ -760,8 +755,6 @@ def _census_rows(text, source):
                 else:
                     raise MatrixParseError("seifert field must be a string or a list")
                 rows.append((i, name, KnotRecord(str(name), v, source=source)))
-            except json.JSONDecodeError as e:
-                rows.append((i, name, RowError(str(name), i, f"malformed JSON: {e.msg}")))
             except (MatrixParseError, ValueError, TypeError) as e:
                 rows.append((i, name, RowError(str(name), i, str(e))))
         return rows

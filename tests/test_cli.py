@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -427,6 +428,30 @@ class TestEnumCapResolution:
         assert main(["analyze", "--matrix", TREFOIL, "--enum-cap", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_cap_above_the_ceiling_refused_at_once(self):
+        # a 20-trefoil sum at n = 3 has 3^20 characters: the cap is refused
+        # before the matrix is read, let alone the block walked
+        trefoils = dihedral.twist_knot(-1)
+        for _ in range(19):
+            trefoils = dihedral.connected_sum(trefoils, dihedral.twist_knot(-1))
+        argv = [sys.executable, "-m", "dihedral", "analyze", "--matrix",
+                dihedral.render_matrix(trefoils), "--n", "3", "--enum-cap", "1000000000000"]
+        start = time.perf_counter()
+        # a short timeout: without the ceiling the walk would grow for minutes
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: --enum-cap must be at most 4000000, got 1000000000000: "
+                               "a walked element takes about 1 KB of memory\n")
+
+    @pytest.mark.parametrize("raw, ok", [("4000000", True), ("4000001", False)])
+    def test_env_cap_has_the_same_ceiling(self, capsys, monkeypatch, raw, ok):
+        monkeypatch.setenv("DIHEDRAL_ENUM_CAP", raw)
+        assert main(["analyze", "--matrix", TREFOIL]) == (0 if ok else 1)
+        err = capsys.readouterr().err
+        assert err == ("" if ok else "error: DIHEDRAL_ENUM_CAP must be at most 4000000, got "
+                       "4000001: a walked element takes about 1 KB of memory\n")
+
 
 class TestClosedPipe:
     """A reader that closes early stops the command mid-document: exit 1,
@@ -475,9 +500,12 @@ class TestStartup:
     # selftest command loads the self-tests
     NOT_LOADED = ("importlib.metadata", "concurrent.futures", "email", "zipfile", "logging",
                   "dataclasses", "inspect", "dihedral.selftest", "fractions", "decimal",
-                  "numbers")
+                  "numbers", "json")
     # fractions and its imports, which only xi needs
     FRACTIONS = ("fractions", "decimal", "numbers")
+    # json and its decoder, which only what reads JSON text needs: the
+    # writer takes its one function from the C accelerator
+    JSON = ("json", "json.decoder", "json.scanner")
 
     def test_cli_import_loads_only_what_every_command_needs(self):
         # measured against the modules the interpreter had before the import,
@@ -521,6 +549,31 @@ class TestStartup:
                                                           {"den": "1", "num": "1"}]
         rows = json.loads(sweep)["rows"]
         assert len(rows) == 121 and sum(r["xi_candidates"] is not None for r in rows) == 40
+
+    def test_only_json_text_loads_json(self, tmp_path):
+        # one interpreter runs the commands in turn, printing what each loaded;
+        # runs are passed one per argument, their words split at line feeds
+        census = tmp_path / "knots.csv"
+        census.write_text(f'name,seifert\n9_37,"{NINE_37}"\n', encoding="utf-8")
+        runs = [["analyze", "--matrix", NINE_37], ["scan", str(census)],
+                ["analyze", "--matrix", NINE_37.replace("{", "[").replace("}", "]")]]
+        code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+                "before = set(sys.modules); from dihedral.cli import main\n"
+                "print(*sorted(set(sys.modules) - before))\n"
+                "for argv in sys.argv[2:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "        assert main(argv.split('\\n')) == 0, argv\n"
+                "    assert out.getvalue()[:1] in '[{', argv\n"
+                "    print(*sorted(set(sys.modules) - before))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dihedral.__file__)))
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src,
+                               *["\n".join(argv) for argv in runs]],
+                              check=True, capture_output=True, text=True, timeout=60)
+        *plain, parsed = [line.split() for line in proc.stdout.splitlines()]
+        assert len(plain) == 3 and "dihedral.cli" in plain[0]
+        for loaded in plain:
+            assert [m for m in loaded if m in self.JSON] == []
+        assert set(self.JSON) <= set(parsed)
 
     def test_no_module_imports_dataclasses(self):
         src = os.path.dirname(os.path.abspath(dihedral.__file__))

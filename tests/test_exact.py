@@ -190,6 +190,20 @@ class TestSmithForm:
         assert res.invariant_factors == (3, 15)
         assert SNFResult(ident, ident, IntMatrix.identity(3)).invariant_factors == ()
 
+    def test_keeps_its_diagonal(self):
+        # the diagonal the constructor checks is kept; the record is still P, Q, D
+        res = snf(IntMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 5]]))
+        assert res.diagonal() is res.diagonal()
+        assert res.diagonal() == tuple(res.D[i, i] for i in range(3)) == (1, 1, 15)
+        assert res._values() == (res.P, res.Q, res.D)
+        assert "_diagonal" not in repr(res)
+        for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+            assert copied == res and hash(copied) == hash(res)
+            assert copied.diagonal() == res.diagonal()
+        wide = SNFResult(IntMatrix.identity(2), IntMatrix.identity(3), IntMatrix([[1, 0, 0],
+                                                                                  [0, 4, 0]]))
+        assert wide.diagonal() == (1, 4)
+
 
 class TestResidue:
     def test_reduction_window(self):

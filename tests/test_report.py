@@ -473,13 +473,18 @@ CAP_TAKERS = ("analyze", "characteristic_knot_classes", "scan", "surjective_char
 
 @pytest.mark.parametrize("taker", CAP_TAKERS)
 class TestEnumCapValidated:
-    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("cap", [None, 3, 4_000_000])
     def test_accepted(self, tmp_path, taker, cap):
         _cap_takers(tmp_path)[taker](cap)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_below_one(self, tmp_path, taker, cap):
         with pytest.raises(ValueError, match=f"enumeration cap must be >= 1, got {cap}"):
+            _cap_takers(tmp_path)[taker](cap)
+
+    @pytest.mark.parametrize("cap", [4_000_001, 10**12])
+    def test_above_the_ceiling(self, tmp_path, taker, cap):
+        with pytest.raises(ValueError, match=f"enumeration cap must be at most 4000000, got {cap}"):
             _cap_takers(tmp_path)[taker](cap)
 
     @pytest.mark.parametrize("cap", [True, 2.5, "3"], ids=["bool", "float", "str"])

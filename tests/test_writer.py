@@ -2,7 +2,10 @@
 of what it wrote, byte for byte, on every document the CLI prints."""
 
 import hashlib
+import importlib.util
 import json
+import os
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
@@ -20,8 +23,9 @@ from dihedral import (
 )
 from dihedral.cli import main
 from dihedral.exact import ResidueQZ
-from dihedral.report import (_NUMBER_KEYS, _PART, _SHORT, _SLICE, CharEntry, ClassEntry, Report,
-                             StabSummary, TwistRow, XiBlock, _rows, _to_json, _write_json)
+from dihedral.report import (_NUMBER_KEYS, _PART, _RECORDS, _SHORT, _SLICE, SCHEMA, CharEntry,
+                             ClassEntry, NBlock, Report, StabSummary, TwistRow, XiBlock, _Record,
+                             _rows, _to_json, _write_json, scan, twist_family)
 
 NINE_37_TEXT = "{{1,0,0,0},{0,1,0,0},{1,0,-2,1},{-1,-1,0,-1}}"
 
@@ -474,3 +478,134 @@ class TestBoundedWrites:
         finally:
             tracemalloc.stop()
         assert peak < size
+
+
+# The keys of a layout that are not fields of their class, after the fields
+ADDED_KEYS = {Report: {"schema"}, RowError: {"schema"}, CharEntry: {"zero_framed_exists"}}
+
+
+def int_tuple(x):
+    return type(x) is tuple and all(type(i) is int for i in x)
+
+
+def rational(x):
+    return type(x) in (Fraction, ResidueQZ)
+
+
+# Each leaf kind, read item by item: deeper than the writer's own check,
+# which reads only a field's top-level type
+OF_KIND = {
+    "bool": lambda v: type(v) is bool,
+    "number": lambda v: type(v) is int,
+    "decimal": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "rational": rational,
+    "ints": int_tuple,
+    "numbers": int_tuple,
+    "strs": lambda v: type(v) is tuple and all(type(s) is str for s in v),
+    "members": lambda v: type(v) is tuple and all(m and int_tuple(m) for m in v),
+    "rationals": lambda v: type(v) is tuple and all(map(rational, v)),
+}
+
+
+def of_kind(v, kind):
+    if type(kind) is list:
+        return type(v) is tuple and all(type(r) is kind[0] for r in v)
+    if isinstance(kind, type):
+        return type(v) is kind
+    return OF_KIND[kind](v)
+
+
+def census_scan(tmp_path, seed):
+    """The reports and error records of the benchmark's census at seed."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = []
+    for i, (text, _) in enumerate(gen.census(seed)):
+        path = tmp_path / f"census-{i:02d}.csv"
+        path.write_text(text, encoding="utf-8")
+        out.extend(scan(os.fspath(path)))
+    return out
+
+
+class TestDeclaredLayouts:
+    """Each record class the writer meets declares its JSON layout once,
+    in _json: per key, the field it reads and the field's kind."""
+
+    @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
+    def test_names_the_fields_and_the_added_keys(self, cls):
+        fields = len(cls._fields)
+        assert [field for _, field, _ in cls._json[:fields]] == list(cls._fields)
+        assert {key for key, _, _ in cls._json[fields:]} == ADDED_KEYS.get(cls, set())
+        assert len({key for key, _, _ in cls._json}) == len(cls._json)
+
+    def test_every_record_class_written_has_a_layout(self):
+        written = {c for c in vars(dihedral.report).values()
+                   if isinstance(c, type) and issubclass(c, _Record) and c.__module__ ==
+                   "dihedral.report" and c.__name__ != "KnotRecord"}
+        assert written == set(_RECORDS)
+
+    def test_values_are_of_their_declared_kinds(self, tmp_path, corpus_reports):
+        nine = parse_matrix(NINE_37_TEXT)
+        docs = [*corpus_reports, analyze(KnotRecord("9_37#9_37", connected_sum(nine, nine))),
+                *twist_family(-60, 60), *census_scan(tmp_path, 1), analyze(twist_knot(2))]
+        seen, stack = set(), list(docs)
+        while stack:
+            r = stack.pop()
+            for key, field, kind in type(r)._json:
+                v = getattr(r, field)
+                assert v is None or of_kind(v, kind), (type(r).__name__, field, v)
+                if v is not None:
+                    seen.add((type(r), key))
+                    stack.extend(v if type(kind) is list else [v] if isinstance(kind, type) else [])
+        # every key of every class held a value somewhere, so each kind was checked
+        assert seen == {(cls, key) for cls in _RECORDS for key, _, _ in cls._json}
+        assert any(type(r) is RowError for r in docs)
+
+    def test_values_outside_records_by_their_types(self):
+        # a ResidueQZ is a record class too, but has no layout: it is a rational
+        doc = {"q": ResidueQZ._reduced(1, 3), "qs": [Fraction(-2, 5), ResidueQZ._reduced(0, 1)],
+               "n": (1, True, None, "s", ()), "beta": [(1, -2), []], "x": {}}
+        assert _to_json(doc) == json.dumps(plain(doc), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("cls", _RECORDS, ids=lambda c: c.__name__)
+    def test_none_is_null_in_any_field(self, cls):
+        want = {key: SCHEMA if key == "schema" else None for key, _, _ in cls._json}
+        blank = cls(*[None] * len(cls._fields))
+        assert json.loads(_to_json(blank)) == want
+        assert json.loads(_to_json([blank] * (_SLICE + 1))) == [want] * (_SLICE + 1)
+
+    WRONG = [
+        (lambda: Report("k", "", True, 3, (3,), (), (), None), "Report.genus holds bool, not number"),
+        (lambda: Report("k", "", 1, 3, [3], (), (), None),
+         "Report.invariant_factors holds list, not ints"),
+        (lambda: Report("k", "", 1, 3, (3,), [], (), None),
+         "Report.blocks holds list, not a tuple of NBlock"),
+        (lambda: Report("k", "", 1, 3, (3,), (), (), "xi"), "Report.xi holds str, not XiBlock"),
+        (lambda: NBlock(3, 1, "", 0, 0, (), True, "", ()),
+         "NBlock.characters_enumerated holds int, not bool"),
+        (lambda: RowError("k", "2", "bad"), "RowError.row holds str, not number"),
+        (lambda: ClassEntry((1,), ((1,),), 0.5, True, True, ()),
+         "ClassEntry.self_linking holds float, not rational"),
+        (lambda: ClassEntry((1,), ((1,),), 1, True, True, ()),
+         "ClassEntry.self_linking holds int, not rational"),
+        (lambda: CharEntry((1, 2), "0", True, FAILS),
+         "CharEntry.form_value_mod_n2 holds str, not decimal"),
+        (lambda: CharEntry((1, 2), 0, True, ()), "CharEntry.stabilization holds tuple, not StabSummary"),
+        (lambda: CharEntry((1, 2), 0, True, StabSummary("s", "8", (), False, ())),
+         "StabSummary.new_size holds str, not number"),
+        (lambda: XiBlock(3, 2, [Fraction(1, 3)], Fraction(1, 3), 0, (-1, 1), 0, "x"),
+         "XiBlock.candidates holds list, not rationals"),
+        (lambda: TwistRow(2, 9, True, 1, None, None), "TwistRow.extends holds int, not bool"),
+    ]
+
+    @pytest.mark.parametrize("make, message", WRONG, ids=[m.split(" holds")[0] for _, m in WRONG])
+    def test_a_value_of_another_kind_is_refused(self, make, message):
+        # one record goes down the record path, a long list of them down the slice path
+        bad = make()
+        for doc in (bad, [bad], {"rows": [bad] * (2 * _SLICE + 1)}):
+            with pytest.raises(TypeError) as exc:
+                _to_json(doc)
+            assert str(exc.value) == message
