@@ -2,9 +2,10 @@
 
 The symmetrized Seifert matrix A presents the first homology of the
 double branched cover as Z^m / A Z^m, always a finite group of odd
-order. Everything here is read off one Smith normal form P A Q = D: the
-class of w has Smith coordinates (P w)_k mod D_kk, and A^{-1} = Q D^{-1} P
-gives the linking form lk(u, v) = sum_k (Q^T u)_k (P v)_k / D_kk mod 1.
+order. Everything here is read off the Smith basis of A, built once per
+knot from its Smith form P A Q = D: the generators g_t = A q_t / d_t at
+the torsion entries d_t, the coordinates (P w)_t mod d_t of the class
+of w, and G = Q^T A Q, which gives lk(g_i, g_j) = G_ij / (d_i d_j) mod 1.
 
 Inside the layer a linking value is an integer mod the group exponent
 e (the largest invariant factor): e * lk is integral because e
@@ -18,7 +19,7 @@ from operator import mul
 
 from .errors import _check_int, _Record, _setattr
 from .exact import IntMatrix, ResidueQZ, snf
-from .seifert import SeifertMatrix, _smith_form, symmetrize
+from .seifert import SeifertMatrix, _smith_form, _SmithBasis, symmetrize
 
 __all__ = [
     "TorsionGroup",
@@ -29,52 +30,22 @@ __all__ = [
 ]
 
 
-class _Smith:
-    """The torsion part of a Smith form P A Q = D of a nonsingular A: the
-    entries d_t > 1 of D, and the rows of P and columns of Q at their
-    positions (where D_kk = 1, a linking value gains only integers)."""
-
-    __slots__ = ("factors", "exponent", "_p", "_q", "_scale")
-
-    def __init__(self, res):
-        diag = res.diagonal()
-        if 0 in diag:
-            raise ValueError("presentation matrix is singular")
-        at = [k for k, d in enumerate(diag) if d > 1]
-        self.factors = res.invariant_factors
-        self.exponent = diag[-1] if diag else 1
-        self._p = tuple(res.P.row(k) for k in at)
-        self._q = tuple(res.Q.column(k) for k in at)
-        self._scale = tuple(self.exponent // d for d in self.factors)
-
-    def coords(self, v):
-        """(P v)_t at each torsion position t, unreduced."""
-        return tuple(sum(map(mul, row, v)) for row in self._p)
-
-    def dual(self, u):
-        """(Q^T u)_t at each torsion position t."""
-        return tuple(sum(map(mul, col, u)) for col in self._q)
-
-    def pair(self, left, right):
-        """e * lk(u, v) mod e, from left = dual(u) and right = coords(v)."""
-        return sum(x * y * s for x, y, s in zip(left, right, self._scale)) % self.exponent
-
-
 class TorsionGroup(_Record):
     """The torsion group Z^m / A Z^m with a chosen generating set.
 
     invariant_factors is the increasing divisor chain (d_1 | d_2 | ...)
     of cyclic orders, all odd and > 1; generators[i] is an integer
     vector in Z^m whose class has order exactly d_i. Construction
-    reduces A to Smith form P A Q = D and checks the factors are those of
-    D, which makes them a divisor chain of entries > 1, that d_i
+    reduces A to its Smith basis and checks the factors are those of D,
+    which makes them a divisor chain of entries > 1, that d_i
     annihilates the Smith coordinates T[:, i] = P g_i mod d, and that
-    the columns of T generate Z^r / diag(d); the orders follow. _solve
-    is the snf of [T | diag(d)] for an explicit basis, and None on the
-    Smith basis, where T is the identity.
+    the columns of T generate Z^r / diag(d); the orders follow. For an
+    explicit basis _basis holds the columns of T and _solve the snf of
+    [T | diag(d)]; both are None on the Smith basis, where T is the
+    identity.
     """
 
-    __slots__ = ("invariant_factors", "generators", "ambient", "_smith", "_solve")
+    __slots__ = ("invariant_factors", "generators", "ambient", "_smith", "_basis", "_solve")
     _fields = ("invariant_factors", "generators", "ambient")
 
     def __init__(self, invariant_factors, generators, ambient):  # checks its fields, so not shared
@@ -90,7 +61,7 @@ class TorsionGroup(_Record):
             if _check_int(d, f"invariant factor {i}") % 2 == 0:
                 raise ValueError(f"invariant factor {d} is even; the group must have odd order")
 
-        smith = _Smith(snf(ambient))
+        smith = _SmithBasis(ambient)
         if factors != smith.factors:
             raise ValueError(f"invariant factors {list(factors)} differ from those of "
                              f"the presentation, {list(smith.factors)}")
@@ -102,7 +73,7 @@ class TorsionGroup(_Record):
                                for i, d in enumerate(factors)]))
         if any(x != 1 for x in solve.diagonal()):
             raise ValueError("generators do not generate the quotient group")
-        for put, value in zip(self._put, (factors, gens, ambient, smith, solve)):
+        for put, value in zip(self._put, (factors, gens, ambient, smith, t, solve)):
             put(self, value)
 
     @property
@@ -148,12 +119,13 @@ class LinkingForm(_Record):
     """The linking form on a TorsionGroup, tabulated on its generators.
 
     The table holds e * lk(g_i, g_j) mod e, for the group exponent e,
-    computed once from the group's Smith form as
-    sum_t (Q^T g_i)_t (P g_j)_t / d_t. On the Smith basis P g_j = e_j,
-    so lk is G_ij / (d_i d_j) with G = Q^T A Q. Construction checks on
-    that integer table its symmetry, annihilation (d_i * entry = 0 mod e)
-    and an odd e, so every denominator is odd; matrix[i][j] is the
-    entry over e as a residue mod 1, built once from it.
+    read once off G = Q^T A Q of the group's Smith basis: on the Smith
+    generators lk(g_i, g_j) = G_ij / (d_i d_j), and a caller's basis of
+    Smith coordinates T gets T^T (that table) T. Construction checks on
+    the Smith-basis table its annihilation (d_i * entry = 0 mod e, that
+    is d_j | G_ij) and symmetry, and an odd e, so every denominator is
+    odd; matrix[i][j] is the entry over e as a residue mod 1, built once
+    from it.
     """
 
     __slots__ = ("group", "matrix", "_table")
@@ -163,21 +135,25 @@ class LinkingForm(_Record):
         _setattr(self, "group", group)
         if not isinstance(group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
-        smith, e, gens = group._smith, self.exponent, group.generators
+        factors, e = group.invariant_factors, self.exponent
         if e % 2 == 0:
             raise ValueError(f"group exponent {e} is even; the linking form needs odd order")
-        rights = [smith.coords(g) for g in gens]
-        table = tuple(tuple(smith.pair(left, right) for right in rights)
-                      for left in map(smith.dual, gens))
-        for i, (d, row) in enumerate(zip(group.invariant_factors, table)):
-            for j, x in enumerate(row):
-                if x != table[j][i]:
-                    raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
-                if d * x % e:
+        table = []
+        for i, (d, row) in enumerate(zip(factors, group._smith.gram)):
+            scaled = [x * (e // dj) for x, dj in zip(row, factors)]  # d_i e lk(g_i, g_j)
+            for j, x in enumerate(scaled):
+                if x % e:
                     raise ValueError(f"entry ({i},{j}) is not annihilated by {d}")
-        matrix = tuple(tuple(ResidueQZ._reduced(x, e) for x in row) for row in table)
-        _setattr(self, "matrix", matrix)
-        _setattr(self, "_table", table)
+            table.append(tuple(x // d % e for x in scaled))
+        for i, j in itertools.combinations(range(len(table)), 2):
+            if table[i][j] != table[j][i]:
+                raise ValueError(f"linking matrix is not symmetric at ({i},{j})")
+        _setattr(self, "_table", tuple(table))
+        if group._basis is not None:  # T^T (that table) T
+            basis = group._basis
+            _setattr(self, "_table", tuple(tuple(self.pair(ti, tj) for tj in basis) for ti in basis))
+        _setattr(self, "matrix", tuple(tuple(ResidueQZ._reduced(x, e) for x in row)
+                                       for row in self._table))
 
     @property
     def rank(self):
@@ -201,32 +177,15 @@ class LinkingForm(_Record):
 
 
 def double_cover_homology(v):
-    """First homology of the double branched cover of a knot.
-
-    Reads the cyclic decomposition off the Smith normal form P A Q = D
-    of A = V + V^T, which the SeifertMatrix computes once and keeps. The
-    generator at diagonal position k is column k of P^{-1} = A Q D^{-1},
-    g = A q_k / d_k. Checking P g = e_k exactly, given P A Q = D, confirms
-    each generator's order and that they generate.
-    """
+    """First homology of the double branched cover of a knot: the
+    factors and generators g_k = A q_k / d_k of the Smith basis of
+    A = V + V^T, which the SeifertMatrix keeps. Its check P g_k = e_k,
+    given P A Q = D, confirms each generator's order and that they
+    generate."""
     if not isinstance(v, SeifertMatrix):
         raise TypeError("double_cover_homology expects a SeifertMatrix")
-    a = symmetrize(v)
-    res = _smith_form(v)
-    diag = res.diagonal()
-    if any(x == 0 for x in diag):
-        raise ArithmeticError("V + V^T is singular; input is corrupt")
-    gens = []
-    for k, d in enumerate(diag):
-        if d > 1:
-            col = a.apply(res.Q.column(k))
-            if any(x % d for x in col):
-                raise ArithmeticError(f"column {k} of A Q is not divisible by {d}")
-            g = tuple(x // d for x in col)
-            if res.P.apply(g) != tuple(int(i == k) for i in range(a.rows)):
-                raise ArithmeticError(f"P does not send generator {len(gens)} to e_{k}")
-            gens.append(g)
-    return TorsionGroup._make(res.invariant_factors, tuple(gens), a, _Smith(res), None)
+    smith = _smith_form(v)
+    return TorsionGroup._make(smith.factors, smith.generators, symmetrize(v), smith, None, None)
 
 
 def linking_form(group):
@@ -236,15 +195,19 @@ def linking_form(group):
 
 def evaluate_linking(a, u, v):
     """lk of two ambient integer vectors through a presentation matrix:
-    u^T A^{-1} v reduced mod 1, read off the Smith form of A. Raises
-    ValueError when A is singular."""
+    u^T A^{-1} v = sum_t (Q^T u)_t (P v)_t / d_t reduced mod 1, read off
+    the Smith basis of A, for any nonsingular A: G gives the linking
+    only when A is symmetric. Raises ValueError when A is singular."""
     if not isinstance(a, IntMatrix):
         raise TypeError("evaluate_linking expects an IntMatrix")
     if a.rows != a.cols:
         raise ValueError("presentation matrix must be square")
     uu, vv = _vector(u, a.rows), _vector(v, a.rows)
-    smith = _Smith(snf(a))
-    return ResidueQZ._reduced(smith.pair(smith.dual(uu), smith.coords(vv)), smith.exponent)
+    smith = _SmithBasis(a)
+    e = smith.factors[-1] if smith.factors else 1
+    dual = (sum(map(mul, q, uu)) for q in smith.q)  # (Q^T u)_t
+    total = sum(x * y * (e // d) for x, y, d in zip(dual, smith.coords(vv), smith.factors))
+    return ResidueQZ._reduced(total % e, e)
 
 
 def _vector(vec, m, what="vector"):

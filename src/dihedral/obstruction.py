@@ -7,16 +7,15 @@ spanning surface pushed into the 4-ball if and only if its
 self-linking vanishes; equivalently, a characteristic knot on the
 surface is zero-framable after stabilization.
 
-Both routes come from one walk over k in prod Z/g_t, g_t = gcd(d_t, n)
-for the torsion entries d_t of the Smith form P A Q = D. Each k names
-the character c_t = k_t d_t / g_t and the characteristic class
-beta = Q y mod n, y_t = k_t n / g_t, carried with f = y^T Q^T A Q y mod
-n^2, which is the form value of beta and n^2 lk(c, c); f is quadratic
-in the last k_t, so that coordinate is summed in closed form. Checked
-per element: D y = 0 mod n and primitivity of y (c of order n). Per
-unit orbit, that is per quotient class: the representative's verdict
-pair(c, c) against f. Per class with f = 0: its exact value, from the
-terms of A on and above the diagonal, against f. Per block:
+Both routes come from one walk over k in prod Z/g_t, g_t = gcd(d_t, n),
+which reads the knot's Smith basis (seifert._SmithBasis): its torsion
+entries d_t, columns q_t of Q and G = Q^T A Q. Each k names the
+character c_t = k_t d_t / g_t and the characteristic class beta = Q y
+mod n, y_t = k_t n / g_t, carried with f = y^T G y mod n^2, the form
+value of beta and n^2 lk(c, c); the last k_t is summed in closed form.
+Checked per unit orbit, that is per quotient class: pair(c, c) from
+the linking table against f. Per class with f = 0: its exact value,
+from the terms of A on and above the diagonal, against f. Per block:
 char_knot_to_character, which solves through P, sends the first
 representative's class back to its c.
 """
@@ -164,43 +163,42 @@ def _walk(n, factors, enum_cap, what, v=None):
     """The one walk at n: (c, beta, f) for each k in prod Z/g_t,
     g_t = gcd(d_t, n) over the invariant factors d_t, whose y
     (y_t = k_t n / g_t) is primitive mod n, in lexicographic order of k
-    and so of c (c_t = k_t d_t / g_t). y is primitive, and c has order n,
-    when each p^a || n has a t with p^a | g_t and p not dividing k_t.
+    and so of c (c_t = k_t d_t / g_t). The g_t divide each other, so y
+    is primitive, and c has order n, only when the last g_t is n; then
+    each p^a || n needs a t with p^a | g_t and p not dividing k_t.
     Given the Seifert matrix v with these Smith factors, beta = Q y mod n
-    and f = y^T Q^T A Q y mod n^2, reduced as the leaf is kept (the last
-    coordinate in closed form); without v, () and 0."""
+    and f = y^T G y mod n^2 from the columns of Q and the rows of
+    G = Q^T A Q its Smith basis keeps, reduced as the leaf is kept (the
+    last coordinate in closed form); without v, () and 0."""
     moduli = [math.gcd(d, n) for d in factors]
     _check_cap(what, math.prod(moduli), enum_cap)
+    if not moduli or moduli[-1] != n:
+        return []
     walked = [t for t, g in enumerate(moduli) if g > 1]
-    if math.gcd(n, *(n // moduli[t] for t in walked)) != 1:
-        return []  # gcd(n, s_1, ..., s_r) > 1 divides every y: none is primitive
-    if v is None:
-        qs = aqs = [()] * len(walked)
-    else:
-        res, a = _smith_form(v), symmetrize(v)
-        at = [k for k, d in enumerate(res.diagonal()) if d > 1]
-        qs = [res.Q.column(at[t]) for t in walked]
-        aqs = [a.apply(q) for q in qs]
+    smith = None if v is None else _smith_form(v)
+    qs = [smith.q[t] if smith else () for t in walked]
+    gram = [[smith.gram[t][u] if smith else 0 for u in walked] for t in walked]
     nn = n * n
     # per walked t, where k_t steps by 1 and y_t by s: what each k_t adds to
     # c (with the zeros up to the next walked t) and to beta (k_t times its
-    # column mod n), the column of G y mod n^2 (G = Q^T A Q), s^2 G_tt mod n^2
+    # column mod n), the column of G y mod n^2, s^2 G_tt mod n^2
     steps = []
-    for i, (t, end, q, aq) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, aqs)):
+    for i, (t, end, q, row) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, gram)):
         g = moduli[t]
         s, c_step, pad = n // g, factors[t] // g, (0,) * (end - t - 1)
-        b_col, g_col = [s * x % n for x in q], [sum(map(mul, qj, aq)) for qj in qs]
+        b_col = [s * x % n for x in q]
         steps.append((g, s, tuple((x * c_step,) + pad for x in range(g)),
                       tuple(tuple(x * b for b in b_col) for x in range(g)),
-                      tuple(s * x % nn for x in g_col), s * s * g_col[i] % nn))
+                      tuple(s * x % nn for x in row), s * s * row[i] % nn))
     return _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, n, [])
 
 
 def _walk_from(steps, i, c, beta, gy, f, content, n, out):
     """Walk coordinate i and those after it; the coordinates below i are
     fixed in c, beta, G y, f and content = gcd(n, y). A step adds the
-    column of G y and f += 2 s (G y)_i + s^2 G_ii; the last coordinate is
-    closed, beta + t col and f + t 2 s (G y)_i + t^2 s^2 G_ii at k_i = t."""
+    column of G y and f += 2 s (G y)_i + s^2 G_ii; the last coordinate,
+    where g = n and s = 1, is closed: beta + t col and
+    f + t 2 (G y)_i + t^2 G_ii at k_i = t."""
     g, s, tails, b_cols, g_col, f_step = steps[i]
     if i + 1 < len(steps):
         for t in range(g):
@@ -210,9 +208,9 @@ def _walk_from(steps, i, c, beta, gy, f, content, n, out):
             _walk_from(steps, i + 1, c + tails[t], tuple(map(add, beta, b_cols[t])), gy, f,
                        math.gcd(content, t * s), n, out)
         return out
-    nn, lin = n * n, 2 * s * gy[i]
+    nn, lin = n * n, 2 * gy[i]
     for t in range(g):
-        if math.gcd(content, t * s) == 1:
+        if math.gcd(content, t) == 1:
             out.append((c + tails[t], tuple(map(mod, map(add, beta, b_cols[t]), repeat(n))),
                         (f + t * lin + t * t * f_step) % nn))
     return out
@@ -370,7 +368,7 @@ def characteristic_knot_classes(v, n, *, enum_cap=DEFAULT_ENUM_CAP):
     _enum_cap(enum_cap)
     if not isinstance(v, SeifertMatrix):
         raise TypeError("characteristic_knot_classes expects a SeifertMatrix")
-    leaves = _walk(n, _smith_form(v).invariant_factors, enum_cap, f"kernel mod {n}", v)
+    leaves = _walk(n, _smith_form(v).factors, enum_cap, f"kernel mod {n}", v)
     return tuple(CharKnotClass._make(v, beta, n, f, None if f else _form_value(v, beta, 0, n))
                  for _, beta, f in sorted(leaves, key=itemgetter(1)))
 

@@ -333,6 +333,8 @@ def _leaves(nl):
     def strs(x):
         return "[" + inner + comma.join(map(encode_basestring_ascii, x)) + nl + "]" if x else "[]"
 
+    scopes = {id(x): strs(x) for x in _SCOPES.values()}  # a ClassEntry's scope is one of these
+
     head, sep, tail = bounds(inner, '"')
     between = f"{tail},{inner}{head}"
 
@@ -350,7 +352,8 @@ def _leaves(nl):
 
     return {"bool": {True: "true", False: "false"}.__getitem__, "number": digits,
             "decimal": _QUOTED.__getitem__, "str": encode_basestring_ascii, "rational": rational,
-            "ints": ints('"'), "numbers": ints(""), "strs": strs, "members": members,
+            "ints": ints('"'), "numbers": ints(""), "members": members,
+            "strs": lambda x: scopes.get(id(x)) or strs(x),
             "rationals": rationals}
 
 

@@ -7,7 +7,7 @@ tuples of integer coordinates in the basis implicit in V.
 """
 
 import math
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (SeifertMatrixError, StabilizationError, _check_int, _Record,
                      oversized_digits, require_dihedral_order)
@@ -30,7 +30,7 @@ class SeifertMatrix:
     Accepts an IntMatrix or any iterable of integer rows; the empty
     matrix stands for the unknot. Validation checks squareness, even
     size, and det(V - V^T) = 1 exactly. A = V + V^T is formed here,
-    once, and handed out by symmetrize; its Smith form and its terms on
+    once, and handed out by symmetrize; its Smith basis and its terms on
     and above the diagonal are computed on first use and kept.
     """
 
@@ -115,13 +115,44 @@ def _characteristic_value(v, beta, n):
     return sum(x * y for x, y in zip(beta, ab))
 
 
+class _SmithBasis:
+    """The Smith basis of a nonsingular square A, read off its one Smith
+    form P A Q = D (checked by snf): at the torsion entries d_t > 1 of D,
+    the rows p_t of P, the columns q_t of Q, the generators
+    g_t = A q_t / d_t (columns of P^{-1}, checked P g_t = e_t, which with
+    P unimodular also makes A q_t divisible by d_t) and G = Q^T A Q,
+    G_ij = d_j (q_i . g_j). The one reader of P and Q."""
+
+    __slots__ = ("factors", "p", "q", "generators", "gram")
+
+    def __init__(self, a):
+        res = snf(a)
+        diag = res.diagonal()
+        if 0 in diag:
+            raise ValueError("presentation matrix is singular")
+        at = [k for k, d in enumerate(diag) if d > 1]
+        self.factors = tuple(diag[k] for k in at)
+        self.p = tuple(res.P.row(k) for k in at)
+        self.q = tuple(res.Q.column(k) for k in at)
+        gens = tuple(tuple(x // d for x in a.apply(q)) for d, q in zip(self.factors, self.q))
+        for i, (k, g) in enumerate(zip(at, gens)):
+            if res.P.apply(g) != tuple(int(j == k) for j in range(a.rows)):
+                raise ArithmeticError(f"P does not send generator {i} to e_{k}")
+        self.generators = gens
+        self.gram = tuple(tuple(d * sum(map(mul, q, g)) for d, g in zip(self.factors, gens))
+                          for q in self.q)
+
+    def coords(self, w):
+        """(P w)_t at each torsion position t, unreduced."""
+        return tuple(sum(map(mul, row, w)) for row in self.p)
+
+
 def _smith_form(v):
-    """snf(V + V^T), run once per SeifertMatrix and then reused: the knot
-    determinant, the cover homology and its linking form, and the
-    characteristic classes at every n read it."""
-    a = symmetrize(v)
+    """The Smith basis of V + V^T, built on first use and kept: the knot
+    determinant, the cover homology, its linking form and the walk at
+    every n read it."""
     if v._smith is None:
-        v._smith = snf(a)
+        v._smith = _SmithBasis(symmetrize(v))
     return v._smith
 
 
@@ -138,9 +169,10 @@ def _upper_terms(v):
 
 
 def knot_determinant(v):
-    """|det(V + V^T)|, the product of the Smith diagonal of V + V^T (P and
-    Q are unimodular). Always odd for a valid Seifert matrix."""
-    d = math.prod(_smith_form(v).diagonal())
+    """|det(V + V^T)|, the product of the torsion entries of its Smith
+    diagonal (P and Q are unimodular, the other entries are 1). Always
+    odd for a valid Seifert matrix."""
+    d = math.prod(_smith_form(v).factors)
     if d % 2 == 0:
         raise ArithmeticError(f"knot determinant came out even ({d}); input is corrupt")
     return d

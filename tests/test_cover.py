@@ -330,3 +330,41 @@ class TestSelfLinking:
         form = linking_form(double_cover_homology(twist_knot(-1)))
         with pytest.raises(ValueError):
             verdict(form, (5,), 3)
+
+
+class TestSmithBasisChecks:
+    """The knot's Smith basis checks its generators, and the linking form
+    its table, by raising, so the checks also run under python -O."""
+
+    def test_generator_check(self, monkeypatch):
+        # a P that still passes snf's own record checks but does not send
+        # A q_k / d_k to e_k
+        import dihedral.seifert as seifert_mod
+
+        real = seifert_mod.snf
+
+        def wrong_p(a):
+            res = real(a)
+            p = res.P.to_lists()
+            p[0] = [x + y for x, y in zip(p[0], p[3])]  # a unimodular P, still
+            return type(res)(IntMatrix(p), res.Q, res.D)
+
+        monkeypatch.setattr(seifert_mod, "snf", wrong_p)
+        with pytest.raises(ArithmeticError, match="P does not send generator 1 to e_3"):
+            double_cover_homology(SeifertMatrix(NINE_37.matrix.to_lists()))
+
+    @pytest.mark.parametrize("shift, message", [
+        (1, r"entry \(0,1\) is not annihilated by 3"),   # G_01 not divisible by d_1 = 15
+        (15, r"linking matrix is not symmetric at \(0,1\)"),  # G_01 != G_10
+    ])
+    def test_table_checks(self, shift, message):
+        group = double_cover_homology(SeifertMatrix(NINE_37.matrix.to_lists()))
+        gram = [list(row) for row in group._smith.gram]
+        gram[0][1] += shift
+        group._smith.gram = tuple(map(tuple, gram))
+        with pytest.raises(ValueError, match=message):
+            LinkingForm(group)
+
+    def test_singular_presentation_refused_once(self):
+        with pytest.raises(ValueError, match="presentation matrix is singular"):
+            TorsionGroup((3,), ((1, 0),), IntMatrix([[1, 2], [2, 4]]))
