@@ -15,7 +15,7 @@ is built only for values handed out; no Fraction is made.
 
 import itertools
 import math
-from operator import mul
+from operator import mod, mul
 
 from .errors import _check_int, _Record, _setattr
 from .exact import IntMatrix, ResidueQZ, snf
@@ -101,15 +101,19 @@ class TorsionGroup(_Record):
         is double-checked: P (w - sum c_i g_i) must lie in D Z^m.
         """
         v = _vector(vec, self.ambient.rows)
-        u = self._smith.coords(v)
-        if self._solve is not None:
-            res = self._solve
-            u = res.Q.apply(res.P.apply(u) + (0,) * self.rank)
-        coords = tuple(x % d for x, d in zip(u, self.invariant_factors))
+        coords = self._coords(v)
         diff = [x - sum(c * g[i] for c, g in zip(coords, self.generators)) for i, x in enumerate(v)]
         if any(x % d for x, d in zip(self._smith.coords(diff), self.invariant_factors)):
             raise ArithmeticError("coordinate solve failed its self-check")
         return coords
+
+    def _coords(self, v):
+        """coords_of's solve for a tuple of ints, without its self-check."""
+        u = self._smith.coords(v)
+        if self._solve is not None:
+            res = self._solve
+            u = res.Q.apply(res.P.apply(u) + (0,) * self.rank)
+        return tuple(map(mod, u, self.invariant_factors))
 
     def __repr__(self):
         return f"TorsionGroup(factors={list(self.invariant_factors)!r})"

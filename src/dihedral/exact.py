@@ -262,11 +262,12 @@ class SNFResult(_Record):
         _setattr(self, "P", P)
         _setattr(self, "Q", Q)
         _setattr(self, "D", D)
-        for i in range(D.rows):
-            for j in range(D.cols):
-                if i != j and D[i, j] != 0:
+        rows = D._rows
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x and i != j:
                     raise ValueError(f"D is not diagonal at ({i},{j})")
-        _setattr(self, "_diagonal", diag := tuple(D[i, i] for i in range(min(D.rows, D.cols))))
+        _setattr(self, "_diagonal", diag := tuple(row[i] for i, row in enumerate(rows[:D.cols])))
         for i, x in enumerate(diag):
             if x < 0:
                 raise ValueError(f"D has a negative entry at ({i},{i})")
@@ -287,14 +288,30 @@ class SNFResult(_Record):
 def snf(a):
     """Smith normal form of an IntMatrix, with transforms.
 
-    Classical row/column reduction with smallest-pivot selection. The
-    factorization P @ A @ Q == D and unimodularity of P and Q are
-    rechecked before returning.
+    Classical row/column reduction with smallest-pivot selection
+    (_eliminate). P @ A @ Q == D is rechecked on the eliminated rows, and
+    the unimodularity of P and Q by their determinants; both checks
+    raise, so they also run under python -O.
     """
+    p, q, w = _eliminate(a)
+    a_cols, q_cols = list(zip(*a._rows)), list(zip(*q))
+    pa = [[sum(map(mul, r, c)) for c in a_cols] for r in p]
+    if [[sum(map(mul, r, c)) for c in q_cols] for r in pa] != w:
+        raise ArithmeticError("Smith normal form failed its factorization check")
+    pm, qm = _derived(p), _derived(q)
+    if abs(det(pm)) != 1 or abs(det(qm)) != 1:
+        raise ArithmeticError("Smith normal form transforms are not unimodular")
+    return SNFResult(P=pm, Q=qm, D=_derived(w))
+
+
+def _eliminate(a):
+    """The elimination behind snf: (P, Q, D) as lists of int rows, with
+    P and Q built from the identity by the same row and column moves
+    that take A to D. Unchecked; snf checks the result."""
     m, n = a.rows, a.cols
     w = a.to_lists()
-    p = IntMatrix.identity(m).to_lists()
-    q = IntMatrix.identity(n).to_lists()
+    p = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]
+    q = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
 
     def row_add(dst, src, f):
         w[dst] = [x + f * y for x, y in zip(w[dst], w[src])]
@@ -316,19 +333,21 @@ def snf(a):
         for row in q:
             row[i], row[j] = row[j], row[i]
 
-    def row_negate(i):
-        w[i] = [-x for x in w[i]]
-        p[i] = [-x for x in p[i]]
-
     t = 0
     while t < min(m, n):
-        # pick the smallest nonzero entry of the remaining block as pivot
-        best = None
+        # pick the smallest nonzero entry of the remaining block as pivot,
+        # the first in row order among equals, so the search stops at a 1
+        best, low = None, 0
         for i in range(t, m):
+            row = w[i]
             for j in range(t, n):
-                x = abs(w[i][j])
-                if x and (best is None or x < abs(w[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (not low or x < low):
+                    best, low = (i, j), x
+                    if x == 1:
+                        break
+            if low == 1:
+                break
         if best is None:
             break
         bi, bj = best
@@ -365,15 +384,10 @@ def snf(a):
             continue
 
         if w[t][t] < 0:
-            row_negate(t)
+            w[t] = [-x for x in w[t]]
+            p[t] = [-x for x in p[t]]
         t += 1
-
-    pm, qm, dm = _derived(p), _derived(q), _derived(w)
-    if pm @ a @ qm != dm:
-        raise ArithmeticError("Smith normal form failed its factorization check")
-    if abs(det(pm)) != 1 or abs(det(qm)) != 1:
-        raise ArithmeticError("Smith normal form transforms are not unimodular")
-    return SNFResult(P=pm, Q=qm, D=dm)
+    return p, q, w
 
 
 # The four-square search walks candidates in the order of its answer, so

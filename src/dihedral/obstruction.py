@@ -16,8 +16,10 @@ value of beta and n^2 lk(c, c); the last k_t is summed in closed form.
 Checked per unit orbit, that is per quotient class: pair(c, c) from
 the linking table against f. Per class with f = 0: its exact value,
 from the terms of A on and above the diagonal, against f. Per block:
-char_knot_to_character, which solves through P, sends the first
-representative's class back to its c.
+the map behind char_knot_to_character solves the first
+representative's class through P back to its c, and checks the table's
+pairings of c with the generators against e (g_j . beta) / n, which
+reads no entry of G.
 """
 
 import functools
@@ -398,11 +400,38 @@ def _extension_walk(v, form, n, enum_cap):
         got = form.pair(members[0], members[0])
         _check_linking(got, e, leaves[i][2], n)
         classes.append((tuple(members), got))
-    first = leaves and CharKnotClass._make(v, leaves[0][1], n, leaves[0][2], None)
-    if first and char_knot_to_character(v, first, form).c != leaves[0][0]:
-        raise ArithmeticError(f"class {list(first.beta)} maps to another character than "
-                              f"the walk's {leaves[0][0]}; routes disagree at n={n}")
+    if leaves:
+        _class_map(form, leaves[0][1], n, leaves[0][0])
     return classes, sorted(leaves, key=itemgetter(1))
+
+
+def _class_map(form, lift, n, c):
+    """The per-block route check, and the core of char_knot_to_character:
+    the characteristic class lift (a tuple of ints) must name chi_c.
+    The class of w = A beta / n (A beta = 0 mod n checked), solved
+    through P, must be c. As A^{-1} w = beta / n, chi_c on generator h_j
+    is e lk(h_j, w) = e (h_j . beta) / n mod e, which reads no entry of G
+    ((q_j . w) e / d_j on the Smith basis); each must equal the table's
+    pair(c, e_j), and together they must give image order n."""
+    group, e = form.group, form.exponent
+    av = group.ambient.apply(lift)
+    if any(x % n for x in av):
+        raise ArithmeticError("characteristic class failed A beta = 0 mod n; input is corrupt")
+    got = group._coords(tuple(x // n for x in av))
+    if got != c:
+        raise ArithmeticError(f"class {list(lift)} maps through P to {list(got)}, not to "
+                              f"{list(c)}; routes disagree at n={n}")
+    values = []
+    for j, (h, unit) in enumerate(zip(group.generators, _basis(group.rank))):
+        x, r = divmod(e * sum(map(mul, h, lift)), n)
+        if r or form.pair(c, unit) != x % e:
+            raise ArithmeticError(f"linking table disagrees with generator {j} on class "
+                                  f"{list(lift)}; routes disagree at n={n}")
+        values.append(x)
+    if e // math.gcd(e, *values) != n:
+        raise ArithmeticError(
+            "characteristic class produced a non-surjective character; input is corrupt"
+        )
 
 
 def char_knot_to_character(v, beta, form=None):
@@ -411,8 +440,9 @@ def char_knot_to_character(v, beta, form=None):
     The class of w = (1/n) A beta-lift in the cover homology pairs
     through the linking form to give the character. Passing a
     precomputed linking form avoids rebuilding the group. The result
-    is rechecked: its self-linking must equal the form value of the
-    lift divided by n^2, mod 1, and its image must have order n.
+    is rechecked by the per-block map _class_map, coords_of's own
+    self-check, the same answer for another lift, and its self-linking,
+    which must equal the form value of the lift over n^2, mod 1.
     """
     if not isinstance(beta, CharKnotClass):
         raise TypeError("char_knot_to_character expects a CharKnotClass")
@@ -424,22 +454,13 @@ def char_knot_to_character(v, beta, form=None):
     a = symmetrize(v)
     if group.ambient != a:
         raise ValueError("linking form was built on a different matrix")
-    n = beta.n
-    lift = beta.beta
-    av = a.apply(lift)
-    if any(x % n != 0 for x in av):
-        raise ArithmeticError("characteristic class failed A beta = 0 mod n; input is corrupt")
-    w = tuple(x // n for x in av)
-    c = group.coords_of(w)
-    shifted = tuple(x + n for x in lift)
-    w2 = tuple(x // n for x in a.apply(shifted))
-    if group.coords_of(w2) != c:
+    n, lift = beta.n, beta.beta
+    c, c2 = (group.coords_of(tuple(x // n for x in a.apply(b)))
+             for b in (lift, tuple(x + n for x in lift)))
+    if c2 != c:
         raise ArithmeticError("character depends on the chosen lift; solver is corrupt")
+    _class_map(form, lift, n, c)
     _check_linking(form.pair(c, c), form.exponent, beta.form_value_mod_n2(), n)
-    if _image_order(form, c) != n:
-        raise ArithmeticError(
-            "characteristic class produced a non-surjective character; input is corrupt"
-        )
     return Character._make(form, c, n)
 
 

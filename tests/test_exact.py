@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dihedral
+import dihedral.exact as exact_mod
 from dihedral.exact import (
     IntMatrix,
     ResidueQZ,
@@ -173,6 +174,31 @@ class TestSmithForm:
             a = rand_matrix(rng, rng.randint(1, 4))
             prod = math.prod(snf(a).diagonal())
             assert prod == abs(det(a))
+
+    @pytest.mark.parametrize("fault, message", [
+        # row 1 of P added to row 0: still unimodular, but P A Q != D
+        ("p_only", "failed its factorization check"),
+        # row 3 doubled in P and in D: P A Q = D holds, det P = 2
+        ("p_and_d", "transforms are not unimodular"),
+    ])
+    def test_planted_elimination_faults(self, monkeypatch, fault, message):
+        # snf checks what its elimination returns by raising, so the checks
+        # also run under python -O
+        real = exact_mod._eliminate
+
+        def corrupted(a):
+            p, q, w = real(a)
+            if fault == "p_only":
+                p[0] = [x + y for x, y in zip(p[0], p[1])]
+            else:
+                p[3], w[3] = [2 * x for x in p[3]], [2 * x for x in w[3]]
+            return p, q, w
+
+        a = IntMatrix([[2, 0, 1, -1], [0, 2, 0, -1], [1, 0, -4, 1], [-1, -1, 1, -2]])
+        assert snf(a).diagonal() == (1, 1, 3, 15)
+        monkeypatch.setattr(exact_mod, "_eliminate", corrupted)
+        with pytest.raises(ArithmeticError, match=message):
+            snf(a)
 
     def test_zero_matrix(self):
         res = snf(IntMatrix([[0, 0], [0, 0]]))

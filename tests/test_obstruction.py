@@ -36,7 +36,7 @@ from dihedral import (
     twist_knot,
     verdict,
 )
-from dihedral import obstruction
+from dihedral import obstruction, seifert
 from dihedral.cover import LinkingForm, TorsionGroup
 from dihedral.exact import IntMatrix, snf
 from dihedral.obstruction import _walk
@@ -621,15 +621,44 @@ class TestRouteChecks:
 
     @staticmethod
     def corrupt_solver(monkeypatch):
-        # 2c passes every check of the map itself at n = 3: the lift check,
-        # lk(2c, 2c) = 4 lk(c, c), and the image order
-        real = TorsionGroup.coords_of
+        # the solve through P that the per-block map reads returns 2c, which
+        # has the image order of c at n = 3 and lk(2c, 2c) = 4 lk(c, c)
+        real = TorsionGroup._coords
 
-        def corrupted(self, vec):
-            c = real(self, vec)
+        def corrupted(self, v):
+            c = real(self, v)
             return tuple(2 * x % d for x, d in zip(c, self.invariant_factors))
 
-        monkeypatch.setattr(TorsionGroup, "coords_of", corrupted)
+        monkeypatch.setattr(TorsionGroup, "_coords", corrupted)
+
+    @staticmethod
+    def corrupt_gram(monkeypatch):
+        # G_01 and G_10 both raised by d_1: the table stays symmetric and
+        # annihilated, and the walk and the per-class check read the same G,
+        # so only the map's pairings through the generators see it
+        real = seifert._SmithBasis.__init__
+
+        def corrupted(self, a):
+            real(self, a)
+            gram = [list(row) for row in self.gram]
+            gram[0][1] += self.factors[1]
+            gram[1][0] += self.factors[1]
+            self.gram = tuple(map(tuple, gram))
+
+        monkeypatch.setattr(seifert._SmithBasis, "__init__", corrupted)
+
+    @staticmethod
+    def zero_leaf(monkeypatch):
+        # a walk that also yields the zero class first: it is characteristic,
+        # maps to c = 0 and pairs to 0 on both routes, but its image order is 1
+        real = obstruction._walk
+
+        def corrupted(n, factors, enum_cap, what, v=None):
+            leaves = real(n, factors, enum_cap, what, v)
+            c, beta, _ = leaves[0]
+            return [((0,) * len(c), (0,) * len(beta), 0)] + leaves
+
+        monkeypatch.setattr(obstruction, "_walk", corrupted)
 
     def test_exact_value_checked_in_report(self, monkeypatch):
         # the report forms beta^T A beta only for a class whose f reads 0 mod
@@ -654,12 +683,14 @@ class TestRouteChecks:
         ("corrupt_table", "routes are inconsistent"),
         ("corrupt_column", "routes are inconsistent"),
         ("corrupt_solver", "routes disagree at n=3"),
+        ("corrupt_gram", "routes disagree at n=3"),
+        ("zero_leaf", "non-surjective character"),
     ])
     def test_corrupted_side_raises(self, monkeypatch, fault, message):
         assert analyze(NINE_37, [3]).blocks[0].quotient_class_count == 4
         getattr(self, fault)(monkeypatch)
-        with pytest.raises(ArithmeticError, match=message):
-            analyze(NINE_37, [3])
+        with pytest.raises(ArithmeticError, match=message):  # NINE_37 keeps its Smith basis
+            analyze(SeifertMatrix(NINE_37.matrix.to_lists()), [3])
 
     def test_closed_form_square_term_checked(self, monkeypatch):
         # the per-class route check of pair(c, c) against f catches the last
