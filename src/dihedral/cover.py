@@ -97,8 +97,9 @@ class TorsionGroup(_Record):
         """Coordinates of the class of an ambient integer vector.
 
         On the Smith basis they are (P w)_i mod d_i; for an explicit basis
-        [T | diag(d)] t = P w is solved through its Smith data. The answer
-        is double-checked: P (w - sum c_i g_i) must lie in D Z^m.
+        [T | diag(d)] x = P w is solved through its Smith data, and t is
+        the first r entries of x. The answer is double-checked:
+        P (w - sum c_i g_i) must lie in D Z^m.
         """
         v = _vector(vec, self.ambient.rows)
         coords = self._coords(v)
@@ -111,8 +112,10 @@ class TorsionGroup(_Record):
         """coords_of's solve for a tuple of ints, without its self-check."""
         u = self._smith.coords(v)
         if self._solve is not None:
-            res = self._solve
-            u = res.Q.apply(res.P.apply(u) + (0,) * self.rank)
+            # P [T | diag(d)] Q = [I | 0]: x = Q (P u, y) for any y, so
+            # take y = 0 and read only the first r rows of Q
+            res, pu = self._solve, self._solve.P.apply(u)
+            u = [sum(map(mul, res.Q.row(i), pu)) for i in range(self.rank)]
         return tuple(map(mod, u, self.invariant_factors))
 
     def __repr__(self):
@@ -127,7 +130,8 @@ class LinkingForm(_Record):
     generators lk(g_i, g_j) = G_ij / (d_i d_j), and a caller's basis of
     Smith coordinates T gets T^T (that table) T. Construction checks on
     the Smith-basis table its annihilation (d_i * entry = 0 mod e, that
-    is d_j | G_ij) and symmetry, and an odd e, so every denominator is
+    is d_j | G_ij) and symmetry. e is odd (TorsionGroup refuses an even
+    factor, and a knot's Smith factors are odd), so every denominator is
     odd; matrix[i][j] is the entry over e as a residue mod 1, built once
     from it.
     """
@@ -140,8 +144,6 @@ class LinkingForm(_Record):
         if not isinstance(group, TorsionGroup):
             raise TypeError("LinkingForm expects a TorsionGroup")
         factors, e = group.invariant_factors, self.exponent
-        if e % 2 == 0:
-            raise ValueError(f"group exponent {e} is even; the linking form needs odd order")
         table = []
         for i, (d, row) in enumerate(zip(factors, group._smith.gram)):
             scaled = [x * (e // dj) for x, dj in zip(row, factors)]  # d_i e lk(g_i, g_j)
@@ -208,7 +210,7 @@ def evaluate_linking(a, u, v):
         raise ValueError("presentation matrix must be square")
     uu, vv = _vector(u, a.rows), _vector(v, a.rows)
     smith = _SmithBasis(a)
-    e = smith.factors[-1] if smith.factors else 1
+    e = math.lcm(*smith.factors)  # the last factor, or 1
     dual = (sum(map(mul, q, uu)) for q in smith.q)  # (Q^T u)_t
     total = sum(x * y * (e // d) for x, y, d in zip(dual, smith.coords(vv), smith.factors))
     return ResidueQZ._reduced(total % e, e)

@@ -179,9 +179,9 @@ def require_dihedral_order(n):
 def oversized_digits(x):
     """The decimal digit count of the integer x when it is above the
     interpreter's limit for int-to-str conversion
-    (sys.get_int_max_str_digits()), else 0."""
+    (sys.get_int_max_str_digits()), else 0. A limit of 0 is no limit."""
     x, limit = abs(x), sys.get_int_max_str_digits()
-    if not limit or x.bit_length() <= 3 * limit:  # x < 8^limit < 10^limit
+    if not limit:
         return 0
     k = int((x.bit_length() - 1) * 0.30103) - 1  # below log10(x), the digit count less one
     while 10 ** k <= x:

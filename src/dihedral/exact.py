@@ -9,6 +9,7 @@ is asked for). Nothing in this module ever rounds.
 """
 
 import functools
+import itertools
 import math
 from operator import mul
 
@@ -35,10 +36,9 @@ class IntMatrix:
 
     def __init__(self, rows):
         data = [tuple(r) for r in rows]
-        width = len(data[0]) if data else 0
         for i, r in enumerate(data):
-            if len(r) != width:
-                raise ValueError(f"row {i} has length {len(r)}, expected {width}")
+            if len(r) != len(data[0]):
+                raise ValueError(f"row {i} has length {len(r)}, expected {len(data[0])}")
             for j, x in enumerate(r):
                 _check_int(x, f"entry ({i},{j})")
         self._rows = tuple(data)
@@ -334,9 +334,9 @@ def _eliminate(a):
             row[i], row[j] = row[j], row[i]
 
     t = 0
-    while t < min(m, n):
+    while True:  # until the remaining block, empty past min(m, n), is zero
         # pick the smallest nonzero entry of the remaining block as pivot,
-        # the first in row order among equals, so the search stops at a 1
+        # the first in row order among equals
         best, low = None, 0
         for i in range(t, m):
             row = w[i]
@@ -344,10 +344,6 @@ def _eliminate(a):
                 x = abs(row[j])
                 if x and (not low or x < low):
                     best, low = (i, j), x
-                    if x == 1:
-                        break
-            if low == 1:
-                break
         if best is None:
             break
         bi, bj = best
@@ -402,26 +398,30 @@ def four_squares(k):
     """Lexicographically smallest ascending (a1, a2, a3, a4) with sum of
     squares k: twice that of k / 4 while 8 | k, a1 > 0 where k = 4^a (8b + 7)
     (Legendre), by a plain search in that order; past _FOUR_SQUARES_STEPS
-    steps it raises ArithmeticError naming the digit count of k."""
+    steps it raises ArithmeticError naming the digit count of k.
+
+    a1 is 0 or 1, never more. Once 8 | k is divided out, m is either a
+    sum of three squares (Legendre), or m = 8b + 7 or 4 (8b + 7); then
+    m - 1 is 6 or 3 mod 8, a sum of three squares none of them 0, as no
+    two squares sum to 6 mod 8 and three give 3 only as odd ones. So some
+    a2 <= sqrt((m - a1^2) / 3) always answers, and a2 needs no bound."""
     _check_int(k, "four_squares argument")
     if k < 0:
         raise ValueError(f"four_squares needs a nonnegative integer, got {k}")
     m, scale = k, 1
     while m and m % 8 == 0:
         m, scale = m // 4, 2 * scale
-    steps = 0
-    for a1 in range(m % 8 == 7 or m % 32 == 28, math.isqrt(m // 4) + 1):
-        r1 = m - a1 * a1
-        for a2 in range(a1, math.isqrt(r1 // 3) + 1):
-            r2 = r1 - a2 * a2
-            for a3 in range(a2, math.isqrt(r2 // 2) + 1):
-                steps += 1
-                if steps > _FOUR_SQUARES_STEPS:
-                    digits = oversized_digits(k) or len(str(k))
-                    raise ArithmeticError(f"four-square search for a {digits}-digit integer "
-                                          f"stopped after {_FOUR_SQUARES_STEPS} steps")
-                r3 = r2 - a3 * a3
-                a4 = math.isqrt(r3)
-                if a4 * a4 == r3 and a4 >= a3:
-                    return (scale * a1, scale * a2, scale * a3, scale * a4)
-    raise ArithmeticError(f"no four-square decomposition found for {k}")
+    a1 = int(m % 8 == 7 or m % 32 == 28)
+    r1, steps = m - a1 * a1, 0
+    for a2 in itertools.count(a1):
+        r2 = r1 - a2 * a2
+        for a3 in range(a2, math.isqrt(r2 // 2) + 1):  # so that a4 >= a3
+            steps += 1
+            if steps > _FOUR_SQUARES_STEPS:
+                digits = oversized_digits(k) or len(str(k))
+                raise ArithmeticError(f"four-square search for a {digits}-digit integer "
+                                      f"stopped after {_FOUR_SQUARES_STEPS} steps")
+            r3 = r2 - a3 * a3
+            a4 = math.isqrt(r3)
+            if a4 * a4 == r3:
+                return (scale * a1, scale * a2, scale * a3, scale * a4)

@@ -181,15 +181,15 @@ def _walk(n, factors, enum_cap, what, v=None):
     qs = [smith.q[t] if smith else () for t in walked]
     gram = [[smith.gram[t][u] if smith else 0 for u in walked] for t in walked]
     nn = n * n
-    # per walked t, where k_t steps by 1 and y_t by s: what each k_t adds to
-    # c (with the zeros up to the next walked t) and to beta (k_t times its
-    # column mod n), the column of G y mod n^2, s^2 G_tt mod n^2
+    # per walked t (the last ones, as the g_t divide each other), where k_t
+    # steps by 1 and y_t by s: what each k_t adds to c and to beta (k_t times
+    # its column mod n), the column of G y mod n^2, s^2 G_tt mod n^2
     steps = []
-    for i, (t, end, q, row) in enumerate(zip(walked, walked[1:] + [len(factors)], qs, gram)):
+    for i, (t, q, row) in enumerate(zip(walked, qs, gram)):
         g = moduli[t]
-        s, c_step, pad = n // g, factors[t] // g, (0,) * (end - t - 1)
+        s, c_step = n // g, factors[t] // g
         b_col = [s * x % n for x in q]
-        steps.append((g, s, tuple((x * c_step,) + pad for x in range(g)),
+        steps.append((g, s, tuple((x * c_step,) for x in range(g)),
                       tuple(tuple(x * b for b in b_col) for x in range(g)),
                       tuple(s * x % nn for x in row), s * s * row[i] % nn))
     return _walk_from(steps, 0, (0,) * walked[0], (0,) * len(qs[0]), (0,) * len(steps), 0, n, n, [])
@@ -263,16 +263,16 @@ def quotient_classes(chars, n):
     chars = tuple(chars)
     if not chars:
         return ()
-    form = chars[0].form
     by_coords = {}
     for ch in chars:
         if not isinstance(ch, Character):
             raise TypeError("quotient_classes expects Characters")
         if ch.n != n:
             raise ValueError(f"character has order {ch.n}, expected {n}")
-        if ch.form != form:
+        if ch.form != chars[0].form:
             raise ValueError("characters live on different linking forms")
         by_coords[ch.c] = ch
+    form = chars[0].form
     classes = []
     for _, orbit in _orbits(sorted(by_coords), form.group.invariant_factors, n):
         members = tuple(by_coords[c] for c in orbit)

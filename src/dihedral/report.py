@@ -379,9 +379,8 @@ def _rows(recs, nl):
             cols.append(["null" if v is None else leaf(v) for v in col])
         elif leaf is None:
             distinct = dict(zip(map(id, col), col))
+            # StabSummary, the one record a field holds, has only short leaves
             texts = _rows([*distinct.values()], nl + "  ")
-            if texts is None:
-                return None
             cols.append(map(dict(zip(distinct, texts)).__getitem__, map(id, col)))
         else:
             cols.append(map(leaf, col))
@@ -610,8 +609,6 @@ def render_matrix(v):
     """Brace form of a Seifert matrix; inverse of parse_matrix."""
     if not isinstance(v, SeifertMatrix):
         raise TypeError("render_matrix expects a SeifertMatrix")
-    if v.size == 0:
-        return "{}"
     rows = ",".join("{" + ",".join(str(x) for x in v.matrix.row(i)) + "}"
                     for i in range(v.size))
     return "{" + rows + "}"

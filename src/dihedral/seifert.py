@@ -171,11 +171,9 @@ def _upper_terms(v):
 def knot_determinant(v):
     """|det(V + V^T)|, the product of the torsion entries of its Smith
     diagonal (P and Q are unimodular, the other entries are 1). Always
-    odd for a valid Seifert matrix."""
-    d = math.prod(_smith_form(v).factors)
-    if d % 2 == 0:
-        raise ArithmeticError(f"knot determinant came out even ({d}); input is corrupt")
-    return d
+    odd: det(V + V^T) = det(V - V^T) = 1 mod 2, and snf checks P A Q = D
+    with P and Q unimodular."""
+    return math.prod(_smith_form(v).factors)
 
 
 def twist_knot(m):
@@ -250,15 +248,15 @@ def stabilize_zero_framed(v, beta, n):
 def _zero_framing(value, n):
     """How four band pairs zero-frame a class whose nonzero form value is
     divisible by n^2: (squares s, largest first; whether the blocks are
-    mirrored; the class's coordinates on the new bands, n*s twice per
-    pair). Each pair adds -sign * 2 (n*s)^2 to the form value, so the
-    stabilized value value - sign * 2 n^2 sum(s^2) is checked to be 0."""
-    scaled = abs(value) // (n * n)
-    if scaled % 2 != 0:
-        raise ArithmeticError(f"form value {value} over {n}^2 should be even; input is corrupt")
-    squares = tuple(sorted(four_squares(scaled // 2), reverse=True))
-    sign = 1 if value > 0 else -1
-    rest = value - sign * 2 * n * n * sum(s * s for s in squares)
+    mirrored, for a negative value; the class's coordinates on the new
+    bands, n*s twice per pair). Each pair moves the form value 2 (n*s)^2
+    toward 0, so |value| - 2 n^2 sum(s^2), the stabilized value up to
+    sign, is checked to be 0. The value is even (A has an even diagonal)
+    and n odd, so |value| / n^2 is even; were it odd, n^2 would be left."""
+    squares = tuple(sorted(four_squares(abs(value) // (2 * n * n)), reverse=True))
+    flipped = value < 0
+    rest = abs(value) - 2 * n * n * sum(s * s for s in squares)
     if rest != 0:
-        raise ArithmeticError(f"stabilized form value should be 0, got {rest}")
-    return squares, sign < 0, tuple(n * s for s in squares for _ in (0, 1))
+        raise ArithmeticError("stabilized form value should be 0, "
+                              f"got {-rest if flipped else rest}")
+    return squares, flipped, tuple(n * s for s in squares for _ in range(2))

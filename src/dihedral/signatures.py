@@ -72,8 +72,6 @@ def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     if not 2 <= _check_int(precision_bits, "precision_bits") <= _MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in [2, {_MAX_PRECISION_BITS}], "
                          f"got {precision_bits}")
-    if v.size == 0:
-        return 0
     g = math.gcd(k, n)
     k, d = k // g, n // g
     sign = 1  # sign of the nested minor D_depth; D_0 = 1
@@ -216,13 +214,12 @@ def _vanishes(coeffs, d):
 @lru_cache(maxsize=64)
 def _cyclotomic(d):
     """Coefficients of the monic integer polynomial Phi_d, constant term
-    first: x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    first: x^d - 1 divided by Phi_e for every proper divisor e of d, which
+    leaves no remainder, as x^d - 1 is the product of Phi_e over e | d."""
     poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly, rem = _divmod_monic(poly, _cyclotomic(e))
-            if any(rem):
-                raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1")
+            poly = _divmod_monic(poly, _cyclotomic(e))[0]
     return tuple(poly)
 
 
@@ -231,7 +228,7 @@ def _divmod_monic(num, div):
     by a monic divisor."""
     deg = len(div) - 1
     rem = list(num)
-    quot = [0] * max(0, len(rem) - deg)
+    quot = [0] * (len(rem) - deg)  # empty when deg num < deg div; each entry is set below
     for top in range(len(rem) - 1, deg - 1, -1):
         c = quot[top - deg] = rem[top]
         if c:

@@ -9,6 +9,7 @@ import pathlib
 import pkgutil
 import re
 import shlex
+import types
 
 import pytest
 
@@ -24,6 +25,10 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(dihedral.__path__)
 def test_package_all_resolves():
     missing = [n for n in dihedral.__all__ if not hasattr(dihedral, n)]
     assert missing == []
+    # public names only: neither a private name nor a submodule
+    assert "analyze" in dihedral.__all__
+    assert [n for n in dihedral.__all__
+            if n.startswith("_") or isinstance(getattr(dihedral, n), types.ModuleType)] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -235,6 +235,15 @@ class TestHostileRows:
         for x in (10 ** (k - 1), 10 ** k - 1, -(10 ** k - 1)):
             assert oversized_digits(x) == (k if extra > 0 else 0)
 
+    def test_no_digit_limit(self):
+        # the interpreter's limit 0 lets an integer of any length print
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert oversized_digits(10 ** 5000) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_unicode_line_boundaries_in_names_jsonl(self, tmp_path, capsys):
         # raw U+2028 and U+0085 are valid inside a JSON string; only a line
         # feed ends a census row
@@ -310,7 +319,7 @@ class TestTwist:
 
     def test_bad_range(self, capsys):
         assert main(["twist", "--m-range", "2"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: twist range must look like A:B, got '2'" in capsys.readouterr().err
 
     def test_reversed_range(self, capsys):
         assert main(["twist", "--m-range=5:1"]) == 1
@@ -354,6 +363,9 @@ class TestCharknots:
         doc = json.loads(capsys.readouterr().out)
         assert doc["classes"] == []
         assert "not enumerated" in doc["note"]
+        assert main(["charknots", "--matrix", TREFOIL, "--n", "3", "--enum-cap", "1",
+                     "--format", "text"]) == 0
+        assert capsys.readouterr().out == f"{doc['note']}\n"
 
     def test_even_n(self, capsys):
         assert main(["charknots", "--matrix", TREFOIL, "--n", "4"]) == 1
@@ -622,13 +634,14 @@ class TestParserShape:
         import subprocess
         import sys
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "dihedral", "analyze", "--matrix", TREFOIL],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["determinant"] == "3"
+        for module in ("dihedral", "dihedral.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "analyze", "--matrix", TREFOIL],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0
+            assert json.loads(proc.stdout)["determinant"] == "3"
 
 
 class TestHelpText:

@@ -20,6 +20,10 @@ from dihedral import (
     verdict,
 )
 
+class Int(int):
+    """An int subclass that is not bool."""
+
+
 NINE_37 = SeifertMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, -2, 1], [-1, -1, 0, -1]])
 
 
@@ -86,6 +90,25 @@ class TestTorsionGroup:
         with pytest.raises(ValueError, match="differ from those of the presentation"):
             TorsionGroup(factors, gens, symmetrize(NINE_37))
 
+    @pytest.mark.parametrize("factors, gens, ambient, error, message", [
+        ((3,), ((1, 0),), [[-2, 1], [1, 2]], TypeError, "ambient must be an IntMatrix"),
+        ((3,), ((1, 0),), IntMatrix([[1, 2, 3], [4, 5, 6]]), ValueError,
+         "ambient presentation matrix must be square"),
+        ((3,), ((1, 0), (0, 1)), symmetrize(twist_knot(-1)), ValueError,
+         "1 factors but 2 generators"),
+    ], ids=["not-an-IntMatrix", "not-square", "counts-differ"])
+    def test_rejects_malformed_arguments(self, factors, gens, ambient, error, message):
+        with pytest.raises(error, match=message):
+            TorsionGroup(factors, gens, ambient)
+
+    def test_explicit_rank_one_basis(self):
+        # H = Z/9 for 6_1 with Smith generator g: 2g also generates, and
+        # g = 5 (2g) since 10 = 1 mod 9
+        a = symmetrize(twist_knot(2))
+        (g,) = double_cover_homology(twist_knot(2)).generators
+        group = TorsionGroup((9,), (tuple(2 * x for x in g),), a)
+        assert group.coords_of(g) == (5,)
+
     def test_vectors_from_outside_are_integers(self):
         a = symmetrize(twist_knot(-1))
         gen = double_cover_homology(twist_knot(-1)).generators[0]
@@ -97,6 +120,8 @@ class TestTorsionGroup:
             double_cover_homology(twist_knot(-1)).coords_of((0, 1.0))
         with pytest.raises(TypeError, match="vector entry 0 is not an integer"):
             evaluate_linking(a, (False, 1), gen)
+        # an int subclass other than bool is an integer
+        assert double_cover_homology(twist_knot(-1)).coords_of(tuple(map(Int, gen))) == (1,)
 
     def test_element_reduction(self):
         # any integer combination of the generators comes back in range
@@ -266,6 +291,14 @@ class TestEvaluateLinking:
         with pytest.raises(ValueError):
             evaluate_linking(symmetrize(twist_knot(-1)), (1,), (1, 0))
 
+    @pytest.mark.parametrize("a, error, message", [
+        ([[-2, 1], [1, 2]], TypeError, "evaluate_linking expects an IntMatrix"),
+        (IntMatrix([[1, 2, 3], [4, 5, 6]]), ValueError, "presentation matrix must be square"),
+    ], ids=["not-an-IntMatrix", "not-square"])
+    def test_rejects_malformed_matrix(self, a, error, message):
+        with pytest.raises(error, match=message):
+            evaluate_linking(a, (1, 0), (0, 1))
+
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             evaluate_linking(IntMatrix([[1, 2], [2, 4]]), (1, 0), (0, 1))
@@ -364,6 +397,19 @@ class TestSmithBasisChecks:
         group._smith.gram = tuple(map(tuple, gram))
         with pytest.raises(ValueError, match=message):
             LinkingForm(group)
+
+    def test_coordinate_check(self, monkeypatch):
+        # a solve off by one in the first coordinate
+        group = double_cover_homology(NINE_37)
+        real = TorsionGroup._coords
+
+        def off_by_one(self, v):
+            c = real(self, v)
+            return ((c[0] + 1) % self.invariant_factors[0],) + c[1:]
+
+        monkeypatch.setattr(TorsionGroup, "_coords", off_by_one)
+        with pytest.raises(ArithmeticError, match="coordinate solve failed its self-check"):
+            group.coords_of(group.generators[1])
 
     def test_singular_presentation_refused_once(self):
         with pytest.raises(ValueError, match="presentation matrix is singular"):

@@ -72,6 +72,23 @@ class TestIntMatrix:
         assert a.column(0) == (1, 2)
         assert a.column(1) == (3, 4)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: IntMatrix.from_columns([(1, 2), (3,)], 2), ValueError,
+         "column 1 has length 1, expected 2"),
+        (lambda: IntMatrix.block_diag(IntMatrix([[1]]), IntMatrix([[1, 2]])), ValueError,
+         "block_diag needs square blocks"),
+        (lambda: IntMatrix.identity(2) + [[1, 0], [0, 1]], TypeError, "expected an IntMatrix"),
+        (lambda: IntMatrix.identity(2) - IntMatrix.identity(3), ValueError, "shape mismatch"),
+        (lambda: IntMatrix.identity(2) @ [[1, 0], [0, 1]], TypeError, "unsupported operand"),
+        (lambda: IntMatrix.identity(2) @ IntMatrix([[1, 2]]), ValueError,
+         "shape mismatch in matrix product"),
+        (lambda: IntMatrix.identity(2).apply((1, 2, 3)), ValueError,
+         "vector has length 3, expected 2"),
+    ], ids=["from_columns", "block_diag", "add", "sub", "matmul-type", "matmul-shape", "apply"])
+    def test_shape_checks(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_hashable(self):
         a = IntMatrix([[1]])
         b = IntMatrix([[1]])
@@ -98,6 +115,10 @@ class TestIntMatrix:
 class TestDeterminant:
     def test_empty_matrix(self):
         assert det(IntMatrix([])) == 1
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="determinant needs a square matrix, got 1x2"):
+            det(IntMatrix([[1, 2]]))
 
     def test_known_values(self):
         assert det(IntMatrix([[5]])) == 5
@@ -210,11 +231,23 @@ class TestSmithForm:
         with pytest.raises(ValueError):
             SNFResult(good.P, good.Q, IntMatrix([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("diagonal, message", [
+        ((1, -3), r"D has a negative entry at \(1,1\)"),
+        ((0, 3), "zero diagonal entries must come last"),
+        ((3, 5), "diagonal entry 3 does not divide 5"),
+    ])
+    def test_result_rejects_bad_diagonal(self, diagonal, message):
+        ident = IntMatrix.identity(2)
+        with pytest.raises(ValueError, match=message):
+            SNFResult(ident, ident, IntMatrix([[diagonal[0], 0], [0, diagonal[1]]]))
+
     def test_invariant_factors_read_off_d(self):
         ident = IntMatrix.identity(3)
         res = SNFResult(ident, ident, IntMatrix([[1, 0, 0], [0, 3, 0], [0, 0, 15]]))
         assert res.invariant_factors == (3, 15)
         assert SNFResult(ident, ident, IntMatrix.identity(3)).invariant_factors == ()
+        # any matrix, not only a knot's: an even entry 2 is a factor too
+        assert snf(IntMatrix([[2, 0], [0, 4]])).invariant_factors == (2, 4)
 
     def test_keeps_its_diagonal(self):
         # the diagonal the constructor checks is kept; the record is still P, Q, D
@@ -305,6 +338,15 @@ class TestResidue:
         assert ResidueQZ.of(Fraction(1, 3), 2) == ResidueQZ(Fraction(1, 6))
         assert ResidueQZ.of(Fraction(1, 3), -2) == ResidueQZ(Fraction(5, 6))
 
+    @pytest.mark.parametrize("value, error, message", [
+        (1, TypeError, "residue value must be a Fraction, got 1"),
+        (Fraction(1), ValueError, r"residue 1 is outside \[0, 1\)"),
+        (Fraction(-1, 3), ValueError, r"residue -1/3 is outside \[0, 1\)"),
+    ])
+    def test_constructor_checks(self, value, error, message):
+        with pytest.raises(error, match=message):
+            ResidueQZ(value)
+
     @pytest.mark.parametrize("q", [1, 0, Fraction(1, 3)])
     def test_of_zero_denominator(self, q):
         with pytest.raises(ZeroDivisionError):
@@ -320,7 +362,7 @@ class TestFourSquares:
         assert four_squares(31) == (1, 1, 2, 5)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="four_squares needs a nonnegative integer, got -1"):
             four_squares(-1)
 
     def test_step_budget(self, monkeypatch):

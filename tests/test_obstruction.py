@@ -217,6 +217,52 @@ class TestElementBoundary:
             _element_takers()[taker](c)
 
 
+def _malformed_calls():
+    """Calls with an argument of the wrong type, or from another knot or n,
+    each with the error type and message it must raise; the trefoil and
+    6_1 both have characters at n = 3."""
+    trefoil, six1 = twist_knot(-1), twist_knot(2)
+    group = double_cover_homology(trefoil)
+    form, other = linking_form(group), linking_form(double_cover_homology(six1))
+    ch, ch61 = (surjective_characters(f.group, f, 3)[0] for f in (form, other))
+    ck = characteristic_knot_classes(trefoil, 3)[0]
+    return {
+        "surjective-group-type": (lambda: surjective_characters(form, form, 3), TypeError,
+                                  "surjective_characters expects a TorsionGroup"),
+        "surjective-other-group": (lambda: surjective_characters(other.group, form, 3),
+                                   ValueError, "linking form does not belong to the given group"),
+        "classes-type": (lambda: quotient_classes([(1,)], 3), TypeError,
+                         "quotient_classes expects Characters"),
+        "classes-order": (lambda: quotient_classes([ch], 5), ValueError,
+                          "character has order 3, expected 5"),
+        "classes-forms": (lambda: quotient_classes([ch, ch61], 3), ValueError,
+                          "characters live on different linking forms"),
+        "verdict-n": (lambda: verdict(form, ch, n=5), ValueError,
+                      "character has order 3, but n = 5 was passed"),
+        "verdict-form": (lambda: verdict(other, ch), ValueError,
+                         "character does not live on the given form"),
+        "class-type": (lambda: CharKnotClass(trefoil.matrix, (1, 1), 3), TypeError,
+                       "CharKnotClass expects a SeifertMatrix"),
+        "classes-of-type": (lambda: characteristic_knot_classes(trefoil.matrix, 3), TypeError,
+                            "characteristic_knot_classes expects a SeifertMatrix"),
+        "to-character-type": (lambda: char_knot_to_character(trefoil, (1, 1)), TypeError,
+                              "char_knot_to_character expects a CharKnotClass"),
+        "to-character-matrix": (lambda: char_knot_to_character(six1, ck), ValueError,
+                                "class was built on a different Seifert matrix"),
+        "to-character-form": (lambda: char_knot_to_character(trefoil, ck, other), ValueError,
+                              "linking form was built on a different matrix"),
+        "cyclic-type": (lambda: cyclic_criterion(form, 3), TypeError,
+                        "cyclic_criterion expects a TorsionGroup"),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_malformed_calls()))
+def test_rejects_malformed_arguments(call):
+    run, error, message = _malformed_calls()[call]
+    with pytest.raises(error, match=message):
+        run()
+
+
 class TestQuotientClasses:
     def test_nine37_partition(self):
         group = double_cover_homology(NINE_37)
@@ -660,6 +706,20 @@ class TestRouteChecks:
 
         monkeypatch.setattr(obstruction, "_walk", corrupted)
 
+    @staticmethod
+    def shift_class(monkeypatch):
+        # the first leaf's class moved by e_0, which A = V + V^T does not
+        # send to 0 mod 3; its c and f stay, so only the per-block map sees it
+        real = obstruction._walk
+
+        def corrupted(n, factors, enum_cap, what, v=None):
+            leaves = real(n, factors, enum_cap, what, v)
+            c, beta, f = leaves[0]
+            leaves[0] = (c, (beta[0] + 1,) + beta[1:], f)
+            return leaves
+
+        monkeypatch.setattr(obstruction, "_walk", corrupted)
+
     def test_exact_value_checked_in_report(self, monkeypatch):
         # the report forms beta^T A beta only for a class whose f reads 0 mod
         # n^2 and checks it there; the per-class linking check reads only
@@ -685,6 +745,7 @@ class TestRouteChecks:
         ("corrupt_solver", "routes disagree at n=3"),
         ("corrupt_gram", "routes disagree at n=3"),
         ("zero_leaf", "non-surjective character"),
+        ("shift_class", r"failed A beta = 0 mod n"),
     ])
     def test_corrupted_side_raises(self, monkeypatch, fault, message):
         assert analyze(NINE_37, [3]).blocks[0].quotient_class_count == 4

@@ -10,6 +10,8 @@ import pytest
 import dihedral
 from dihedral import report
 from dihedral import (
+    RIBBON_OBSTRUCTED,
+    DivisorSearchError,
     KnotRecord,
     LinkingForm,
     MatrixParseError,
@@ -96,6 +98,29 @@ class TestParseMatrix:
     def test_empty_text(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("")
+
+    @pytest.mark.parametrize("text, error, message", [
+        (b"{{0,1},{0,0}}", MatrixParseError, "matrix text must be a string, got bytes"),
+        ("{{0,1}{0,0}}", MatrixParseError, "malformed matrix at position"),
+        ("{{0,1},{0,0}{", MatrixParseError, "malformed matrix at position 12"),
+        ("[[0, 1], 2]", MatrixParseError, "expected a list of rows"),
+        ("[[[0], 1], [0, 0]]", MatrixParseError,
+         r"row 0, column 0: nested deeper than a list of rows"),
+        ("1 " + "x" * 24, MatrixParseError, "entry 2: not an integer: 'x{24}'$"),
+        ("1 " + "x" * 25, MatrixParseError,
+         r"entry 2: not an integer: 'x{24}'\.\.\. \(25 characters\)"),
+    ], ids=["bytes", "rows-without-comma", "no-last-brace", "row-not-a-list", "nested", "token-24",
+            "token-25"])
+    def test_malformed_text(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_matrix(text)
+
+    def test_grid_skips_blank_lines(self):
+        assert parse_matrix("-1 1\n\n  \n0 2\n") == twist_knot(2)
+
+    def test_render_takes_a_seifert_matrix(self):
+        with pytest.raises(TypeError, match="render_matrix expects a SeifertMatrix"):
+            render_matrix(twist_knot(2).matrix)
 
     @pytest.mark.parametrize("digit", ["\u0663", "\uff12", "1_0"])
     def test_grid_refuses_non_ascii_digits(self, digit):
@@ -187,6 +212,39 @@ class TestAnalyze:
         r = analyze(twist_knot(-1), [3, 5])
         assert [b.n for b in r.blocks] == [3]
         assert r.skipped_n == (5,)
+
+    @pytest.mark.parametrize("name, matrix, error, message", [
+        ("", twist_knot(2), ValueError, "knot record needs a nonempty name"),
+        (3, twist_knot(2), ValueError, "knot record needs a nonempty name"),
+        ("k", twist_knot(2).matrix, TypeError, "knot record needs a SeifertMatrix"),
+    ], ids=["empty-name", "name-not-str", "not-a-SeifertMatrix"])
+    def test_knot_record_checks(self, name, matrix, error, message):
+        with pytest.raises(error, match=message):
+            KnotRecord(name, matrix)
+
+    def test_takes_a_record_or_a_seifert_matrix(self):
+        with pytest.raises(TypeError, match="analyze expects a KnotRecord or a SeifertMatrix"):
+            analyze(twist_knot(2).matrix)
+
+    def test_divisor_search_bound(self):
+        # determinant 4 * 10^15 + 1: trial division to 10^7 + 1 is refused
+        with pytest.raises(DivisorSearchError, match="up to 10000001, past the bound of 10000000"):
+            analyze(twist_knot(10**15), n_max=10**7 + 1)
+
+    def test_ribbon_verdict_at_rank_zero(self):
+        # xi_3 of 5 twists is 5/3 or 11/3, both above the rank-0 bound 1
+        # but not both above the rank-1 bound 2
+        xi = analyze(twist_knot(5)).xi
+        assert xi.rank_h1_cover == 0 and sorted(map(str, xi.candidates)) == ["11/3", "5/3"]
+        assert xi.ribbon == RIBBON_OBSTRUCTED
+
+    def test_text_layout_names_source_and_skipped_n(self):
+        r = analyze(KnotRecord("trefoil", twist_knot(-1), "census.csv"), [3, 5])
+        lines = render_report_text(r).splitlines()
+        assert "source: census.csv" in lines
+        assert "skipped n (not dividing the determinant): 5" in lines
+        assert not any(ln.startswith(("source:", "skipped")) for ln in
+                       render_report_text(analyze(twist_knot(-1), [3])).splitlines())
 
     def test_explicit_even_n_rejected(self):
         from dihedral.errors import EvenModulusError
@@ -356,6 +414,10 @@ class TestScan:
         assert [r.name for r in reports] == ["trefoil", "6_1"]
         counts = [r.blocks[0].extendable_class_count for r in reports]
         assert counts == [0, 1]
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = self._write(tmp_path, 'name,seifert\n\n , \ntrefoil,"{{-1,1},{0,-1}}"\n')
+        assert [r.name for r in scan(path)] == ["trefoil"]
 
     def test_jsonl(self, tmp_path):
         path = self._write(

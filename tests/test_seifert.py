@@ -2,11 +2,13 @@
 
 import pytest
 
+import dihedral.seifert as seifert_mod
 from dihedral import (
     CharKnotClass,
     SeifertMatrix,
     SeifertMatrixError,
     StabilizationError,
+    analyze,
     connected_sum,
     knot_determinant,
     stabilize_zero_framed,
@@ -118,6 +120,18 @@ class TestConnectedSum:
             SeifertMatrix._block_sum(twist_knot(2), IntMatrix([[0, -1], [0, 0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (symmetrize, "symmetrize expects a SeifertMatrix"),
+    (lambda m: connected_sum(m, twist_knot(2)), "connected_sum expects SeifertMatrix arguments"),
+    (lambda m: connected_sum(twist_knot(2), m), "connected_sum expects SeifertMatrix arguments"),
+    (lambda m: stabilize_zero_framed(m, (-1, 1), 3),
+     "stabilize_zero_framed expects a SeifertMatrix"),
+], ids=["symmetrize", "connected_sum-first", "connected_sum-second", "stabilize_zero_framed"])
+def test_takes_only_seifert_matrices(call, message):
+    with pytest.raises(TypeError, match=message):
+        call(twist_knot(2).matrix)
+
+
 class TestSymmetrize:
     def test_symmetry(self, corpus):
         for v in corpus[:10]:
@@ -186,6 +200,28 @@ class TestStabilization:
     def test_rejects_non_characteristic(self):
         with pytest.raises(StabilizationError):
             stabilize_zero_framed(twist_knot(2), (1, 1), 3)
+
+    def test_wrong_squares_raise(self, monkeypatch):
+        # a four-square answer off by one: the stabilized value comes out
+        # nonzero, and both the library call and a report refuse it
+        real = seifert_mod.four_squares
+        monkeypatch.setattr(seifert_mod, "four_squares", lambda k: (real(k)[0] + 1,) + real(k)[1:])
+        # the value 18 on 11 twists (-18 on -7) needs squares summing to 1;
+        # (1, 1, 0, 0) moves it by 36, leaving -18 (18)
+        with pytest.raises(ArithmeticError, match="stabilized form value should be 0, got -18"):
+            stabilize_zero_framed(twist_knot(11), (-1, 1), 3)
+        with pytest.raises(ArithmeticError, match="stabilized form value should be 0, got 18"):
+            stabilize_zero_framed(twist_knot(-7), (-1, 1), 3)
+        with pytest.raises(ArithmeticError, match="stabilized form value should be 0"):
+            analyze(twist_knot(11), [3])
+
+    def test_mirrored_blocks_raise(self, monkeypatch):
+        # the band pairs of the other sign: the squares are right, but the
+        # form value of the stabilized class checked on the new matrix is not 0
+        blocks = seifert_mod._STAB_BLOCKS
+        monkeypatch.setattr(seifert_mod, "_STAB_BLOCKS", {1: blocks[-1], -1: blocks[1]})
+        with pytest.raises(ArithmeticError, match="stabilized form value should be 0, got 36"):
+            stabilize_zero_framed(twist_knot(11), (-1, 1), 3)
 
     def test_rejects_unfixable_value(self):
         # trefoil: value 2m - 4 = -6, divisible by 3 but not by 9

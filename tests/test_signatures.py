@@ -137,6 +137,24 @@ class TestTristramLevine:
         both = connected_sum(ZERO_FRAMED_BANDS, connected_sum(TREFOIL, ZERO_FRAMED_BANDS))
         assert tristram_levine(both, (2, 5)) == eigh_signature(both, (2, 5))
 
+    @pytest.mark.parametrize("rows", [
+        # two 1x1 pivots, then a 2x2 one with two rows left to update
+        [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, -1, 1, 0, 0], [0, 0, 0, 3, 0, 0],
+         [1, -1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
+        # two 1x1 pivots, then two 2x2 ones, where the first off-diagonal
+        # entry left vanishes at w, so the pair must be searched for
+        [[-1, 2, 0, 0, 0, 0], [1, -3, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0],
+         [0, 0, 1, 1, 0, 1], [0, 0, 0, -1, 0, 0]],
+        # at a sixth root, a 2x2 pivot on a diagonal minor that vanishes
+        # there but is not 0: the bordered update must stay exact
+        [[-1, 2, 0, 0, 0, 1], [1, -3, 0, -1, 0, -1], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, -1],
+         [0, 0, 0, -1, 0, 1], [1, -2, 0, 0, 0, -1]],
+    ], ids=["rows-after-pair", "pair-searched", "vanishing-minor"])
+    def test_two_step_pivot_inside(self, rows):
+        v = SeifertMatrix(rows)
+        for omega in [(1, 6)] + ORACLE_OMEGAS:
+            assert _or_none(tristram_levine, v, omega) == _or_none(eigh_signature, v, omega)
+
     def test_reduced_root(self, corpus):
         # (3, 9) and (5, 15) are the root (1, 3)
         for v in (TREFOIL,) + corpus[:20]:
@@ -215,15 +233,16 @@ class TestTristramLevine:
         assert done.stdout.split() == ["2", "False"]
 
     def test_unit_circle_table_within_one_unit(self):
-        for bits in (64, 128, 1024):
+        # the long table at d = 1001, sampled, needs every guard bit
+        cases = [(d, bits) for bits in (64, 128, 1024) for d in range(1, 31)] + [(1001, 1001)]
+        for d, bits in cases:
             with mpmath.workprec(2 * bits):
-                for d in range(1, 31):
-                    cos, sin = signatures._unit_circle(d, bits)
-                    assert len(cos) == len(sin) == 4 * d
-                    for t in range(4 * d):
-                        x = mpmath.mpf(t) / (2 * d)
-                        assert abs(cos[t] - mpmath.ldexp(mpmath.cospi(x), bits)) < 1, (d, bits, t)
-                        assert abs(sin[t] - mpmath.ldexp(mpmath.sinpi(x), bits)) < 1, (d, bits, t)
+                cos, sin = signatures._unit_circle(d, bits)
+                assert len(cos) == len(sin) == 4 * d
+                for t in range(0, 4 * d, 1 + d // 100):
+                    x = mpmath.mpf(t) / (2 * d)
+                    assert abs(cos[t] - mpmath.ldexp(mpmath.cospi(x), bits)) < 1, (d, bits, t)
+                    assert abs(sin[t] - mpmath.ldexp(mpmath.sinpi(x), bits)) < 1, (d, bits, t)
 
     def test_precision_bits_validation(self):
         with pytest.raises(TypeError):
@@ -244,6 +263,15 @@ class TestTristramLevine:
                             out[i + j] += x * y
                     prod = out
             assert prod == [-1] + [0] * (d - 1) + [1]
+
+    def test_large_order_decided_by_degree(self):
+        # deg Phi_d = phi(d) >= sqrt(d / 2) is above the degree of every
+        # minor of the trefoil's form at d = 1001: no Phi_d is built
+        signatures._minor_chain.cache_clear()
+        signatures._cyclotomic.cache_clear()
+        assert tristram_levine(TREFOIL, (1, 1001)) == 0
+        assert tristram_levine(TREFOIL, (500, 1001)) == -2
+        assert signatures._cyclotomic.cache_info().currsize == 0
 
     @pytest.mark.parametrize("call", ["tristram_levine", "xi_n"])
     def test_starting_precision_bounded(self, call):
@@ -304,6 +332,10 @@ class TestTristramLevine:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_takes_a_seifert_matrix(self):
+        with pytest.raises(TypeError, match="tristram_levine expects a SeifertMatrix"):
+            tristram_levine(TREFOIL.matrix, (1, 3))
+
     def test_omega_validation(self):
         with pytest.raises(ValueError):
             tristram_levine(TREFOIL, (0, 3))
@@ -325,9 +357,9 @@ class TestXi:
             assert not val.is_exact
 
     def test_twist_rejects_other_residues(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="twist parameter 0 has no order-3 dihedral quotient"):
             twist_xi3(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="twist parameter 3 has no order-3 dihedral quotient"):
             twist_xi3(3)
 
     def test_integrality_when_extending(self):
@@ -385,6 +417,18 @@ class TestXi:
         with pytest.raises(ValueError, match="reversed"):
             XiValue(Fraction(0), (1, -1), 0)
 
+    @pytest.mark.parametrize("v, knot, message", [
+        (twist_knot(2).matrix, SeifertMatrix([]), "xi_n expects a SeifertMatrix"),
+        (twist_knot(2), [], "the characteristic knot must come as a SeifertMatrix"),
+    ], ids=["surface", "characteristic-knot"])
+    def test_takes_seifert_matrices(self, v, knot, message):
+        with pytest.raises(TypeError, match=message):
+            xi_n(v, (-1, 1), knot, 3, 0)
+
+    def test_sigma_w_bound_nonnegative(self):
+        with pytest.raises(ValueError, match="magnitude must be nonnegative, got -1"):
+            SigmaWBound(-1)
+
     def test_sigma_w_type_checked(self):
         for bad in (True, 1.0, "1"):
             with pytest.raises(TypeError, match="sigma_w is not an integer"):
@@ -410,16 +454,35 @@ class TestRibbon:
 
     @pytest.mark.parametrize("n, square_free", [
         (15, True), (105, True), (45, False), (75, False), (225, False),
+        pytest.param(math.prod(p for p in range(3, 98, 2) if all(p % q for q in range(3, p, 2))),
+                     True, id="odd-primes-to-97"),
     ])
     def test_square_free_scan_on_composite_n(self, n, square_free):
         # the scan divides out each prime it meets: 75 = 3 * 5^2 finds 5^2
-        # only after dividing out 3
+        # only after dividing out 3, and the product of the odd primes up
+        # to 97, about 1.2 * 10^36, is done at d = 97, not near sqrt(n)
         val = twist_xi3(2)  # candidates -1, 1, inside every bound here
         if square_free:
             assert ribbon_test(val, 0, n) == RIBBON_CONSISTENT
         else:
             with pytest.raises(NonSquareFreeError, match=f"got {n}"):
                 ribbon_test(val, 0, n)
+
+    @pytest.mark.parametrize("value, want", [
+        (Fraction(2, 3), RIBBON_CONSISTENT), (Fraction(4, 3), RIBBON_OBSTRUCTED),
+        (Fraction(-2, 3), RIBBON_CONSISTENT), (Fraction(-4, 3), RIBBON_OBSTRUCTED),
+    ])
+    def test_rational_candidates(self, value, want):
+        # against rank + (n - 1)/2 = 1 at rank 0 and n = 3, without rounding
+        assert ribbon_test(XiValue(value, (0, 0), 0), 0, 3) == want
+
+    @pytest.mark.parametrize("xi, rank, error, message", [
+        ((1, 1), 0, TypeError, "ribbon_test expects an XiValue"),
+        (XiValue(Fraction(1), (0, 0), 0), -1, ValueError, "rank must be nonnegative, got -1"),
+    ], ids=["not-an-XiValue", "negative-rank"])
+    def test_rejects_malformed_arguments(self, xi, rank, error, message):
+        with pytest.raises(error, match=message):
+            ribbon_test(xi, rank, 3)
 
     def test_obstruction_needs_all_candidates_out(self):
         # one candidate inside the bound keeps the knot ribbon-possible

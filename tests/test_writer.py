@@ -401,6 +401,24 @@ class TestRecordBatches:
         assert _rows(entries[where // _SLICE * _SLICE:][:_SLICE], "\n  ") is None
         assert_like_json_dumps(entries)
 
+    @pytest.mark.parametrize("where", [1, _SLICE - 1])
+    def test_list_mixing_record_classes(self, where):
+        # a list a caller builds may mix record classes: the slice path
+        # declines it, and each record is written by its own layout
+        entries = class_entries(_SLICE)
+        entries[where] = char_entries(1)[0]
+        assert _rows(entries, "\n  ") is None
+        assert_like_json_dumps(entries)
+
+    def test_long_members_of_a_record_in_parts(self):
+        # over _PART members, a ClassEntry's members go item by item, in parts
+        entry = class_entries(1, members=50_000)[0]
+        parts = []
+        _write_json(entry, parts.append)
+        doc = "".join(parts)
+        assert doc == json.dumps(plain(entry), indent=2, sort_keys=True)
+        assert max(map(len, parts)) < len(doc) / 8
+
     def test_none_inside_a_shared_summary(self):
         odd = StabSummary("not-zero-framable", None, (), False, ())
         entries = char_entries(2 * _SLICE + 1)
