@@ -6,15 +6,16 @@ by Sylvester's law of inertia. H(w) = (conj(w) - 1) B(w) with
 B(x) = x V - V^T, and one fraction-free symmetric elimination of B over
 Z[x] yields the polynomials p_j whose values give the nested principal
 minors D_j = (conj(w) - 1)^j p_j(w) of H(w). A pivot is taken only where
-it is nonzero at w, which is decided exactly as a nonzero remainder mod
-the cyclotomic polynomial of w's order d, so no tolerance enters. The
-elimination thus depends only on d, not on k: it runs once per
-(matrix, d), the last 8 pairs are kept, and only the sign pass reads k.
-The one refusal is a singular H(w), which happens exactly when w is a
-root of the Alexander polynomial det(x V - V^T). Each sign is read
-from one exact integer sum over a fixed-point table of cos and sin at
-2^bits scale, whose error bound is proven; bits doubles until that
-bound excludes zero. No floats and no dependency enter.
+it is nonzero at w. The norm of the algebraic integer p_j(w) bounds it
+away from 0 unless it is 0, so one evaluation at a width set by that
+bound decides this exactly; no tolerance enters. The elimination thus
+depends only on the order d of w, not on k: it runs once per (matrix, d),
+the last 8 pairs are kept, and only the sign pass reads k. The one
+refusal is a singular H(w), exactly when w is a root of the Alexander
+polynomial det(x V - V^T). Each sign is read from one exact integer sum
+over a fixed-point table of cos and sin at 2^bits scale with a proven
+error bound; bits doubles until it excludes zero, at most to that width.
+No floats and no dependency enter.
 
 On top of it sits the xi invariant of a dihedral quotient: a linking-form
 term, a cover-signature correction sigma(W) known only up to sign in
@@ -47,20 +48,21 @@ RIBBON_OBSTRUCTED = "not-ribbon"
 DEFAULT_PRECISION_BITS = 128
 # The largest starting precision. A table at p bits costs about p / log p
 # products of p-bit integers, so a start far above what a sign needs is
-# slow; the doubling may still climb past this bound.
+# slow; the doubling stops at _settle's cap, which may lie past this bound.
 _MAX_PRECISION_BITS = 4096
 
 
 def tristram_levine(v, omega, *, precision_bits=DEFAULT_PRECISION_BITS):
     """Signature of (1 - w) V + (1 - conj(w)) V^T at w = exp(2 pi i k / n).
 
-    omega is the pair (k, n) with 0 < k < n. The inertia is exact; raises
-    SignatureIndeterminateError exactly when the form is singular at w,
-    that is when w is a root of the Alexander polynomial det(x V - V^T).
-    precision_bits is the starting precision of the fixed-point sign
-    evaluation, in [2, 4096]; it is doubled until the sign is certain,
-    so it never changes the answer. The elimination is shared by every
-    k of one order d = n / gcd(k, n); only the sign pass runs per call.
+    omega is the pair (k, n) with 0 < k < n. The inertia is exact, with
+    zero tests decided by a norm bound; raises SignatureIndeterminateError
+    exactly when the form is singular at w, that is when w is a root of
+    the Alexander polynomial det(x V - V^T). precision_bits is the
+    starting precision of the fixed-point sign evaluation, in [2, 4096];
+    it is doubled until the sign is certain, so it never changes the
+    answer. The elimination is shared by every k of one order
+    d = n / gcd(k, n); only the sign pass runs per call.
     """
     if not isinstance(v, SeifertMatrix):
         raise TypeError("tristram_levine expects a SeifertMatrix")
@@ -200,41 +202,14 @@ def _exact_quotient(num, den):
 
 
 def _vanishes(coeffs, d):
-    """Whether the polynomial vanishes at a primitive d-th root of unity,
-    that is whether the cyclotomic polynomial Phi_d divides it."""
-    if not coeffs:
-        return True
-    # deg Phi_d = phi(d) >= sqrt(d / 2), so Phi_d cannot divide a nonzero
-    # polynomial of lower degree; this spares building Phi_d for large d
-    if d >= 2 * len(coeffs) ** 2:
-        return False
-    return not any(_divmod_monic(coeffs, _cyclotomic(d))[1])
-
-
-@lru_cache(maxsize=64)
-def _cyclotomic(d):
-    """Coefficients of the monic integer polynomial Phi_d, constant term
-    first: x^d - 1 divided by Phi_e for every proper divisor e of d, which
-    leaves no remainder, as x^d - 1 is the product of Phi_e over e | d."""
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            poly = _divmod_monic(poly, _cyclotomic(e))[0]
-    return tuple(poly)
-
-
-def _divmod_monic(num, div):
-    """Quotient and remainder of integer polynomials, constant term first,
-    by a monic divisor."""
-    deg = len(div) - 1
-    rem = list(num)
-    quot = [0] * (len(rem) - deg)  # empty when deg num < deg div; each entry is set below
-    for top in range(len(rem) - 1, deg - 1, -1):
-        c = quot[top - deg] = rem[top]
-        if c:
-            for j in range(deg + 1):
-                rem[top - deg + j] -= c * div[j]
-    return quot, rem[:deg]
+    """Whether the polynomial vanishes at the primitive d-th roots of
+    unity. Their minimal polynomial Phi_d is irreducible of degree phi(d),
+    so a nonzero polynomial with at most phi(d) coefficients does not;
+    any other is evaluated at exp(2 pi i / d) by _settle."""
+    if len(coeffs) <= _totient(d):
+        return not coeffs
+    turns = [4 * j % (4 * d) for j in range(len(coeffs))]
+    return _settle(coeffs, turns, sum(map(abs, coeffs)), d, DEFAULT_PRECISION_BITS) is None
 
 
 def _real_sign(coeffs, depth, k, d, precision_bits):
@@ -243,17 +218,36 @@ def _real_sign(coeffs, depth, k, d, precision_bits):
 
     conj(w) - 1 = 2 sin(theta / 2) exp(-i (theta + pi) / 2) with
     theta = 2 pi k / d, so up to a positive factor D is the sum of
-    c_j exp(i pi t_j / (2 d)) with t_j = 4 j k - depth (2 k + d). Over the
-    table of _unit_circle its real and imaginary parts are exact integer
-    sums, each within sum |c_j| units of 2^bits times the true value, and
-    bits doubles from precision_bits until that bound settles the sign,
-    which it does because the value is nonzero. D is a minor of a
-    Hermitian matrix, so it is real: an imaginary part that is certainly
-    nonzero raises ArithmeticError.
+    c_j exp(i pi t_j / (2 d)) with t_j = 4 j k - depth (2 k + d), which
+    _settle evaluates from precision_bits. D is a minor of a Hermitian
+    matrix, so it is real: an imaginary part that is certainly nonzero
+    raises ArithmeticError, and so does f(w) = 0, which the zero test
+    should have refused as a pivot.
     """
     turns = [(4 * j * k - depth * (2 * k + d)) % (4 * d) for j in range(len(coeffs))]
     total = sum(map(abs, coeffs))
-    bits = precision_bits
+    settled = _settle(coeffs, turns, total, d, precision_bits)
+    if settled is None:
+        raise ArithmeticError(f"a pivot is zero at exp(2 pi i {k}/{d}), "
+                              f"but the zero test _vanishes passed it")
+    re, im, bits = settled
+    if abs(im) > total:
+        raise ArithmeticError(f"a minor of H(w) has imaginary part {im} / 2^{bits}: "
+                              f"the form is not Hermitian")
+    return 1 if re > 0 else -1
+
+
+def _settle(coeffs, turns, total, d, bits):
+    """(re, im, bits): the sum of c_j exp(i pi t_j / (2 d)) over the table
+    of _unit_circle at the first width, doubling from bits, where
+    max(|re|, |im|) > S = total = sum |c_j|; None when it is exactly 0.
+
+    Each entry is within one unit, so re and im are within S units of the
+    true parts at scale 2^bits. The sum is u f(w) with |u| = 1; a nonzero
+    f(w) in Z[zeta_d] has a nonzero integer norm and conjugates of modulus
+    <= S, so |f(w)| >= S^(1 - phi(d)), and bits >= phi(d) bitlen(S) + 2
+    settles it. phi(d) and a table cost O(d); that cap is reached only on 0.
+    """
     while True:
         cos, sin = _unit_circle(d, bits)
         re = im = 0
@@ -261,12 +255,16 @@ def _real_sign(coeffs, depth, k, d, precision_bits):
             if c:
                 re += c * cos[t]
                 im += c * sin[t]
-        if abs(im) > total:
-            raise ArithmeticError(f"a minor of H(w) has imaginary part {im} / 2^{bits}: "
-                                  f"the form is not Hermitian")
-        if abs(re) > total:
-            return 1 if re > 0 else -1
+        if abs(re) > total or abs(im) > total:
+            return re, im, bits
+        if bits >= _totient(d) * total.bit_length() + 2:
+            return None
         bits *= 2
+
+
+@lru_cache(maxsize=64)
+def _totient(d):
+    return sum(math.gcd(j, d) == 1 for j in range(d))
 
 
 @lru_cache(maxsize=64)

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import dihedral
+from conftest import scrambled
 from dihedral import signatures
 from dihedral import (
     CharKnotClass,
@@ -83,6 +84,53 @@ def _near_isotropic(s):
     with mpmath.workprec(4 * s.bit_length() + 64):
         n = int(mpmath.nint(mpmath.mpf(s) ** 2 * (5 + mpmath.sqrt(5)) / 10))
     return SeifertMatrix([[1, s, 1, 0], [0, n, 0, -1], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Phi_d, constant term first: x^d - 1 divided by Phi_e for every
+    proper divisor e of d, each division exact."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = divmod_monic(poly, cyclotomic(e))
+            assert not any(rem), (d, e)
+    return tuple(poly)
+
+
+def divmod_monic(num, div):
+    """Quotient and remainder of integer polynomials, constant term first,
+    by a monic divisor."""
+    deg = len(div) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(rem) - deg)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = quot[top - deg] = rem[top]
+        for j in range(deg + 1):
+            rem[top - deg + j] -= c * div[j]
+    return quot, rem[:deg]
+
+
+def phi_divides(coeffs, d):
+    """The reference zero test: whether Phi_d divides the polynomial,
+    that is whether it vanishes at the primitive d-th roots of unity."""
+    return not any(divmod_monic(coeffs, cyclotomic(d))[1])
+
+
+def pivot_candidates(monkeypatch, v, d):
+    """(coeffs, verdict) for every polynomial the elimination of v at
+    order d zero-tests, by a fresh elimination."""
+    seen = []
+    real = signatures._vanishes
+
+    def spy(coeffs, d):
+        seen.append((tuple(coeffs), real(coeffs, d)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(signatures, "_vanishes", spy)
+    signatures._minor_chain.__wrapped__(v, d)
+    monkeypatch.undo()
+    return seen
 
 
 class TestTristramLevine:
@@ -202,6 +250,10 @@ class TestTristramLevine:
         v = _near_isotropic(10 ** 12)
         want = eigh_signature(v, (1, 5), precision_bits=256)
         assert want == 2
+        # the chain's zero tests build tables too: build it first, so the
+        # spy sees only the sign pass; each sign's cap is phi(5) bitlen(S) + 2
+        chain = signatures._minor_chain(v, 5)
+        cap = max(4 * sum(map(abs, coeffs)).bit_length() + 2 for coeffs, _ in chain)
         tables = []
         table = signatures._unit_circle
 
@@ -214,8 +266,10 @@ class TestTristramLevine:
         for bits in (2, 16, 128, 1024):
             tables.clear()
             assert tristram_levine(v, (1, 5), precision_bits=bits) == want
-            # each sign's search starts at precision_bits and doubles
+            # each sign's search starts at precision_bits and doubles, and
+            # never from a width at or past the norm bound's cap
             assert all(b == bits or b == 2 * a for a, b in zip(tables, tables[1:]))
+            assert all(a < cap for a, b in zip(tables, tables[1:]) if b == 2 * a)
             if bits == 2:
                 # the second minor needs more bits than a float carries
                 assert max(tables) >= 128
@@ -250,28 +304,40 @@ class TestTristramLevine:
         with pytest.raises(ValueError):
             tristram_levine(TREFOIL, (1, 3), precision_bits=1)
 
-    def test_cyclotomic_polynomials(self):
-        # x^d - 1 is the product of Phi_e over the divisors e of d
-        for d in range(1, 31):
-            prod = [1]
-            for e in range(1, d + 1):
-                if d % e == 0:
-                    phi = signatures._cyclotomic(e)
-                    out = [0] * (len(prod) + len(phi) - 1)
-                    for i, x in enumerate(prod):
-                        for j, y in enumerate(phi):
-                            out[i + j] += x * y
-                    prod = out
-            assert prod == [-1] + [0] * (d - 1) + [1]
+    def test_zero_test_agrees_with_cyclotomic_division(self, corpus, scrambled_genus4,
+                                                       monkeypatch):
+        # the norm-bound evaluation decides every pivot candidate of the
+        # elimination as the exact remainder mod Phi_d does; 8 of the 4,841
+        # candidates are nonzero polynomials that vanish at w
+        params = (2, 5, 8, 11, -1, -4, 3, 6, 2, 5)
+        genus10 = functools.reduce(connected_sum, map(twist_knot, params))
+        cases = [(v, d) for v in corpus[:60] for d in range(2, 31)]
+        cases += [(v, d) for v in (scrambled_genus4, scrambled(genus10, 10, 20))
+                  for d in range(3, 16, 2)]
+        zeros = total = 0
+        for v, d in cases:
+            for coeffs, verdict in pivot_candidates(monkeypatch, v, d):
+                assert verdict == phi_divides(coeffs, d), (v, d, coeffs)
+                zeros += verdict and bool(coeffs)
+                total += 1
+        assert zeros > 0 and total > 2000, (zeros, total)
 
-    def test_large_order_decided_by_degree(self):
-        # deg Phi_d = phi(d) >= sqrt(d / 2) is above the degree of every
-        # minor of the trefoil's form at d = 1001: no Phi_d is built
+    def test_large_order_decided_by_degree(self, monkeypatch):
+        # every minor of the trefoil's form has at most phi(1001) = 720
+        # coefficients, so none of them can vanish at d = 1001: the zero
+        # tests build no table, and only the sign pass builds its own
+        tables = []
+        table = signatures._unit_circle
+
+        def spy(d, bits):
+            tables.append((d, bits))
+            return table(d, bits)
+
+        monkeypatch.setattr(signatures, "_unit_circle", spy)
         signatures._minor_chain.cache_clear()
-        signatures._cyclotomic.cache_clear()
         assert tristram_levine(TREFOIL, (1, 1001)) == 0
         assert tristram_levine(TREFOIL, (500, 1001)) == -2
-        assert signatures._cyclotomic.cache_info().currsize == 0
+        assert tables == [(1001, 128)] * 4  # one per sign
 
     @pytest.mark.parametrize("call", ["tristram_levine", "xi_n"])
     def test_starting_precision_bounded(self, call):
@@ -306,12 +372,26 @@ class TestTristramLevine:
             with pytest.raises(ArithmeticError, match="not Hermitian"):
                 signatures._real_sign(coeffs, depth, k, d, 64)
 
+    def test_cap_passes_a_value_at_the_norm_bound(self):
+        # at w = -1 the bound is tight: f = a + (a + 1) x has f(-1) = -1,
+        # the least modulus of a nonzero value, with S = 2a + 1. The table
+        # is exact at the angles 0 and pi, so the sum is exactly -2^bits and
+        # settles only from bitlen(S) = 102 bits; a start of 100 or 101 is
+        # below the cap, 104, and must double once more
+        a = 2 ** 100
+        for bits in (2, 100, 101):
+            assert signatures._real_sign([a, a + 1], 0, 1, 2, bits) == -1
+        with pytest.raises(ArithmeticError, match="the zero test _vanishes passed it"):
+            signatures._real_sign([a, a], 0, 1, 2, 101)
+
     def test_internal_checks_raise_under_optimize(self):
-        # the exact-division and Hermitian checks are not asserts
+        # the exact-division, Hermitian and vanishing-pivot checks are not
+        # asserts; x + 1 is exactly zero at w = -1
         code = (
             "from dihedral import signatures as s\n"
             "for call in (lambda: s._exact_quotient(7, 2),\n"
-            "             lambda: s._real_sign([1], 1, 1, 3, 64)):\n"
+            "             lambda: s._real_sign([1], 1, 1, 3, 64),\n"
+            "             lambda: s._real_sign([1, 1], 0, 1, 2, 64)):\n"
             "    try:\n"
             "        call()\n"
             "    except ArithmeticError:\n"
@@ -323,6 +403,30 @@ class TestTristramLevine:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_vanishing_pivot_raises(self):
+        # a zero test that passes every nonzero polynomial lets the
+        # trefoil's Alexander polynomial, zero at exp(2 pi i / 6), through
+        # as a pivot: its sign must raise at the norm bound, not search on
+        code = (
+            "import time\n"
+            "from dihedral import signatures as s, twist_knot\n"
+            "s._vanishes = lambda coeffs, d: not coeffs\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    s.tristram_levine(twist_knot(-1), (1, 6))\n"
+            "except ArithmeticError as e:\n"
+            "    print(time.perf_counter() - start, e)\n"
+            "else:\n"
+            "    raise SystemExit('no ArithmeticError')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        seconds, message = done.stdout.split(" ", 1)
+        assert float(seconds) < 1
+        assert "the zero test _vanishes passed it" in message
 
     def test_cli_import_leaves_mpmath_out(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import dihedral.cli; "
