@@ -12,11 +12,11 @@ declares its layout once, in _json: per key, the field it reads and its
 kind (bool, number, decimal, str, rational, ints, numbers, strs,
 members, rationals, a record class, or a list of one), which picks the
 function that writes it; nothing about a value is inferred but None,
-written as null in any field. A long list of per-class records or twist
-sweep rows is written in slices of _SLICE records, each key's column
-formatted at once into a template of the class's text. Dicts and lists
-outside records are written by their values' types. The writer hands
-the text to a write function in parts of bounded size. A number is a
+written as null. A record in a field is written where it stands; a long
+list of per-class records or twist rows goes in slices of _SLICE, each
+key's column at once into a class template (a record once per distinct
+object). Other dicts and lists are written by their values' types. The
+text goes to a write function in parts of bounded size. A number is a
 JSON number, a decimal a decimal string, a rational {"num": "...",
 "den": "..."} with decimal strings. Output is fully deterministic.
 """
@@ -241,14 +241,14 @@ _GENERIC = {bool: "bool", int: "decimal", str: "str"}
 _PART = 1024
 # Records per slice of a list written from its class's template.
 _SLICE = 64
-# The record classes written from templates: the per-class records and the
-# twist sweep's rows, whose fields hold leaves or one record of this set,
-# never a list of records. _SHORT holds the shortest list of a class
-# written in slices: the slice path pays a fixed cost per column, and at
-# these lengths it starts to write faster than the record path. A shorter
-# list, or one of StabSummary (a CharEntry column), goes record by record.
-_SHORT = {ClassEntry: 8, CharEntry: 10, TwistRow: 8}
-_SLICED = frozenset({*_SHORT, StabSummary})
+# The record classes whose lists are written from templates: the per-class
+# records and the twist sweep's rows, whose fields hold leaves or one
+# StabSummary, never a list of records. _SHORT is the shortest list written
+# in slices: the slice path pays a fixed cost per column, and from this
+# length it writes a list of each class about as fast as the record path
+# or faster. A shorter list goes record by record.
+_SHORT = 6
+_SLICED = frozenset({ClassEntry, CharEntry, TwistRow})
 
 
 def _off_kind(cls, field, kind, odd):
@@ -358,15 +358,15 @@ def _leaves(nl):
 
 
 def _rows(recs, nl):
-    """The text of each record of recs, all of one class in _SLICED, whose
-    closing braces start with nl: each key's column is taken in one map,
-    its type set checked against the key's kind, written by the kind's
-    leaf (a column mixing None with values value by value, a column of
-    records once per distinct object), and the columns fill the class's
-    _template. None when a column holds records among None, or over
-    _PART members or rationals: the record path writes those."""
+    """The text of each record of recs, all of one class in _SLICED or
+    StabSummary, whose closing braces start with nl: each key's column is
+    taken in one map, its type set checked against the key's kind, written
+    by the kind's leaf (a column mixing None with values value by value, a
+    column of records once per distinct object), and the columns fill the
+    class's _template. None when a column holds records among None, or
+    over _PART members or rationals: the record path writes those."""
     cls = type(recs[0])
-    if cls not in _SLICED or {*map(type, recs)} != {cls}:
+    if {*map(type, recs)} != {cls}:
         return None
     cols = []
     for _, get, types, leaf, kind, field in _layout(cls, nl):
@@ -394,21 +394,19 @@ def _write_json(x, write):
     outside records, and their items, by their types: an int is a number
     under _NUMBER_KEYS, and a type outside _GENERIC a rational.
 
-    A list of at least _SHORT[cls] records of class cls is written in
-    slices of _SLICE records by _rows, a part ending after each full
+    A list of at least _SHORT records of one class in _SLICED is written
+    in slices of _SLICE records by _rows, a part ending after each full
     slice; a slice _rows declines goes record by record. Elsewhere a part
     ends at a list item once _PART fragments are waiting, so the text
-    held at once stays bounded. The text of a record held in a field (a
-    block's failing classes share one StabSummary) is kept per indent
-    unless a part ended inside it."""
-    out, memo, parts = [], {}, 0
+    held at once stays bounded. The record path writes a record held in
+    a field where it stands; _rows writes it once per slice for each
+    distinct object (a block's failing classes share one StabSummary)."""
+    out = []
     put = out.append
 
     def flush():
-        nonlocal parts
         write("".join(out))
         out.clear()
-        parts += 1
 
     def value(x, nl, numeric):  # a value outside any record's fields
         t = type(x)
@@ -432,7 +430,7 @@ def _write_json(x, write):
 
     def sequence(x, nl, numeric):  # a nonempty list
         inner = nl + "  "
-        if len(x) >= _SHORT.get(type(x[0]), math.inf):
+        if len(x) >= _SHORT and type(x[0]) in _SLICED:
             for i in range(0, len(x), _SLICE):
                 chunk = x[i:i + _SLICE]
                 texts = _rows(chunk, inner)
@@ -462,17 +460,9 @@ def _write_json(x, write):
                 put(head + "null")
             elif leaf is not None and (text := leaf(v)) is not None:
                 put(head + text)
-            elif leaf is not None or type(kind) is list:  # a long sequence, or records
+            else:  # a long sequence, a record or a list of records
                 put(head)
                 value(v, inner, False)
-            elif (id(v), inner) in memo:
-                put(head + memo[id(v), inner])
-            else:
-                put(head)
-                start, before = len(out), parts
-                record(v, inner)
-                if parts == before:
-                    memo[id(v), inner] = "".join(out[start:])
         put(nl + "}")
 
     value(x, "\n", False)

@@ -245,7 +245,7 @@ def fraction_dict(q):
 class TestSharedRecords:
     """A record object held in several fields is written each time as
     json.dumps would write it, whatever its depth, and also when a part
-    ends inside it, which keeps its text from being reused."""
+    ends inside it: the record path writes it where it stands."""
 
     STAB = StabSummary("stabilized", 10, (2, 1, 0, 0), True, (1, 2, 6, 6, 3, 3, 0, 0, 0, 0))
 
@@ -347,7 +347,7 @@ def twist_rows(count):
 
 
 class TestRecordBatches:
-    """A list of at least _SHORT[cls] records of one class cls is
+    """A list of at least _SHORT records of one class in _SLICED is
     written _SLICE records at a time from its class's template; a slice
     holding what only the record path writes goes record by record.
     Either way the text is json.dumps's."""
@@ -364,8 +364,7 @@ class TestRecordBatches:
 
     @pytest.mark.parametrize("make", [char_entries, class_entries, twist_rows])
     def test_lists_around_the_shortest_sliced(self, make):
-        short = _SHORT[type(make(1)[0])]
-        for count in (1, short - 1, short, short + 1):
+        for count in (1, _SHORT - 1, _SHORT, _SHORT + 1):
             assert_like_json_dumps(make(count))
             assert_like_json_dumps({"a": [make(count)], "n": 3})
 
