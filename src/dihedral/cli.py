@@ -7,9 +7,8 @@ Subcommands:
     charknots  characteristic knot classes for one matrix and one n
     selftest   run the built-in regression checks
 
-main builds the parser of the subcommand its first argument names, and
-of all five for anything else (help, no argument, a wrong name); the
-help and usage text is the same either way.
+A process builds the parser of all five subcommands once, on the first
+call to main, and every later call parses with it.
 
 The enumeration cap is resolved as: --enum-cap flag, then the
 DIHEDRAL_ENUM_CAP environment variable, then the built-in default.
@@ -18,6 +17,7 @@ value), 2 on a usage error from argparse or a selftest failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -153,57 +153,45 @@ def _add_common(sub, matrix=False):
                      help="output format (default json)")
 
 
-# the subcommands, in the order the full parser lists them
-_COMMANDS = ("analyze", "scan", "twist", "charknots", "selftest")
-
-
-def build_parser(command=None):
-    """The parser of every subcommand, or of the one named command only:
-    each subparser costs more than the top level, and a call runs one."""
+@functools.cache
+def build_parser():
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dihedral",
         description="Dihedral branched-cover obstructions from Seifert matrices.",
     )
-    # the usage line names every command either way; the full parser lists
-    # them itself, since a metavar would also rename its missing-command error
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "analyze"):
-        p = subs.add_parser("analyze", help="full report for one knot")
-        _add_common(p, matrix=True)
-        p.add_argument("--name", default="knot", help="knot name for the report")
-        p.add_argument("--n", type=integer, action="append", metavar="N",
-                       help="dihedral order, repeatable; default: all odd divisors")
-        p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
-                       help=f"largest n considered in auto mode (default {DEFAULT_N_MAX})")
-        p.set_defaults(func=cmd_analyze)
+    p = subs.add_parser("analyze", help="full report for one knot")
+    _add_common(p, matrix=True)
+    p.add_argument("--name", default="knot", help="knot name for the report")
+    p.add_argument("--n", type=integer, action="append", metavar="N",
+                   help="dihedral order, repeatable; default: all odd divisors")
+    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
+                   help=f"largest n considered in auto mode (default {DEFAULT_N_MAX})")
+    p.set_defaults(func=cmd_analyze)
 
-    if command in (None, "scan"):
-        p = subs.add_parser("scan", help="batch reports for a census file")
-        p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
-        p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
-                       help=f"largest n considered (default {DEFAULT_N_MAX})")
-        _add_common(p)
-        p.set_defaults(func=cmd_scan)
+    p = subs.add_parser("scan", help="batch reports for a census file")
+    p.add_argument("path", help="CSV (name,seifert header) or JSON-lines file")
+    p.add_argument("--n-max", type=integer, default=DEFAULT_N_MAX, metavar="N",
+                   help=f"largest n considered (default {DEFAULT_N_MAX})")
+    _add_common(p)
+    p.set_defaults(func=cmd_scan)
 
-    if command in (None, "twist"):
-        p = subs.add_parser("twist", help="sweep the twist-knot family")
-        p.add_argument("--m-range", required=True, metavar="A:B",
-                       help="inclusive twist parameter range, e.g. --m-range=-1:2")
-        _add_common(p)
-        p.set_defaults(func=cmd_twist)
+    p = subs.add_parser("twist", help="sweep the twist-knot family")
+    p.add_argument("--m-range", required=True, metavar="A:B",
+                   help="inclusive twist parameter range, e.g. --m-range=-1:2")
+    _add_common(p)
+    p.set_defaults(func=cmd_twist)
 
-    if command in (None, "charknots"):
-        p = subs.add_parser("charknots", help="characteristic knot classes")
-        _add_common(p, matrix=True)
-        p.add_argument("--n", type=integer, required=True, metavar="N",
-                       help="dihedral order (odd, > 1)")
-        p.set_defaults(func=cmd_charknots)
+    p = subs.add_parser("charknots", help="characteristic knot classes")
+    _add_common(p, matrix=True)
+    p.add_argument("--n", type=integer, required=True, metavar="N",
+                   help="dihedral order (odd, > 1)")
+    p.set_defaults(func=cmd_charknots)
 
-    if command in (None, "selftest"):
-        p = subs.add_parser("selftest", help="run the built-in regression checks")
-        p.set_defaults(func=cmd_selftest)
+    p = subs.add_parser("selftest", help="run the built-in regression checks")
+    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -229,8 +217,7 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -39,7 +39,7 @@ from .errors import (DivisorSearchError, EnumerationCapError, MatrixParseError, 
 from .exact import ResidueQZ, _derived
 from .obstruction import DEFAULT_ENUM_CAP, _SCOPES, _enum_cap, _extension_walk, _form_value
 from .obstruction import surjective_characters  # noqa: F401  (bench/spans.py rebinds it here)
-from .seifert import SeifertMatrix, _zero_framing, knot_determinant
+from .seifert import SeifertMatrix, _zero_framing, knot_determinant, twist_knot
 from .signatures import ribbon_test, twist_xi3
 
 __all__ = [
@@ -814,8 +814,6 @@ def twist_family(m_first, m_last, *, enum_cap=DEFAULT_ENUM_CAP):
     if _check_int(m_first, "twist range start") > _check_int(m_last, "twist range end"):
         raise ValueError(f"empty twist range: {m_first} > {m_last}")
     _enum_cap(enum_cap)
-    from .seifert import twist_knot
-
     out = []
     for m in range(m_first, m_last + 1):
         v = twist_knot(m)

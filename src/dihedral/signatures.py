@@ -13,8 +13,8 @@ depends only on the order d of w, not on k: it runs once per (matrix, d),
 the last 8 pairs are kept, and only the sign pass reads k. The one
 refusal is a singular H(w), exactly when w is a root of the Alexander
 polynomial det(x V - V^T). Each sign is read from one exact integer sum
-over a fixed-point table of cos and sin at 2^bits scale with a proven
-error bound; bits doubles until it excludes zero, at most to that width.
+over a fixed-point cosine table at 2^bits scale with a proven error
+bound; bits doubles until it excludes zero, at most to that width.
 No floats and no dependency enter.
 
 On top of it sits the xi invariant of a dihedral quotient: a linking-form
@@ -238,9 +238,11 @@ def _real_sign(coeffs, depth, k, d, precision_bits):
 
 
 def _settle(coeffs, turns, total, d, bits):
-    """(re, im, bits): the sum of c_j exp(i pi t_j / (2 d)) over the table
-    of _unit_circle at the first width, doubling from bits, where
+    """(re, im, bits): the sum of c_j exp(i pi t_j / (2 d)) over the cosine
+    table of _unit_circle at the first width, doubling from bits, where
     max(|re|, |im|) > S = total = sum |c_j|; None when it is exactly 0.
+    The sine at t is the cosine at t - d, a quarter turn back, which a
+    negative index reads from the table's last quadrant.
 
     Each entry is within one unit, so re and im are within S units of the
     true parts at scale 2^bits. The sum is u f(w) with |u| = 1; a nonzero
@@ -249,12 +251,12 @@ def _settle(coeffs, turns, total, d, bits):
     settles it. phi(d) and a table cost O(d); that cap is reached only on 0.
     """
     while True:
-        cos, sin = _unit_circle(d, bits)
+        cos = _unit_circle(d, bits)
         re = im = 0
         for c, t in zip(coeffs, turns):
             if c:
                 re += c * cos[t]
-                im += c * sin[t]
+                im += c * cos[t - d]
         if abs(re) > total or abs(im) > total:
             return re, im, bits
         if bits >= _totient(d) * total.bit_length() + 2:
@@ -269,8 +271,8 @@ def _totient(d):
 
 @lru_cache(maxsize=64)
 def _unit_circle(d, bits):
-    """Two tuples of integers within one unit of 2^bits cos(pi t / 2d) and
-    2^bits sin(pi t / 2d), for t in [0, 4d).
+    """A tuple of integers within one unit of 2^bits cos(pi t / 2d), for
+    t in [0, 4d).
 
     Everything runs at p = bits + g working bits, g = 2 bitlen(bits + d)
     + 8 guard bits, so 2^(g - 1) > 128 (bits + d)^2. Machin's pi =
@@ -285,7 +287,7 @@ def _unit_circle(d, bits):
     scales it by |z| <= 1 + E / 2^p, so z^r for r < d is within
     2 d (E + 2) <= d (12p + 88) < 2^(g - 1) units, and each of its parts
     within one unit once rounded to scale 2^bits. The other quadrants
-    are quarter turns of the first.
+    are quarter turns of the first: cos(x + pi / 2) = -sin x.
     """
     guard = 2 * (bits + d).bit_length() + 8
     p = bits + guard
@@ -298,16 +300,12 @@ def _unit_circle(d, bits):
         term = (term * y >> p) // i
     step_c, step_s = parts[0] - parts[2], parts[1] - parts[3]
     half = 1 << (guard - 1)
-    quarter, c, s = [], 1 << p, 0
+    cos, sin, c, s = [], [], 1 << p, 0
     for _ in range(d):
-        quarter.append(((c + half) >> guard, (s + half) >> guard))
+        cos.append((c + half) >> guard)
+        sin.append((s + half) >> guard)
         c, s = (c * step_c - s * step_s) >> p, (s * step_c + c * step_s) >> p
-    cos, sin = [], []
-    for _ in range(4):
-        cos += (c for c, _ in quarter)
-        sin += (s for _, s in quarter)
-        quarter = [(-s, c) for c, s in quarter]
-    return tuple(cos), tuple(sin)
+    return tuple(cos + [-x for x in sin] + [-x for x in cos] + sin)
 
 
 def _atan_inv(x, p):

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, cap resolution."""
 
+import argparse
 import ast
 import json
 import os
@@ -643,10 +644,32 @@ class TestParserShape:
             assert proc.returncode == 0
             assert json.loads(proc.stdout)["determinant"] == "3"
 
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        # two calls of main build the top level and its five subcommands
+        # once, and parse both with that one parser
+        from dihedral.cli import build_parser
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        p = tmp_path / "census.csv"
+        p.write_text(f'name,seifert\ntrefoil,"{TREFOIL}"\n')
+        assert main(["analyze", "--matrix", TREFOIL]) == 0
+        assert main(["scan", str(p)]) == 0
+        assert build_parser() is build_parser()
+        assert built == ["dihedral"] + [f"dihedral {c}" for c in
+                                        ("analyze", "scan", "twist", "charknots", "selftest")]
+
 
 class TestHelpText:
     """main prints the help and usage text of the parser of every
-    subcommand, whichever parser it builds."""
+    subcommand, the one parser it builds per process."""
 
     ARGV = [["--help"], ["analyze", "--help"], ["scan", "--help"], ["twist", "--help"],
             ["charknots", "--help"], ["selftest", "--help"], ["-h", "analyze"], [], ["bogus"],

@@ -291,12 +291,13 @@ class TestTristramLevine:
         cases = [(d, bits) for bits in (64, 128, 1024) for d in range(1, 31)] + [(1001, 1001)]
         for d, bits in cases:
             with mpmath.workprec(2 * bits):
-                cos, sin = signatures._unit_circle(d, bits)
-                assert len(cos) == len(sin) == 4 * d
+                cos = signatures._unit_circle(d, bits)
+                assert len(cos) == 4 * d
                 for t in range(0, 4 * d, 1 + d // 100):
                     x = mpmath.mpf(t) / (2 * d)
                     assert abs(cos[t] - mpmath.ldexp(mpmath.cospi(x), bits)) < 1, (d, bits, t)
-                    assert abs(sin[t] - mpmath.ldexp(mpmath.sinpi(x), bits)) < 1, (d, bits, t)
+                    # _settle reads the sine a quarter turn back
+                    assert abs(cos[t - d] - mpmath.ldexp(mpmath.sinpi(x), bits)) < 1, (d, bits, t)
 
     def test_precision_bits_validation(self):
         with pytest.raises(TypeError):
@@ -354,15 +355,16 @@ class TestTristramLevine:
     def test_hermitian_check_threshold(self, monkeypatch, offset):
         # D = (conj(w) - 1)^2 (2 x + 3 x^4) at w = exp(2 pi i / 3) is real:
         # both terms land on the angle pi, where the table is exact
-        # (cos -2^bits, sin 0). Sine entries off by u units make
-        # |im| = 5 |u| against sum |c_j| = 5. The proof allows one unit per
-        # entry, so |u| = 1 still decides the sign; |u| >= 2 is certainly
-        # not real and must raise.
+        # (cos -2^bits, sin 0). The sine at the angle pi, t = 6, is read
+        # from the entry at t - d = 3; off by u units it makes |im| = 5 |u|
+        # against sum |c_j| = 5. The proof allows one unit per entry, so
+        # |u| = 1 still decides the sign; |u| >= 2 is certainly not real
+        # and must raise.
         table = signatures._unit_circle
 
         def shifted(d, bits):
-            cos, sin = table(d, bits)
-            return cos, tuple(x + offset for x in sin)
+            cos = table(d, bits)
+            return cos[:3] + (cos[3] + offset,) + cos[4:]
 
         monkeypatch.setattr(signatures, "_unit_circle", shifted)
         coeffs, depth, k, d = [0, 2, 0, 0, 3], 2, 1, 3
